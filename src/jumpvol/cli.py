@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -10,7 +11,6 @@ import numpy as np
 from .errors import DiagnosticError, NumericalError, ParameterError
 from .estimators import EstimatorConfig, cancelled_kernel_tqv, corrected_tqv, tqv
 from .harness import (
-    default_threads,
     emit_report,
     load_config,
     path_from_csv,
@@ -66,8 +66,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_mc_table(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = config.__class__(**{**config.__dict__, "seed": args.seed})
-    report = run_mc(config, threads=args.threads)
+        config = dataclasses.replace(config, seed=args.seed)
+    report = run_mc(config)
     csv_path = args.out or config.csv_path
     if not csv_path:
         raise ParameterError("no output path: pass --out or set csv in the config")
@@ -80,7 +80,7 @@ def _cmd_mc_table(args) -> int:
 def _cmd_rate_check(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = config.__class__(**{**config.__dict__, "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     text = run_rate_experiment(config)
     _write_or_print(text, args.out)
     return 0
@@ -110,7 +110,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="dump one simulated path as CSV")
@@ -158,8 +157,6 @@ def cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", None) is None:
-            args.threads = default_threads()
         return args.func(args)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -171,3 +168,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

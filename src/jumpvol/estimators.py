@@ -2,48 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DiagnosticError, ParameterError
-from .kernels import Kernel, cancelling_kernel, kernel_moment
-from .levy import ModelSpec, PathSample, simulate_path
+from .kernels import PHI, Kernel, cancelling_kernel, kernel_moment, phi, psi
+from .levy import (
+    ModelSpec,
+    PathSample,
+    block_rows,
+    simulate_increments,
+    simulate_path,
+)
 from .stable import tail_constant
-
-CORRECTIONS = ("none", "subtract_bias", "cancel_kernel", "richardson")
-
-_WEIGHTS = {"unit": lambda x: np.ones_like(np.asarray(x, dtype=float))}
-
-
-def register_weight(tag: str, func) -> None:
-    """Register a polynomial-growth weight function by name."""
-    _WEIGHTS[tag] = func
-
-
-def get_weight(tag: str):
-    try:
-        return _WEIGHTS[tag]
-    except KeyError:
-        raise ParameterError(f"unknown weight tag {tag!r}") from None
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     beta: float
     k: float = 1.0
     kernel: Kernel = Kernel("phi")
-    weight: str = "unit"
-    correction: str = "none"
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
             raise ParameterError(f"beta must lie in (0, 1/2), got {self.beta}")
         if self.k <= 0.0:
             raise ParameterError(f"k must be positive, got {self.k}")
-        if self.correction not in CORRECTIONS:
-            raise ParameterError(f"unknown correction {self.correction!r}")
-        get_weight(self.weight)
 
     def threshold(self, n: int) -> float:
         return self.k * n ** (-self.beta)
@@ -57,26 +41,27 @@ class EstimateResult:
     normalized_error: float | None = None
 
 
-def _weights_at_left_endpoints(path: PathSample, tag: str) -> np.ndarray:
-    return get_weight(tag)(path.observations[:-1])
+def realized_volatility(path: PathSample) -> float:
+    """Plain quadratic variation sum (Delta X_i)^2."""
+    return float(np.sum(path.increments**2))
 
 
-def realized_volatility(path: PathSample, weight: str = "unit") -> float:
-    """Plain weighted quadratic variation sum f(X_{t_i}) (Delta X_i)^2."""
-    w = _weights_at_left_endpoints(path, weight)
-    return float(np.sum(w * path.increments**2))
+def truncated_sums(increments: np.ndarray, kernel_values: np.ndarray) -> np.ndarray:
+    """sum (Delta X_i)^2 K_i over the last axis, given K_i = K(Delta X_i / u_n).
+
+    Every truncated quadratic variation in the package is this sum, for one
+    path (a vector) or a block of paths (one per row).  Where the kernel
+    vanishes the term is zero even when (Delta X_i)^2 overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = increments * increments * kernel_values
+    return np.where(kernel_values != 0.0, terms, 0.0).sum(axis=-1)
 
 
 def tqv(path: PathSample, config: EstimatorConfig) -> float:
-    """Truncated quadratic variation sum f(X_{t_i}) (Delta X_i)^2 K(Delta X_i / (k n^-beta))."""
+    """Truncated quadratic variation sum (Delta X_i)^2 K(Delta X_i / (k n^-beta))."""
     dx = path.increments
-    w = _weights_at_left_endpoints(path, config.weight)
-    kv = config.kernel(dx / config.threshold(path.n))
-    # Where the kernel vanishes the term is zero even when dx*dx overflows.
-    mask = kv != 0.0
-    terms = np.zeros_like(dx)
-    terms[mask] = w[mask] * dx[mask] * dx[mask] * kv[mask]
-    return float(np.sum(terms))
+    return float(truncated_sums(dx, config.kernel(dx / config.threshold(path.n))))
 
 
 def jump_bias(
@@ -132,12 +117,7 @@ def cancelled_kernel_tqv(
 ) -> EstimateResult:
     """Estimator with the composite kernel whose weighted moment vanishes."""
     comp = cancelling_kernel(alpha, M)
-    q = tqv(
-        path,
-        EstimatorConfig(
-            beta=config.beta, k=config.k, kernel=comp, weight=config.weight
-        ),
-    )
+    q = tqv(path, replace(config, kernel=comp))
     err = None if sigma_sq is None else (q - sigma_sq) * np.sqrt(path.n)
     return EstimateResult(q, 0.0, q, err)
 
@@ -153,13 +133,16 @@ def richardson(q_n: float, q_2n: float, alpha: float, beta: float) -> float:
 def richardson_paired(
     model: ModelSpec, config: EstimatorConfig, alpha: float, n: int, seed
 ) -> tuple[float, float, float]:
-    """Richardson extrapolation on a shared path: simulate at 2n, subsample for n.
+    """Richardson extrapolation on a shared path: simulate at 2n, sum pairs for n.
 
     Returns (q_n, q_2n, extrapolated).
     """
     fine = simulate_path(model, 2 * n, seed)
     coarse = PathSample(
-        n=n, observations=fine.observations[0::2], delta=1.0 / n, seed=fine.seed
+        n=n,
+        increments=fine.increments[0::2] + fine.increments[1::2],
+        delta=1.0 / n,
+        seed=fine.seed,
     )
     q_n = tqv(coarse, config)
     q_2n = tqv(fine, config)
@@ -187,6 +170,36 @@ def fit_power_law(n_values, biases) -> tuple[float, float]:
     return float(slope), float(np.sqrt(var))
 
 
+def normalized_errors(
+    increments: np.ndarray,
+    config: EstimatorConfig,
+    alpha: float,
+    gamma: float,
+    M: float,
+    sigma_sq: float,
+) -> np.ndarray:
+    """(E1, E2, E3) per row of an increment block, shape (rows, 3).
+
+    The sqrt(n)-normalized errors of tqv, corrected_tqv and
+    cancelled_kernel_tqv, bit-identical to those per-path routes, from one
+    evaluation of phi and one of psi: the composite kernel's values are
+    phi + c~ psi, as `kernels.composite` computes them.
+    """
+    n = increments.shape[-1]
+    x = increments / config.threshold(n)
+    phi_values = phi(x)
+    comp_values = phi_values + cancelling_kernel(alpha, M).c * psi(x, M)
+    est_values = phi_values if config.kernel.kind == PHI else config.kernel(x)
+    q = truncated_sums(increments, est_values)
+    bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
+    root_n = np.sqrt(n)
+    errors = np.empty((len(q), 3))
+    errors[:, 0] = (q - sigma_sq) * root_n
+    errors[:, 1] = (q - bias - sigma_sq) * root_n
+    errors[:, 2] = (truncated_sums(increments, comp_values) - sigma_sq) * root_n
+    return errors
+
+
 def rate_fit(
     model: ModelSpec,
     config: EstimatorConfig,
@@ -207,9 +220,13 @@ def rate_fit(
     biases = []
     for n in n_grid:
         acc = np.empty(replicates)
-        for r in range(replicates):
-            path = simulate_path(model, n, np.random.SeedSequence((seed, n, r)))
-            acc[r] = tqv(path, config)
+        step = block_rows(n)
+        for lo in range(0, replicates, step):
+            hi = min(lo + step, replicates)
+            seeds = [np.random.SeedSequence((seed, n, r)) for r in range(lo, hi)]
+            block = simulate_increments(model, n, seeds)
+            kernel_values = config.kernel(block / config.threshold(n))
+            acc[lo:hi] = truncated_sums(block, kernel_values)
         biases.append(float(acc.mean()) - truth)
     slope, stderr = fit_power_law(n_grid, biases)
     return slope, stderr

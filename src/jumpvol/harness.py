@@ -1,27 +1,19 @@
-"""Monte Carlo experiment harness: config parsing, parallel runs, report emission."""
+"""Monte Carlo experiment harness: config parsing, batched runs, report emission."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DiagnosticError, NumericalError, ParameterError
-from .estimators import (
-    EstimatorConfig,
-    cancelled_kernel_tqv,
-    corrected_tqv,
-    rate_fit,
-    tqv,
-)
+from .estimators import EstimatorConfig, normalized_errors, rate_fit
 from .kernels import parse_kernel
-from .levy import JumpLaw, ModelSpec, simulate_path
+from .levy import JumpLaw, ModelSpec, PathSample, block_rows, simulate_increments
 
 
 @dataclass(frozen=True)
@@ -192,6 +184,8 @@ class CellResult:
     stderr_e2: float
     stderr_e3: float
     flagged: bool = False
+    simulate_s: float = 0.0
+    estimate_s: float = 0.0
 
     def row(self) -> list:
         return [
@@ -224,81 +218,78 @@ REPORT_HEADER = (
 )
 
 
-def default_threads() -> int:
-    env = os.environ.get("JUMPVOL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"JUMPVOL_THREADS must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
+def replicate_errors(config: ExperimentConfig, cell_idx: int) -> tuple:
+    """(E1, E2, E3) of every replicate of one cell, shape (R, 3), plus stage times.
 
-
-def _run_replicate(config: ExperimentConfig, cell_idx: int, rep: int) -> tuple:
+    Replicate r is the path of stream (seed, cell-index, r); the paths are
+    simulated and estimated in blocks of `block_rows(n)` rows, so a
+    replicate's errors do not depend on which block it falls in.  Returns
+    (errors, simulate_s, estimate_s).
+    """
     cell = config.cells[cell_idx]
     est_cfg = cell.estimator_config()
     model = cell.model(config.sigma)
-    sigma_sq = config.sigma**2
-    seed = np.random.SeedSequence((config.seed, cell_idx, rep))
-    path = simulate_path(model, config.n, seed)
-    root_n = np.sqrt(config.n)
-    e1 = (tqv(path, est_cfg) - sigma_sq) * root_n
-    e2 = corrected_tqv(path, est_cfg, cell.alpha, cell.gamma, sigma_sq).normalized_error
-    e3 = cancelled_kernel_tqv(path, est_cfg, cell.alpha, cell.M, sigma_sq).normalized_error
-    return e1, e2, e3
+    reps, n = config.replicates, config.n
+    errors = np.empty((reps, 3))
+    simulate_s = estimate_s = 0.0
+    step = block_rows(n)
+    for lo in range(0, reps, step):
+        hi = min(lo + step, reps)
+        t0 = time.perf_counter()
+        seeds = [
+            np.random.SeedSequence((config.seed, cell_idx, r)) for r in range(lo, hi)
+        ]
+        block = simulate_increments(model, n, seeds)
+        t1 = time.perf_counter()
+        errors[lo:hi] = normalized_errors(
+            block, est_cfg, cell.alpha, cell.gamma, cell.M, config.sigma**2
+        )
+        simulate_s += t1 - t0
+        estimate_s += time.perf_counter() - t1
+    return errors, simulate_s, estimate_s
 
 
-def run_mc(config: ExperimentConfig, threads: int | None = None) -> McReport:
+def _stderr(v: np.ndarray) -> float:
+    return float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
+
+
+def run_mc(config: ExperimentConfig) -> McReport:
     """Run the Monte Carlo experiment, one path per (cell, replicate).
 
-    Replicates are dispatched to a thread pool; each owns the stream
-    (seed, cell-index, replicate), and results are stored by index so the
-    report is identical at any thread count.  Replicates that fail
-    numerically are excluded; a cell with more than 1% exclusions is flagged.
+    Replicates whose E1, E2 or E3 is not finite are excluded; a cell with
+    more than 1% exclusions is flagged, and a cell with no finite replicate
+    is an error.
     """
-    threads = threads or default_threads()
     start = time.monotonic()
     reps = config.replicates
     results = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for ci, cell in enumerate(config.cells):
-            errs = np.full((reps, 3), np.nan)
-            futures = {
-                pool.submit(_run_replicate, config, ci, r): r for r in range(reps)
-            }
-            excluded = 0
-            for fut, r in futures.items():
-                try:
-                    errs[r] = fut.result()
-                except (NumericalError, FloatingPointError):
-                    excluded += 1
-            ok = errs[~np.isnan(errs).any(axis=1)]
-            succeeded = ok.shape[0]
-            if succeeded == 0:
-                raise NumericalError(
-                    f"cell {ci} (alpha={cell.alpha}): every replicate failed"
-                )
-            e1, e2, e3 = ok[:, 0], ok[:, 1], ok[:, 2]
-
-            def stderr(v):
-                return float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-
-            results.append(
-                CellResult(
-                    cell=cell,
-                    n=config.n,
-                    replicates=succeeded,
-                    excluded=excluded,
-                    mean_e1=float(e1.mean()),
-                    rms_e1=float(np.sqrt(np.mean(e1**2))),
-                    mean_e2=float(e2.mean()),
-                    mean_e3=float(e3.mean()),
-                    stderr_e1=stderr(e1),
-                    stderr_e2=stderr(e2),
-                    stderr_e3=stderr(e3),
-                    flagged=excluded > 0.01 * reps,
-                )
+    for ci, cell in enumerate(config.cells):
+        errs, simulate_s, estimate_s = replicate_errors(config, ci)
+        ok = errs[np.isfinite(errs).all(axis=1)]
+        succeeded = ok.shape[0]
+        if succeeded == 0:
+            raise NumericalError(
+                f"cell {ci} (alpha={cell.alpha}): every replicate failed"
             )
+        e1, e2, e3 = ok[:, 0], ok[:, 1], ok[:, 2]
+        results.append(
+            CellResult(
+                cell=cell,
+                n=config.n,
+                replicates=succeeded,
+                excluded=reps - succeeded,
+                mean_e1=float(e1.mean()),
+                rms_e1=float(np.sqrt(np.mean(e1**2))),
+                mean_e2=float(e2.mean()),
+                mean_e3=float(e3.mean()),
+                stderr_e1=_stderr(e1),
+                stderr_e2=_stderr(e2),
+                stderr_e3=_stderr(e3),
+                flagged=reps - succeeded > 0.01 * reps,
+                simulate_s=simulate_s,
+                estimate_s=estimate_s,
+            )
+        )
     return McReport(
         config=config, results=tuple(results), wall_time=time.monotonic() - start
     )
@@ -323,6 +314,8 @@ def report_to_json(report: McReport) -> str:
         "cells": [dict(zip(header, res.row())) for res in report.results],
         "excluded": [res.excluded for res in report.results],
         "flagged": [res.flagged for res in report.results],
+        "simulate_s": [res.simulate_s for res in report.results],
+        "estimate_s": [res.estimate_s for res in report.results],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -373,9 +366,7 @@ def path_to_csv(path_sample) -> str:
     return buf.getvalue()
 
 
-def path_from_csv(text: str):
-    from .levy import PathSample
-
+def path_from_csv(text: str) -> PathSample:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "t", "x"]:
@@ -387,5 +378,4 @@ def path_from_csv(text: str):
         xs.append(float(row[2]))
     if len(xs) < 3:
         raise ParameterError("path CSV must contain at least 3 observations")
-    n = len(xs) - 1
-    return PathSample(n=n, observations=np.asarray(xs), delta=1.0 / n, seed=None)
+    return PathSample.from_observations(xs)

@@ -56,35 +56,55 @@ class ModelSpec:
     sigma: float = 1.0
     gamma: float = 0.0
     jump_law: JumpLaw | None = None
-    horizon: float = 1.0
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.horizon != 1.0:
-            raise ParameterError("horizon is fixed at 1")
         if self.gamma != 0.0 and self.jump_law is None:
             raise ParameterError("gamma != 0 requires a jump_law")
 
 
 @dataclass(frozen=True)
 class PathSample:
-    """Equally spaced observations X_{t_0..t_n} on [0, 1] with delta = 1/n."""
+    """Increments Delta X_1..n of a path on [0, 1] observed with delta = 1/n.
+
+    The increments are the path's data.  `observations` defaults to their
+    cumulative sum from X_0 = 0; `from_observations` keeps observed values
+    as given and takes their differences as the increments.
+    """
 
     n: int
-    observations: np.ndarray
+    increments: np.ndarray
     delta: float
-    seed: int
-    increments: np.ndarray = field(init=False, repr=False)
+    seed: int | None
+    observations: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=float)
-        if obs.shape != (self.n + 1,):
+        dx = np.asarray(self.increments, dtype=float)
+        if dx.shape != (self.n,):
             raise ParameterError(
-                f"observations must have length n+1={self.n + 1}, got {obs.shape}"
+                f"increments must have length n={self.n}, got {dx.shape}"
             )
+        object.__setattr__(self, "increments", dx)
+        if self.observations is None:
+            obs = np.concatenate(([0.0], np.cumsum(dx)))
+        else:
+            obs = np.asarray(self.observations, dtype=float)
+            if obs.shape != (self.n + 1,):
+                raise ParameterError(
+                    f"observations must have length n+1={self.n + 1}, got {obs.shape}"
+                )
         object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "increments", np.diff(obs))
+
+    @classmethod
+    def from_observations(cls, observations, seed: int | None = None) -> "PathSample":
+        obs = np.asarray(observations, dtype=float)
+        if obs.ndim != 1 or obs.size < 2:
+            raise ParameterError(f"need at least 2 observations, got shape {obs.shape}")
+        n = obs.size - 1
+        return cls(
+            n=n, increments=np.diff(obs), delta=1.0 / n, seed=seed, observations=obs
+        )
 
 
 @lru_cache(maxsize=None)
@@ -252,24 +272,50 @@ def sample_jump_increment(
     return sample_tempered_increment(law.alpha, delta, law.small_jump_cutoff, rng, size)
 
 
-def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:
-    """Simulate X on the grid t_i = i/n, exact in law for constant coefficients.
+# Rows per block are chosen so a block holds about this many increments:
+# large enough to amortize numpy call overhead over many paths, small enough
+# that a whole Monte Carlo cell is never held in memory at once.
+BLOCK_INCREMENTS = 16_384
 
-    X_0 = 0 and X_{t_{i+1}} = X_{t_i} + b*delta + sigma*sqrt(delta)*Z_i
-    + gamma*J_i.  The same (model, n, seed) always yields a bit-identical
-    path; `seed` may be an integer or a numpy SeedSequence.
+
+def block_rows(n: int) -> int:
+    """Paths of n increments per simulation block (at least one)."""
+    return max(1, BLOCK_INCREMENTS // n)
+
+
+def simulate_increments(model: ModelSpec, n: int, seeds) -> np.ndarray:
+    """Increments of one path per seed on the grid t_i = i/n, as a (rows, n) block.
+
+    Row r is b*delta + sigma*sqrt(delta)*Z + gamma*J drawn from its own
+    stream `seeds[r]` (an integer, SeedSequence or Generator): the Gaussian
+    draws first, then the jump draws.  Every step after the draws is
+    elementwise, so a row is bit-identical to the same seed's row in any
+    other block.
     """
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
-    gen = _as_generator(seed)
     delta = 1.0 / n
-    increments = np.full(n, model.drift * delta)
+    gens = [_as_generator(seed) for seed in seeds]
+    block = np.full((len(gens), n), model.drift * delta)
     if model.sigma > 0:
-        increments += model.sigma * np.sqrt(delta) * gen.standard_normal(n)
+        normals = np.stack([gen.standard_normal(n) for gen in gens])
+        block += model.sigma * np.sqrt(delta) * normals
     if model.gamma != 0.0:
-        increments += model.gamma * sample_jump_increment(
-            model.jump_law, delta, gen, size=n
+        jumps = np.stack(
+            [sample_jump_increment(model.jump_law, delta, gen, size=n) for gen in gens]
         )
-    observations = np.concatenate(([0.0], np.cumsum(increments)))
+        block += model.gamma * jumps
+    return block
+
+
+def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:
+    """Simulate X on the grid t_i = i/n, exact in law for constant coefficients.
+
+    The one-row case of `simulate_increments`: X_0 = 0 and
+    X_{t_{i+1}} - X_{t_i} = b*delta + sigma*sqrt(delta)*Z_i + gamma*J_i.  The
+    same (model, n, seed) always yields a bit-identical path; `seed` may be
+    an integer or a numpy SeedSequence.
+    """
+    increments = simulate_increments(model, n, [seed])[0]
     seed_tag = seed if isinstance(seed, (int, np.integer)) else -1
-    return PathSample(n=n, observations=observations, delta=delta, seed=int(seed_tag))
+    return PathSample(n=n, increments=increments, delta=1.0 / n, seed=int(seed_tag))

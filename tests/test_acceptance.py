@@ -20,7 +20,9 @@ from jumpvol import (
     ModelSpec,
     StableLaw,
     c_tilde,
+    cancelled_kernel_tqv,
     cancelling_kernel,
+    corrected_tqv,
     d_zeta_mc,
     d_zeta_quadrature,
     kernel_moment,
@@ -341,17 +343,35 @@ class TestCriterion8:
 
 
 class TestCriterion9:
-    def test_determinism_across_threads(self):
-        """Identical reports for the same config and seed at any thread count."""
-        from jumpvol.harness import report_to_csv
+    def test_determinism_and_per_path_equality(self):
+        """Identical reports on rerun, and every replicate's (E1, E2, E3) equal
+        bit for bit to the per-path route simulate_path -> tqv, corrected_tqv,
+        cancelled_kernel_tqv.  R = 64 at n = 300 is not a multiple of the 54
+        rows of a simulation block, so a partial block is covered too."""
+        from jumpvol.harness import replicate_errors, report_to_csv
 
         cells = (
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
             CellConfig(alpha=0.5, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
         )
         cfg = ExperimentConfig(cells=cells, n=300, replicates=64, seed=314)
-        texts = {report_to_csv(run_mc(cfg, threads=t)) for t in (1, 3, 8)}
-        rerun = report_to_csv(run_mc(cfg, threads=4))
-        ok = len(texts) == 1 and rerun in texts
-        assert report(9, ok, f"{3 + 1} runs at threads 1/3/8/4: "
-                      + ("bit-identical" if ok else "mismatch"))
+        first = run_mc(cfg)
+        rerun_ok = report_to_csv(first) == report_to_csv(run_mc(cfg))
+        mismatches = 0
+        for ci, cell in enumerate(cells):
+            errors, _, _ = replicate_errors(cfg, ci)
+            est, model = cell.estimator_config(), cell.model(cfg.sigma)
+            for r in range(cfg.replicates):
+                seed = np.random.SeedSequence((cfg.seed, ci, r))
+                path = simulate_path(model, cfg.n, seed)
+                per_path = [
+                    (tqv(path, est) - 1.0) * np.sqrt(cfg.n),
+                    corrected_tqv(path, est, cell.alpha, cell.gamma, 1.0).normalized_error,
+                    cancelled_kernel_tqv(path, est, cell.alpha, cell.M, 1.0).normalized_error,
+                ]
+                mismatches += not np.array_equal(errors[r], per_path)
+            mismatches += first.results[ci].mean_e3 != float(errors[:, 2].mean())
+        ok = rerun_ok and mismatches == 0
+        assert report(9, ok, f"rerun {'bit-identical' if rerun_ok else 'differs'}; "
+                      f"{mismatches} of {2 * cfg.replicates} replicates differ "
+                      "from the per-path route")

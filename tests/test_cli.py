@@ -2,10 +2,14 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
+import jumpvol
 from jumpvol import EstimatorConfig, parse_kernel, tqv
 from jumpvol.cli import cli
 from jumpvol.harness import path_from_csv
@@ -184,18 +188,6 @@ k = 2
         )
         assert a.read_text() != b.read_text()
 
-    def test_thread_invariance(self, capsys, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(self.CFG)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(
-            capsys, "mc-table", "--config", str(cfg), "--threads", "1", "--out", str(a)
-        )
-        run_cli(
-            capsys, "mc-table", "--config", str(cfg), "--threads", "8", "--out", str(b)
-        )
-        assert a.read_text() == b.read_text()
-
     def test_missing_config(self, capsys):
         code, _, _ = run_cli(capsys, "mc-table", "--config", "/no/such.cfg")
         assert code == 1
@@ -256,16 +248,20 @@ class TestDzeta:
         assert code == 1
 
 
-class TestThreadsEnvVar:
-    def test_env_var_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("JUMPVOL_THREADS", "2")
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TestMcTable.CFG)
-        out = tmp_path / "t.csv"
-        code, _, _ = run_cli(capsys, "mc-table", "--config", str(cfg), "--out", str(out))
-        assert code == 0
+class TestModuleEntryPoints:
+    """`python -m jumpvol` and `python -m jumpvol.cli` run the CLI from a checkout."""
 
-    def test_env_var_bad_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("JUMPVOL_THREADS", "many")
-        code, _, _ = run_cli(capsys, "simulate", "--n", "5")
-        assert code == 1
+    @pytest.mark.parametrize("module", ["jumpvol", "jumpvol.cli"])
+    def test_missing_config_exits_1(self, module):
+        src = str(Path(jumpvol.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "mc-table", "--config", "/nonexistent.cfg"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "error" in proc.stderr

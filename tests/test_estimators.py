@@ -22,12 +22,12 @@ from jumpvol import (
     tqv,
 )
 from jumpvol.estimators import fit_power_law, rate_fit
+from jumpvol.kernels import phi
+from jumpvol.levy import sample_stable_increment
 
 
-def make_path(values, n=None):
-    values = np.asarray(values, dtype=float)
-    n = len(values) - 1 if n is None else n
-    return PathSample(n=n, observations=values, delta=1.0 / n, seed=0)
+def make_path(values):
+    return PathSample.from_observations(values, seed=0)
 
 
 class TestEstimatorConfig:
@@ -39,10 +39,6 @@ class TestEstimatorConfig:
     def test_rejects_bad_k(self):
         with pytest.raises(ParameterError):
             EstimatorConfig(beta=0.2, k=0.0)
-
-    def test_rejects_bad_correction(self):
-        with pytest.raises(ParameterError):
-            EstimatorConfig(beta=0.2, correction="extrapolate")
 
     def test_threshold(self):
         cfg = EstimatorConfig(beta=0.25, k=2.0)
@@ -92,7 +88,7 @@ class TestTqv:
         cfg = EstimatorConfig(beta=0.2, k=2.0)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.2))
         p = simulate_path(model, 300, 3)
-        flipped = make_path(np.r_[0.0, np.cumsum(-p.increments)], n=300)
+        flipped = make_path(np.r_[0.0, np.cumsum(-p.increments)])
         assert tqv(flipped, cfg) == pytest.approx(tqv(p, cfg), rel=1e-12)
 
     def test_monotone_in_k(self):
@@ -109,6 +105,31 @@ class TestTqv:
         obs = np.zeros(11)
         obs[5:] = 1e300
         assert tqv(make_path(obs), cfg) == 0.0
+
+    def test_infinite_increment_drops_only_itself(self):
+        cfg = EstimatorConfig(beta=0.2, k=1.0)
+        dx = np.full(10, 0.01)
+        dx[4] = np.inf
+        path = PathSample(n=10, increments=dx, delta=0.1, seed=0)
+        assert tqv(path, cfg) == pytest.approx(9 * 0.01**2, rel=1e-12)
+
+    def test_sees_simulated_increments_after_huge_jumps(self):
+        """At alpha = 0.1 one jump can exceed the Brownian increments by many
+        orders of magnitude; tqv must still sum over the increments that were
+        simulated, not over differences of their rounded cumulative sum."""
+        n, alpha = 700, 0.1
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", alpha))
+        cfg = EstimatorConfig(beta=0.2, k=2.0)
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            brownian = np.sqrt(1.0 / n) * gen.standard_normal(n)
+            dx = brownian + sample_stable_increment(alpha, 1.0 / n, gen, size=n)
+            kv = phi(dx / cfg.threshold(n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = float(np.sum(np.where(kv != 0.0, dx * dx * kv, 0.0)))
+            assert tqv(simulate_path(model, n, seed), cfg) == pytest.approx(
+                expected, rel=1e-12
+            ), f"seed {seed}"
 
 
 class TestJumpBias:
@@ -243,3 +264,19 @@ class TestRateFit:
         cfg = EstimatorConfig(beta=0.2, k=3.0)
         slope, _ = rate_fit(model, cfg, [100, 200, 400, 800], 60, 5)
         assert slope == pytest.approx(0.3, abs=0.25)
+
+    @pytest.mark.parametrize("kind", ["stable", "tempered"])
+    def test_equals_per_path_loop(self, kind):
+        """The block pass gives bit for bit what a per-path tqv loop gives,
+        with replicate counts that are not a multiple of the block's rows."""
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw(kind, 0.7))
+        cfg = EstimatorConfig(beta=0.2, k=3.0)
+        grid, reps, seed = [50, 100, 200, 400], 100, 11
+        biases = []
+        for n in grid:
+            q = [
+                tqv(simulate_path(model, n, np.random.SeedSequence((seed, n, r))), cfg)
+                for r in range(reps)
+            ]
+            biases.append(float(np.mean(q)) - 1.0)
+        assert rate_fit(model, cfg, grid, reps, seed) == fit_power_law(grid, biases)

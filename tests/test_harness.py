@@ -100,18 +100,13 @@ class TestRunMc:
         return ExperimentConfig(cells=cells, n=200, replicates=16, seed=7)
 
     def test_deterministic_rerun(self, small_config):
-        a = run_mc(small_config, threads=2)
-        b = run_mc(small_config, threads=2)
-        assert report_to_csv(a) == report_to_csv(b)
-
-    def test_thread_count_invariance(self, small_config):
-        a = run_mc(small_config, threads=1)
-        b = run_mc(small_config, threads=8)
+        a = run_mc(small_config)
+        b = run_mc(small_config)
         assert report_to_csv(a) == report_to_csv(b)
 
     def test_rms_identity(self, small_config):
         """rms^2 = mean^2 + variance for the recorded sample moments."""
-        res = run_mc(small_config, threads=2).results[0]
+        res = run_mc(small_config).results[0]
         var = res.stderr_e1**2 * res.replicates
         biased_var = var * (res.replicates - 1) / res.replicates
         assert res.rms_e1**2 == pytest.approx(res.mean_e1**2 + biased_var, rel=1e-9)
@@ -119,13 +114,50 @@ class TestRunMc:
     def test_no_jump_cell_errors_coincide(self):
         cells = (CellConfig(alpha=1.0, gamma=0.0, beta=0.2, k=2.0),)
         cfg = ExperimentConfig(cells=cells, n=700, replicates=8, seed=1)
-        res = run_mc(cfg, threads=2).results[0]
+        res = run_mc(cfg).results[0]
         assert res.mean_e2 == pytest.approx(res.mean_e1, rel=1e-12)
         assert res.mean_e3 == pytest.approx(res.mean_e1, rel=1e-6)
 
     def test_accounting(self, small_config):
-        res = run_mc(small_config, threads=2).results[0]
+        res = run_mc(small_config).results[0]
         assert res.replicates + res.excluded == small_config.replicates
+
+    def test_non_finite_replicates_excluded(self, small_config, monkeypatch):
+        """A replicate with a non-finite error is excluded and counted, not averaged."""
+        from jumpvol import harness
+
+        clean_errors = harness.normalized_errors
+
+        def poisoned(*args):
+            errors = clean_errors(*args)
+            errors[0, 2] = np.inf
+            errors[1, 0] = np.nan
+            return errors
+
+        clean = run_mc(small_config).results[0]
+        monkeypatch.setattr(harness, "normalized_errors", poisoned)
+        res = run_mc(small_config).results[0]
+        assert (res.replicates, res.excluded) == (small_config.replicates - 2, 2)
+        assert res.flagged
+        assert np.isfinite([res.mean_e1, res.mean_e2, res.mean_e3]).all()
+        assert res.mean_e1 != clean.mean_e1
+
+    def test_every_replicate_failed(self, small_config, monkeypatch):
+        from jumpvol import NumericalError, harness
+
+        def all_nan(block, *args):
+            return np.full((len(block), 3), np.nan)
+
+        monkeypatch.setattr(harness, "normalized_errors", all_nan)
+        with pytest.raises(NumericalError, match="every replicate failed"):
+            run_mc(small_config)
+
+    def test_stage_timings_in_json(self, small_config):
+        report = run_mc(small_config)
+        payload = json.loads(report_to_json(report))
+        for key in ("simulate_s", "estimate_s"):
+            assert len(payload[key]) == 1
+            assert payload[key][0] > 0.0
 
 
 class TestEmitReport:
@@ -141,7 +173,7 @@ class TestEmitReport:
             )
             return McReport(config=cfg, results=())
         cfg = ExperimentConfig(cells=cells, n=100, replicates=4, seed=3)
-        return run_mc(cfg, threads=1)
+        return run_mc(cfg)
 
     def test_empty_report_is_header_only(self):
         assert report_to_csv(self.make_report(0)) == REPORT_HEADER + "\n"
@@ -204,6 +236,13 @@ class TestPathCsv:
         back = path_from_csv(path_to_csv(path))
         np.testing.assert_array_equal(back.observations, path.observations)
         assert back.n == path.n
+
+    def test_observations_kept_as_read(self):
+        """A loaded path keeps its observations; its increments are their differences."""
+        text = "i,t,x\n0,0.0,1.5\n1,0.5,1e17\n2,1.0,1.75\n"
+        back = path_from_csv(text)
+        np.testing.assert_array_equal(back.observations, [1.5, 1e17, 1.75])
+        np.testing.assert_array_equal(back.increments, np.diff([1.5, 1e17, 1.75]))
 
     def test_header_required(self):
         with pytest.raises(ParameterError):

@@ -5,10 +5,13 @@ import pytest
 
 from jumpvol import JumpLaw, ModelSpec, ParameterError, PathSample, simulate_path
 from jumpvol.levy import (
+    BLOCK_INCREMENTS,
+    block_rows,
     sample_jump_increment,
     sample_stable_increment,
     sample_standard_stable,
     sample_tempered_increment,
+    simulate_increments,
     stable_scale,
     tempered_small_jump_variance,
     tempered_tail_intensity,
@@ -206,8 +209,37 @@ class TestSimulatePath:
 class TestPathSample:
     def test_rejects_wrong_length(self):
         with pytest.raises(ParameterError):
-            PathSample(n=3, observations=np.zeros(3), delta=1 / 3, seed=0)
+            PathSample(n=3, increments=np.zeros(2), delta=1 / 3, seed=0)
+        with pytest.raises(ParameterError):
+            PathSample(
+                n=2, increments=np.zeros(2), delta=0.5, seed=0, observations=np.zeros(2)
+            )
 
     def test_increments(self):
-        p = PathSample(n=2, observations=np.array([0.0, 1.0, 1.0]), delta=0.5, seed=0)
+        p = PathSample.from_observations(np.array([0.0, 1.0, 1.0]), seed=0)
         np.testing.assert_array_equal(p.increments, [1.0, 0.0])
+        assert p.n == 2 and p.delta == 0.5
+
+    def test_observations_derived_from_increments(self):
+        p = PathSample(n=3, increments=np.array([1e20, 1.0, -1e20]), delta=1 / 3, seed=0)
+        np.testing.assert_array_equal(p.observations, [0.0, 1e20, 1e20, 0.0])
+        np.testing.assert_array_equal(p.increments, [1e20, 1.0, -1e20])
+
+
+class TestSimulateIncrements:
+    @pytest.mark.parametrize("kind", ["stable", "tempered"])
+    def test_rows_equal_single_paths(self, kind):
+        model = ModelSpec(
+            drift=0.3, sigma=0.5, gamma=2.0, jump_law=JumpLaw(kind, alpha=1.1)
+        )
+        seeds = [np.random.SeedSequence((3, 1, r)) for r in range(5)]
+        block = simulate_increments(model, 40, seeds)
+        assert block.shape == (5, 40)
+        for row, seed in zip(block, seeds):
+            np.testing.assert_array_equal(
+                row, simulate_path(model, 40, seed).increments
+            )
+
+    def test_block_rows(self):
+        assert block_rows(700) * 700 <= BLOCK_INCREMENTS < (block_rows(700) + 1) * 700
+        assert block_rows(10 * BLOCK_INCREMENTS) == 1
