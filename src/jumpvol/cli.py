@@ -53,7 +53,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     with open(getattr(args, "in"), encoding="utf-8") as fh:
         path = path_from_csv(fh.read())
-    kernel = parse_kernel(args.kernel, args.alpha)
+    kernel = parse_kernel(args.kernel, args.alpha, args.M)
     config = EstimatorConfig(beta=args.beta, k=args.k, kernel=kernel)
     q_n = tqv(path, config)
     q_c = corrected_tqv(path, config, args.alpha, args.gamma).final_estimate
@@ -92,11 +92,10 @@ def _cmd_dzeta(args) -> int:
     zetas = [float(z) for z in args.zeta.replace(",", " ").split()]
     if not zetas:
         raise ParameterError("--zeta needs at least one value")
+    seed = args.seed if args.seed is not None else 0
+    mcs = d_zeta_mc(zetas, args.alpha, args.draws, seed, kernel)
     lines = ["zeta,alpha,mc,quadrature,asymptotic,stderr"]
-    for z in zetas:
-        mc, stderr = d_zeta_mc(
-            z, args.alpha, args.draws, args.seed if args.seed is not None else 0, kernel
-        )
+    for z, (mc, stderr) in zip(zetas, mcs):
         quad = d_zeta_quadrature(z, law, kernel)
         asym = d_zeta_asymptotic(z, args.alpha, kernel)
         lines.append(f"{z!r},{args.alpha!r},{mc!r},{quad!r},{asym!r},{stderr!r}")

@@ -27,9 +27,8 @@ class CellConfig:
     jumps: str = "stable"
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            beta=self.beta, k=self.k, kernel=parse_kernel(self.kernel, self.alpha)
-        )
+        kernel = parse_kernel(self.kernel, self.alpha, self.M)
+        return EstimatorConfig(beta=self.beta, k=self.k, kernel=kernel)
 
     def model(self, sigma: float) -> ModelSpec:
         return ModelSpec(

@@ -88,10 +88,14 @@ class Kernel:
         return composite(x, self.c, self.M)
 
 
-def parse_kernel(spec: str, alpha: float | None = None) -> Kernel:
+def parse_kernel(
+    spec: str, alpha: float | None = None, M: float | None = None
+) -> Kernel:
     """Parse `phi`, `psi:M=<real>` or `composite:M=<real>`.
 
-    Composite kernels get c = c_tilde(alpha, M), which requires alpha.
+    A bare `psi` or `composite` takes `M` (4 when it is None); a spec whose
+    `M=` differs from a given `M` is refused.  Composite kernels get
+    c = c_tilde(alpha, M), which requires alpha.
     """
     name, _, rest = spec.strip().partition(":")
     params = {}
@@ -103,10 +107,13 @@ def parse_kernel(spec: str, alpha: float | None = None) -> Kernel:
             raise ParameterError(f"bad kernel parameter {item!r} in {spec!r}") from None
     if name == PHI:
         return Kernel(PHI)
+    if name in (PSI, COMPOSITE):
+        if M is not None and params.get("M", M) != M:
+            raise ParameterError(f"kernel {spec!r} disagrees with M = {M:g}")
+        M = params.get("M", 4.0 if M is None else M)
     if name == PSI:
-        return Kernel(PSI, M=params.get("M", 4.0))
+        return Kernel(PSI, M=M)
     if name == COMPOSITE:
-        M = params.get("M", 4.0)
         if alpha is None:
             raise ParameterError("composite kernels need alpha to determine c")
         return Kernel(COMPOSITE, M=M, c=c_tilde(alpha, M))

@@ -256,7 +256,7 @@ def sample_tempered_increment(
         out = np.zeros(m)
         if total:
             magnitudes = _tempered_jump_sizes(alpha, cutoff, total, gen)
-            signs = gen.choice((-1.0, 1.0), size=total)
+            signs = 2.0 * gen.integers(0, 2, size=total) - 1.0
             np.add.at(out, np.repeat(np.arange(m), counts), signs * magnitudes)
         small_sd = np.sqrt(tempered_small_jump_variance(alpha, cutoff) * delta)
         out += small_sd * gen.standard_normal(m)

@@ -15,8 +15,10 @@ the tail coefficient of the unit law exp(-|t|^alpha / 2).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import cos, exp, gamma, inf, lgamma, log, pi, sin
+from functools import lru_cache
+from math import cos, exp, gamma, inf, isfinite, lgamma, log, pi, sin
 
 import numpy as np
 from scipy import integrate
@@ -72,6 +74,15 @@ _SERIES_MAX_TERMS = 200
 _EPS = np.finfo(float).eps
 
 
+@lru_cache(maxsize=64)
+def _series_coefficients(alpha: float) -> tuple[tuple[float, float], ...]:
+    """(lgamma(k alpha+1) - lgamma(k+1), sin(k pi alpha/2)) for k = 1..max terms."""
+    return tuple(
+        (lgamma(k * alpha + 1.0) - lgamma(k + 1.0), sin(k * pi * alpha / 2.0))
+        for k in range(1, _SERIES_MAX_TERMS + 1)
+    )
+
+
 def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
     """Tail series of the density, or None where it is not accurate.
 
@@ -94,13 +105,13 @@ def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
     first = exp(lgamma(alpha + 1.0) + log_x)
     total = abs_sum = 0.0
     prev = inf
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        mag = exp(lgamma(k * alpha + 1.0) - lgamma(k + 1.0) + k * log_x)
+    for k, (log_coef, sine) in enumerate(_series_coefficients(alpha), start=1):
+        mag = exp(log_coef + k * log_x)
         if mag + _EPS * abs_sum <= _SERIES_RTOL * abs(total):
             return total / (pi * z)
         if (alpha >= 1.0 and mag > prev) or _EPS * abs_sum > _SERIES_RTOL * first:
             return None
-        term = mag * sin(k * pi * alpha / 2.0)
+        term = mag * sine
         total += term if k % 2 else -term
         abs_sum += abs(term)
         prev = mag
@@ -149,44 +160,85 @@ def stable_density(z: float, law: StableLaw) -> float:
     return _fourier_density(z, law.alpha, law.scale_exponent)
 
 
+# |zeta| range of d_zeta_quadrature: its result divides by |zeta|^3, which
+# must stay a normal float.
+_QUAD_ZETA_MIN = 1e-100
+_QUAD_ZETA_MAX = 1e100
+
+
+def _check_zeta(zeta: float) -> float:
+    if zeta == 0.0:
+        raise ParameterError("d(zeta) diverges at zeta = 0")
+    if not isfinite(zeta):
+        raise ParameterError(f"zeta must be finite, got {zeta}")
+    return abs(zeta)
+
+
+def _chunk_sums(s: np.ndarray, zeta: float, kernel: Kernel) -> tuple[float, float]:
+    """Sums of S^2 K(S*zeta) and of its square over one chunk of draws.
+
+    Its temporaries are freed on return, so a multi-zeta call holds one
+    zeta's chunk-sized arrays at a time.
+    """
+    weights = kernel(s * zeta)
+    vals = np.where(weights > 0.0, s * s * weights, 0.0)
+    return float(vals.sum()), float((vals * vals).sum())
+
+
 def d_zeta_mc(
-    zeta: float,
+    zeta: float | Sequence[float],
     alpha: float,
     n_draws: int,
     seed: RandomState,
     kernel: Kernel = Kernel("phi"),
-) -> tuple[float, float]:
-    """Monte Carlo value of E[S^2 K(S*zeta)] with a standard-error estimate."""
-    if zeta == 0.0:
-        raise ParameterError("d(zeta) diverges at zeta = 0")
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Monte Carlo value of E[S^2 K(S*zeta)] with a standard-error estimate.
+
+    A float zeta gives (mean, stderr); a 1-D sequence gives one such pair
+    per zeta, all from the same n_draws draws, and entry i equals the
+    scalar call at zeta[i] with the same seed bit for bit.
+    """
+    zetas = np.asarray(zeta, dtype=float)
+    scalar = zetas.ndim == 0
+    zetas = np.atleast_1d(zetas)
+    if zetas.ndim != 1 or zetas.size == 0:
+        raise ParameterError("zeta must be a float or a non-empty 1-D sequence")
+    for z in zetas:
+        _check_zeta(z)
     if n_draws < 1:
         raise ParameterError("n_draws must be positive")
     gen = _as_generator(seed)
     law = StableLaw(alpha)
-    total = 0.0
-    total_sq = 0.0
+    totals = np.zeros((zetas.size, 2))
     chunk = 1_000_000
     remaining = n_draws
     while remaining > 0:
         m = min(chunk, remaining)
         s = law.sample(gen, m)
-        weights = kernel(s * zeta)
-        vals = np.where(weights > 0.0, s * s * weights, 0.0)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        for i, z in enumerate(zetas):
+            totals[i] += _chunk_sums(s, float(z), kernel)
         remaining -= m
-    mean = total / n_draws
-    var = max(total_sq / n_draws - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / n_draws))
+    out = []
+    for total, total_sq in totals:
+        mean = float(total / n_draws)
+        var = max(float(total_sq / n_draws) - mean * mean, 0.0)
+        out.append((mean, float(np.sqrt(var / n_draws))))
+    return out[0] if scalar else out
 
 
 def d_zeta_quadrature(
     zeta: float, law: StableLaw, kernel: Kernel = Kernel("phi")
 ) -> float:
-    """int z^2 K(z*zeta) f_alpha(z) dz over the kernel support |z| <= radius/|zeta|."""
-    if zeta == 0.0:
-        raise ParameterError("d(zeta) diverges at zeta = 0")
-    az = abs(zeta)
+    """int z^2 K(z*zeta) f_alpha(z) dz over the kernel support |z| <= radius/|zeta|.
+
+    Raises NumericalError for |zeta| outside [_QUAD_ZETA_MIN, _QUAD_ZETA_MAX].
+    """
+    az = _check_zeta(zeta)
+    if not _QUAD_ZETA_MIN <= az <= _QUAD_ZETA_MAX:
+        raise NumericalError(
+            f"zeta={zeta} is outside the quadrature's range "
+            f"{_QUAD_ZETA_MIN:g} <= |zeta| <= {_QUAD_ZETA_MAX:g}"
+        )
 
     def integrand(u):
         w = kernel(u)
@@ -212,8 +264,9 @@ def d_zeta_asymptotic(
     zeta: float, alpha: float, kernel: Kernel = Kernel("phi")
 ) -> float:
     """Leading small-zeta term |zeta|^(alpha-2) * tail_constant * int K(u)|u|^(1-alpha) du."""
-    if zeta == 0.0:
-        raise ParameterError("d(zeta) diverges at zeta = 0")
-    return (
-        abs(zeta) ** (alpha - 2.0) * tail_constant(alpha) * kernel_moment(kernel, alpha)
-    )
+    az = _check_zeta(zeta)
+    try:
+        power = az ** (alpha - 2.0)
+    except OverflowError:
+        raise NumericalError(f"|zeta|^(alpha-2) overflows at zeta={zeta}") from None
+    return power * tail_constant(alpha) * kernel_moment(kernel, alpha)

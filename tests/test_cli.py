@@ -126,6 +126,17 @@ class TestEstimate:
         cfg = EstimatorConfig(beta=0.2, k=2.0, kernel=parse_kernel("phi", 1.5))
         assert printed == tqv(path, cfg)
 
+    def test_kernel_m_disagreeing_with_m_rejected(self, capsys, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("i,t,x\n0,0.0,0.0\n1,0.5,0.01\n2,1.0,0.03\n")
+        args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "0.5"]
+        args += ["--gamma", "3", "--kernel", "psi:M=6"]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert "disagrees with M" in err
+        code, _, _ = run_cli(capsys, *args, "--M", "6")
+        assert code == 0
+
     def test_prints_three_estimates(self, capsys, tmp_path):
         p = tmp_path / "p.csv"
         p.write_text("i,t,x\n0,0.0,0.0\n1,0.5,0.01\n2,1.0,0.03\n")
@@ -246,6 +257,36 @@ class TestDzeta:
             capsys, "dzeta", "--alpha", "1.2", "--zeta", "0", "--draws", "100"
         )
         assert code == 1
+
+    def test_multi_zeta_rows_equal_single_runs(self, capsys):
+        """All zetas share one sample, which every single-zeta run redraws."""
+        args = ("dzeta", "--alpha", "1.5", "--draws", "20000", "--seed", "4")
+        code, out, _ = run_cli(capsys, *args, "--zeta", "0.1,0.01,0.001")
+        assert code == 0
+        rows = []
+        for zeta in ("0.1", "0.01", "0.001"):
+            code, text, _ = run_cli(capsys, *args, "--zeta", zeta)
+            assert code == 0
+            header, row = text.strip().splitlines()
+            rows.append(row)
+        assert out.strip().splitlines() == [header] + rows
+
+    @pytest.mark.parametrize("zeta", ["inf", "nan", "0.1,inf"])
+    def test_non_finite_zeta_exits_1(self, capsys, zeta):
+        code, out, err = run_cli(
+            capsys, "dzeta", "--alpha", "1.5", "--zeta", zeta, "--draws", "100"
+        )
+        assert code == 1
+        assert "zeta must be finite" in err
+        assert out == ""
+
+    def test_zeta_below_quadrature_range_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dzeta", "--alpha", "1.5", "--zeta", "1e-300", "--draws", "100"
+        )
+        assert code == 2
+        assert "outside the quadrature's range" in err
+        assert out == ""
 
 
 class TestModuleEntryPoints:

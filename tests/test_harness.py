@@ -92,6 +92,28 @@ class TestParseConfig:
         cfg = parse_config("n_grid = 100 200 400 800\n")
         assert cfg.n_grid == (100, 200, 400, 800)
 
+    @pytest.mark.parametrize("kind", ["psi", "composite"])
+    def test_kernel_takes_cell_m(self, kind):
+        """A bare psi/composite spec gets the M that the E3 kernel uses."""
+        text = SAMPLE_CFG.replace("kernel = phi\nM = 4", f"kernel = {kind}\nM = 6")
+        for cell in parse_config(text).cells:
+            assert cell.M == 6.0
+            assert cell.estimator_config().kernel.M == 6.0
+        text = SAMPLE_CFG.replace("kernel = phi", f"kernel = {kind}:M=4")
+        assert parse_config(text).cells[0].estimator_config().kernel.M == 4.0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("kernel = phi\nM = 4", "kernel = composite:M=4\nM = 6"),
+            ("kernel = phi\nM = 4", "kernel = psi:M=6"),
+            ("k = 2\n", "k = 2\nkernel = composite:M=5\n"),
+        ],
+    )
+    def test_kernel_m_disagreeing_with_cell_m_rejected(self, edit):
+        with pytest.raises(ParameterError, match="disagrees with M"):
+            parse_config(SAMPLE_CFG.replace(*edit))
+
 
 class TestRunMc:
     @pytest.fixture

@@ -107,6 +107,19 @@ class TestParseKernel:
         k = parse_kernel("composite:M=4", 1.0)
         assert k.c == pytest.approx(c_tilde(1.0, 4.0))
 
+    def test_bare_spec_takes_given_m(self):
+        assert parse_kernel("psi", 1.0).M == 4.0
+        assert parse_kernel("psi", 1.0, M=6.0).M == 6.0
+        k = parse_kernel("composite", 1.0, M=6.0)
+        assert k.M == 6.0 and k.c == c_tilde(1.0, 6.0)
+        assert parse_kernel("composite:M=6", 1.0, M=6.0) == k
+
+    def test_rejects_spec_m_disagreeing_with_given_m(self):
+        with pytest.raises(ParameterError, match="disagrees with M"):
+            parse_kernel("psi:M=6", 1.0, M=4.0)
+        with pytest.raises(ParameterError, match="disagrees with M"):
+            parse_kernel("composite:M=4", 1.0, M=6.0)
+
     def test_rejects_garbage(self):
         with pytest.raises(ParameterError):
             parse_kernel("phi:M=4:extra", 1.0)

@@ -1,6 +1,6 @@
 """Tests for stable-law analytics: c_alpha, density inversion, and d(zeta)."""
 
-from math import gamma
+from math import exp, gamma, inf, lgamma, log, pi, sin
 
 import numpy as np
 import pytest
@@ -15,11 +15,12 @@ from jumpvol import (
     d_zeta_mc,
     d_zeta_quadrature,
     kernel_moment,
+    parse_kernel,
     stable_density,
     tail_constant,
 )
 from jumpvol.levy import stable_scale
-from jumpvol.stable import _fourier_density, _tail_series
+from jumpvol.stable import _fourier_density, _series_coefficients, _tail_series
 
 
 class TestCAlpha:
@@ -93,6 +94,28 @@ class TestStableDensity:
         assert ratio == pytest.approx(1.0, rel=0.06)
 
 
+def _direct_tail_series(z, alpha, sigma):
+    """_tail_series with its coefficients computed in the loop, as reference."""
+    eps, rtol = np.finfo(float).eps, 1e-11
+    log_x = log(sigma) - alpha * log(z)
+    if log_x >= (0.0 if alpha >= 1.0 else 5.0):
+        return None
+    first = exp(lgamma(alpha + 1.0) + log_x)
+    total = abs_sum = 0.0
+    prev = inf
+    for k in range(1, 201):
+        mag = exp(lgamma(k * alpha + 1.0) - lgamma(k + 1.0) + k * log_x)
+        if mag + eps * abs_sum <= rtol * abs(total):
+            return total / (pi * z)
+        if (alpha >= 1.0 and mag > prev) or eps * abs_sum > rtol * first:
+            return None
+        term = mag * sin(k * pi * alpha / 2.0)
+        total += term if k % 2 else -term
+        abs_sum += abs(term)
+        prev = mag
+    return None
+
+
 class TestStableDensityFarTail:
     """Where the density falls below the Fourier inversion's absolute accuracy
     (about 1e-11), the value must come from the tail series or be refused."""
@@ -126,6 +149,15 @@ class TestStableDensityFarTail:
         assert series is not None
         fourier = _fourier_density(z, alpha, sigma)
         assert series == pytest.approx(fourier, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0, 1.5, 1.9])
+    def test_cached_coefficients_give_the_direct_sum(self, alpha):
+        """The series with per-alpha cached coefficients equals, bit for bit,
+        the series that computes every coefficient in place."""
+        assert _series_coefficients(alpha) is _series_coefficients(alpha)
+        sigma = stable_scale(alpha)
+        for z in np.logspace(-2, 8, 41):
+            assert _tail_series(z, alpha, sigma) == _direct_tail_series(z, alpha, sigma)
 
     def test_refuses_when_no_route_is_accurate(self):
         """At alpha = 0.05 the density is about 4.03e-15 near the origin: far
@@ -169,6 +201,34 @@ class TestDZeta:
         with pytest.raises(ParameterError):
             d_zeta_mc(0.0, 1.2, 100, 0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            d_zeta_mc(bad, 1.2, 100, 0)
+        with pytest.raises(ParameterError, match="finite"):
+            d_zeta_mc([0.1, bad], 1.2, 100, 0)
+        with pytest.raises(ParameterError, match="finite"):
+            d_zeta_quadrature(bad, StableLaw(1.2))
+        with pytest.raises(ParameterError, match="finite"):
+            d_zeta_asymptotic(bad, 1.2)
+
+    @pytest.mark.parametrize("zeta", [1e-300, -1e-300, 1e-101, 1e101, 1e300])
+    def test_quadrature_refuses_out_of_range(self, zeta):
+        """|zeta|^3 would underflow to 0 or overflow: a NumericalError, not a
+        ZeroDivisionError or OverflowError."""
+        with pytest.raises(NumericalError, match="outside the quadrature's range"):
+            d_zeta_quadrature(zeta, StableLaw(1.5))
+
+    def test_quadrature_range_ends_are_finite(self):
+        law = StableLaw(1.5)
+        assert 0.0 < d_zeta_quadrature(1e-100, law) < np.inf
+        assert 0.0 <= d_zeta_quadrature(1e100, law) < 1e-290
+
+    def test_asymptotic_overflow_is_numerical_error(self):
+        assert np.isfinite(d_zeta_asymptotic(1e-300, 1.5))
+        with pytest.raises(NumericalError, match="overflows"):
+            d_zeta_asymptotic(1e-200, 0.1)
+
     def test_quadrature_frozen_values(self):
         # frozen from this implementation after cross-validation against MC
         assert d_zeta_quadrature(0.01, StableLaw(0.5)) == pytest.approx(
@@ -207,3 +267,39 @@ class TestDZeta:
         assert d_zeta_quadrature(z, law) == pytest.approx(
             d_zeta_asymptotic(z, alpha), rel=0.05
         )
+
+
+class TestDZetaMcSharedDraws:
+    """Every zeta of one d_zeta_mc call is evaluated on the same draws."""
+
+    ZETAS = [0.1, -0.01, 0.001]
+
+    def test_sequence_equals_scalar_calls(self):
+        kernel = parse_kernel("composite:M=4", 1.5)
+        many = d_zeta_mc(self.ZETAS, 1.5, 5000, 7, kernel)
+        assert many == [d_zeta_mc(z, 1.5, 5000, 7, kernel) for z in self.ZETAS]
+
+    def test_sequence_equals_scalar_calls_across_chunks(self):
+        """n_draws above the 10^6-draw chunk: sums carry over between chunks."""
+        n = 1_000_000 + 3001
+        zetas = np.array([0.05, 0.005])
+        many = d_zeta_mc(zetas, 0.5, n, 11)
+        assert many == [d_zeta_mc(float(z), 0.5, n, 11) for z in zetas]
+        gen = np.random.default_rng(11)
+        law = StableLaw(0.5)
+        s = np.concatenate([law.sample(gen, 1_000_000), law.sample(gen, 3001)])
+        for z, (mean, stderr) in zip(zetas, many):
+            weights = Kernel("phi")(s * z)
+            vals = np.where(weights > 0.0, s * s * weights, 0.0)
+            assert mean == pytest.approx(vals.mean(), rel=1e-12)
+            assert stderr == pytest.approx(vals.std() / np.sqrt(n), rel=1e-9)
+
+    def test_result_shapes(self):
+        one = d_zeta_mc(0.1, 1.2, 100, 0)
+        assert isinstance(one, tuple) and all(type(v) is float for v in one)
+        assert d_zeta_mc([0.1], 1.2, 100, 0) == [one]
+
+    @pytest.mark.parametrize("zeta", [[], [[0.1, 0.2]], [0.1, 0.0]])
+    def test_rejects_bad_sequences(self, zeta):
+        with pytest.raises(ParameterError):
+            d_zeta_mc(zeta, 1.2, 100, 0)
