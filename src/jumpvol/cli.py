@@ -63,10 +63,16 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_mc_table(args) -> int:
+def _load_config(args):
+    """The config named by --config, with --seed applied when given."""
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    return config
+
+
+def _cmd_mc_table(args) -> int:
+    config = _load_config(args)
     report = run_mc(config)
     csv_path = args.out or config.csv_path
     if not csv_path:
@@ -78,10 +84,7 @@ def _cmd_mc_table(args) -> int:
 
 
 def _cmd_rate_check(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    text = run_rate_experiment(config)
+    text = run_rate_experiment(_load_config(args))
     _write_or_print(text, args.out)
     return 0
 

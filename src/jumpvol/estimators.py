@@ -7,15 +7,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DiagnosticError, ParameterError
-from .kernels import PHI, Kernel, cancelling_kernel, kernel_moment, phi, psi
-from .levy import (
-    ModelSpec,
-    PathSample,
-    block_rows,
-    simulate_increments,
-    simulate_path,
+from .kernels import (
+    PHI,
+    Kernel,
+    cancelling_kernel,
+    kernel_moment,
+    phi,
+    psi,
+    truncated_terms,
 )
+from .levy import ModelSpec, PathSample, replicate_blocks, simulate_path
 from .stable import tail_constant
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -50,12 +53,10 @@ def truncated_sums(increments: np.ndarray, kernel_values: np.ndarray) -> np.ndar
     """sum (Delta X_i)^2 K_i over the last axis, given K_i = K(Delta X_i / u_n).
 
     Every truncated quadratic variation in the package is this sum, for one
-    path (a vector) or a block of paths (one per row).  Where the kernel
-    vanishes the term is zero even when (Delta X_i)^2 overflows.
+    path (a vector) or a block of paths (one per row), over the terms of
+    `kernels.truncated_terms`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = increments * increments * kernel_values
-    return np.where(kernel_values != 0.0, terms, 0.0).sum(axis=-1)
+    return truncated_terms(increments, kernel_values).sum(axis=-1)
 
 
 def tqv(path: PathSample, config: EstimatorConfig) -> float:
@@ -138,12 +139,7 @@ def richardson_paired(
     Returns (q_n, q_2n, extrapolated).
     """
     fine = simulate_path(model, 2 * n, seed)
-    coarse = PathSample(
-        n=n,
-        increments=fine.increments[0::2] + fine.increments[1::2],
-        delta=1.0 / n,
-        seed=fine.seed,
-    )
+    coarse = PathSample(fine.increments[0::2] + fine.increments[1::2])
     q_n = tqv(coarse, config)
     q_2n = tqv(fine, config)
     return q_n, q_2n, richardson(q_n, q_2n, alpha, config.beta)
@@ -220,13 +216,9 @@ def rate_fit(
     biases = []
     for n in n_grid:
         acc = np.empty(replicates)
-        step = block_rows(n)
-        for lo in range(0, replicates, step):
-            hi = min(lo + step, replicates)
-            seeds = [np.random.SeedSequence((seed, n, r)) for r in range(lo, hi)]
-            block = simulate_increments(model, n, seeds)
+        for lo, block in replicate_blocks(model, n, (seed, n), replicates):
             kernel_values = config.kernel(block / config.threshold(n))
-            acc[lo:hi] = truncated_sums(block, kernel_values)
+            acc[lo : lo + len(block)] = truncated_sums(block, kernel_values)
         biases.append(float(acc.mean()) - truth)
     slope, stderr = fit_power_law(n_grid, biases)
     return slope, stderr

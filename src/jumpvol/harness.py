@@ -6,14 +6,14 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DiagnosticError, NumericalError, ParameterError
 from .estimators import EstimatorConfig, normalized_errors, rate_fit
 from .kernels import parse_kernel
-from .levy import JumpLaw, ModelSpec, PathSample, block_rows, simulate_increments
+from .levy import JumpLaw, ModelSpec, PathSample, replicate_blocks
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,7 @@ class CellConfig:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "k": self.k,
-            "kernel": self.kernel,
-            "M": self.M,
-            "jumps": self.jumps,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -227,24 +219,20 @@ def replicate_errors(config: ExperimentConfig, cell_idx: int) -> tuple:
     """
     cell = config.cells[cell_idx]
     est_cfg = cell.estimator_config()
-    model = cell.model(config.sigma)
-    reps, n = config.replicates, config.n
-    errors = np.empty((reps, 3))
+    errors = np.empty((config.replicates, 3))
     simulate_s = estimate_s = 0.0
-    step = block_rows(n)
-    for lo in range(0, reps, step):
-        hi = min(lo + step, reps)
-        t0 = time.perf_counter()
-        seeds = [
-            np.random.SeedSequence((config.seed, cell_idx, r)) for r in range(lo, hi)
-        ]
-        block = simulate_increments(model, n, seeds)
+    blocks = replicate_blocks(
+        cell.model(config.sigma), config.n, (config.seed, cell_idx), config.replicates
+    )
+    t0 = time.perf_counter()
+    for lo, block in blocks:
         t1 = time.perf_counter()
-        errors[lo:hi] = normalized_errors(
+        errors[lo : lo + len(block)] = normalized_errors(
             block, est_cfg, cell.alpha, cell.gamma, cell.M, config.sigma**2
         )
         simulate_s += t1 - t0
-        estimate_s += time.perf_counter() - t1
+        t0 = time.perf_counter()
+        estimate_s += t0 - t1
     return errors, simulate_s, estimate_s
 
 

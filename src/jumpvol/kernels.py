@@ -88,36 +88,49 @@ class Kernel:
         return composite(x, self.c, self.M)
 
 
+def truncated_terms(x, kernel_values) -> np.ndarray:
+    """Terms x^2 K of a truncated sum, given the kernel values K.
+
+    A term is zero wherever K is, even where x^2 overflows; kernels that
+    go negative (composites) keep their negative terms.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = x * x * kernel_values
+    return np.where(kernel_values != 0.0, terms, 0.0)
+
+
 def parse_kernel(
     spec: str, alpha: float | None = None, M: float | None = None
 ) -> Kernel:
     """Parse `phi`, `psi:M=<real>` or `composite:M=<real>`.
 
-    A bare `psi` or `composite` takes `M` (4 when it is None); a spec whose
+    `M=` is the only parameter, and only `psi` and `composite` take it.  A
+    bare `psi` or `composite` takes `M` (4 when it is None); a spec whose
     `M=` differs from a given `M` is refused.  Composite kernels get
     c = c_tilde(alpha, M), which requires alpha.
     """
     name, _, rest = spec.strip().partition(":")
-    params = {}
+    if name not in (PHI, PSI, COMPOSITE):
+        raise ParameterError(f"unknown kernel spec {spec!r}")
+    spec_M = None
     for item in filter(None, rest.split(",")):
         key, _, value = item.partition("=")
+        if name == PHI or key.strip() != "M":
+            raise ParameterError(f"unknown kernel parameter {item!r} in {spec!r}")
         try:
-            params[key.strip()] = float(value)
+            spec_M = float(value)
         except ValueError:
             raise ParameterError(f"bad kernel parameter {item!r} in {spec!r}") from None
     if name == PHI:
         return Kernel(PHI)
-    if name in (PSI, COMPOSITE):
-        if M is not None and params.get("M", M) != M:
-            raise ParameterError(f"kernel {spec!r} disagrees with M = {M:g}")
-        M = params.get("M", 4.0 if M is None else M)
+    if M is not None and spec_M not in (None, M):
+        raise ParameterError(f"kernel {spec!r} disagrees with M = {M:g}")
+    M = spec_M if spec_M is not None else (4.0 if M is None else M)
     if name == PSI:
         return Kernel(PSI, M=M)
-    if name == COMPOSITE:
-        if alpha is None:
-            raise ParameterError("composite kernels need alpha to determine c")
-        return Kernel(COMPOSITE, M=M, c=c_tilde(alpha, M))
-    raise ParameterError(f"unknown kernel spec {spec!r}")
+    if alpha is None:
+        raise ParameterError("composite kernels need alpha to determine c")
+    return Kernel(COMPOSITE, M=M, c=c_tilde(alpha, M))
 
 
 def _weighted_integral(f, lo: float, hi: float, alpha: float) -> float:

@@ -2,15 +2,17 @@
 
 The stable law is normalized so that its Levy measure is |z|^(-1-alpha) dz,
 which corresponds to the characteristic function exp(-sigma_alpha |t|^alpha)
-with sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du.  All increments
-produced here are exact in law up to the Gaussian small-jump substitution used
-in the tempered case.
+with sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du in closed form
+(`stable_scale`).  All increments produced here are exact in law up to the
+Gaussian small-jump substitution used in the tempered case.  Every sampler
+takes a `size` and returns an array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gamma, pi, sin
 
 import numpy as np
 from scipy import integrate
@@ -73,76 +75,57 @@ class PathSample:
     as given and takes their differences as the increments.
     """
 
-    n: int
     increments: np.ndarray
-    delta: float
-    seed: int | None
     observations: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         dx = np.asarray(self.increments, dtype=float)
-        if dx.shape != (self.n,):
+        if dx.ndim != 1 or dx.size < 1:
             raise ParameterError(
-                f"increments must have length n={self.n}, got {dx.shape}"
+                f"increments must be a non-empty vector, got shape {dx.shape}"
             )
         object.__setattr__(self, "increments", dx)
         if self.observations is None:
             obs = np.concatenate(([0.0], np.cumsum(dx)))
         else:
             obs = np.asarray(self.observations, dtype=float)
-            if obs.shape != (self.n + 1,):
+            if obs.shape != (dx.size + 1,):
                 raise ParameterError(
-                    f"observations must have length n+1={self.n + 1}, got {obs.shape}"
+                    f"observations must have length n+1={dx.size + 1}, got {obs.shape}"
                 )
         object.__setattr__(self, "observations", obs)
 
+    @property
+    def n(self) -> int:
+        return self.increments.size
+
+    @property
+    def delta(self) -> float:
+        return 1.0 / self.n
+
     @classmethod
-    def from_observations(cls, observations, seed: int | None = None) -> "PathSample":
+    def from_observations(cls, observations) -> "PathSample":
         obs = np.asarray(observations, dtype=float)
         if obs.ndim != 1 or obs.size < 2:
             raise ParameterError(f"need at least 2 observations, got shape {obs.shape}")
-        n = obs.size - 1
-        return cls(
-            n=n, increments=np.diff(obs), delta=1.0 / n, seed=seed, observations=obs
-        )
+        return cls(increments=np.diff(obs), observations=obs)
 
 
-@lru_cache(maxsize=None)
 def stable_scale(alpha: float) -> float:
     """Scale sigma_alpha of the Levy-measure-normalized stable law.
 
-    sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du, computed by
-    quadrature: a power series on [0, delta], adaptive quadrature on
-    [delta, 1], the exact tail mass 1/alpha, and a Fourier (QAWF) integral
-    for the oscillatory cosine tail.
+    sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du
+    = -2 Gamma(-alpha) cos(pi alpha/2), evaluated in the reflection form
+    pi / (Gamma(alpha+1) sin(pi alpha/2)), which has no pole at alpha = 1
+    and equals pi there exactly.
     """
     if not 0.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    delta = 0.1
-    # 1 - cos u = u^2/2 - u^4/24 + u^6/720 - ... ; term k contributes
-    # delta^(2k - alpha) / ((2k)! (2k - alpha)); truncation error < 1e-15.
-    series = 0.0
-    sign = 1.0
-    fact = 1.0
-    for k in (1, 2, 3, 4):
-        fact *= (2 * k - 1) * (2 * k)
-        series += sign * delta ** (2 * k - alpha) / (fact * (2 * k - alpha))
-        sign = -sign
-    mid, _ = integrate.quad(
-        lambda u: (1.0 - np.cos(u)) * u ** (-1.0 - alpha),
-        delta,
-        1.0,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
-    tail_cos, _ = integrate.quad(
-        lambda u: u ** (-1.0 - alpha), 1.0, np.inf, weight="cos", wvar=1.0
-    )
-    return 2.0 * (series + mid + 1.0 / alpha - tail_cos)
+    return pi / (gamma(alpha + 1.0) * sin(pi * alpha / 2.0))
 
 
-def sample_standard_stable(alpha: float, rng: RandomState, size: int | None = None):
-    """Symmetric stable draw(s) with characteristic function exp(-|t|^alpha).
+def sample_standard_stable(alpha: float, rng: RandomState, size: int) -> np.ndarray:
+    """Symmetric stable draws with characteristic function exp(-|t|^alpha).
 
     Chambers-Mallows-Stuck transform.  alpha = 2 is allowed and degenerates
     to sqrt(2) times a standard normal.
@@ -150,30 +133,27 @@ def sample_standard_stable(alpha: float, rng: RandomState, size: int | None = No
     if not 0.0 < alpha <= 2.0:
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
     gen = _as_generator(rng)
-    shape = size if size is not None else ()
-    u = gen.uniform(-np.pi / 2, np.pi / 2, shape)
-    w = gen.exponential(1.0, shape)
+    u = gen.uniform(-np.pi / 2, np.pi / 2, size)
+    w = gen.exponential(1.0, size)
     if alpha == 1.0:
-        draws = np.tan(u)
-    else:
-        draws = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * u) / w
-        ) ** ((1.0 - alpha) / alpha)
-    return draws if size is not None else float(draws)
+        return np.tan(u)
+    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
+        np.cos((1.0 - alpha) * u) / w
+    ) ** ((1.0 - alpha) / alpha)
 
 
 def sample_stable_increment(
-    alpha: float, delta: float, rng: RandomState, size: int | None = None
-):
-    """Increment L_delta of the Levy-measure-normalized stable process.
+    alpha: float, delta: float, rng: RandomState, size: int
+) -> np.ndarray:
+    """Increments L_delta of the Levy-measure-normalized stable process.
 
-    Equals (sigma_alpha * delta)^(1/alpha) times a standard draw.  delta = 0
-    is allowed as a degenerate probe and returns 0.
+    Equal to (sigma_alpha * delta)^(1/alpha) times standard draws.  delta = 0
+    is allowed as a degenerate probe and returns zeros.
     """
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     if delta == 0:
-        return np.zeros(size) if size is not None else 0.0
+        return np.zeros(size)
     scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
     return scale * sample_standard_stable(alpha, rng, size)
 
@@ -230,13 +210,9 @@ def _tempered_jump_sizes(
 
 
 def sample_tempered_increment(
-    alpha: float,
-    delta: float,
-    cutoff: float,
-    rng: RandomState,
-    size: int | None = None,
-):
-    """Tempered-stable increment(s) over time delta: Levy measure e^(-|z|)|z|^(-1-alpha) dz.
+    alpha: float, delta: float, cutoff: float, rng: RandomState, size: int
+) -> np.ndarray:
+    """Tempered-stable increments over time delta: Levy measure e^(-|z|)|z|^(-1-alpha) dz.
 
     Jumps above the cutoff are compound Poisson; jumps below it are replaced
     by a centered Gaussian with matched variance.  The measure is symmetric,
@@ -245,27 +221,24 @@ def sample_tempered_increment(
     _check_tempered_params(alpha, cutoff)
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
-    gen = _as_generator(rng)
-    m = size if size is not None else 1
+    out = np.zeros(size)
     if delta == 0:
-        out = np.zeros(m)
-    else:
-        lam = tempered_tail_intensity(alpha, cutoff)
-        counts = gen.poisson(lam * delta, m)
-        total = int(counts.sum())
-        out = np.zeros(m)
-        if total:
-            magnitudes = _tempered_jump_sizes(alpha, cutoff, total, gen)
-            signs = 2.0 * gen.integers(0, 2, size=total) - 1.0
-            np.add.at(out, np.repeat(np.arange(m), counts), signs * magnitudes)
-        small_sd = np.sqrt(tempered_small_jump_variance(alpha, cutoff) * delta)
-        out += small_sd * gen.standard_normal(m)
-    return out if size is not None else float(out[0])
+        return out
+    gen = _as_generator(rng)
+    counts = gen.poisson(tempered_tail_intensity(alpha, cutoff) * delta, size)
+    total = int(counts.sum())
+    if total:
+        magnitudes = _tempered_jump_sizes(alpha, cutoff, total, gen)
+        signs = 2.0 * gen.integers(0, 2, size=total) - 1.0
+        np.add.at(out, np.repeat(np.arange(size), counts), signs * magnitudes)
+    small_sd = np.sqrt(tempered_small_jump_variance(alpha, cutoff) * delta)
+    out += small_sd * gen.standard_normal(size)
+    return out
 
 
 def sample_jump_increment(
-    law: JumpLaw, delta: float, rng: RandomState, size: int | None = None
-):
+    law: JumpLaw, delta: float, rng: RandomState, size: int
+) -> np.ndarray:
     """Dispatch to the stable or tempered increment sampler."""
     if law.kind == STABLE:
         return sample_stable_increment(law.alpha, delta, rng, size)
@@ -308,6 +281,21 @@ def simulate_increments(model: ModelSpec, n: int, seeds) -> np.ndarray:
     return block
 
 
+def replicate_blocks(model: ModelSpec, n: int, key: tuple, count: int):
+    """Yield (lo, block): the increments of replicates lo, lo+1, ... as rows.
+
+    Replicate r is drawn from the stream SeedSequence((*key, r)), and the
+    `count` replicates come in blocks of `block_rows(n)` rows, so a
+    replicate's path does not depend on which block it falls in.
+    """
+    step = block_rows(n)
+    for lo in range(0, count, step):
+        seeds = [
+            np.random.SeedSequence((*key, r)) for r in range(lo, min(lo + step, count))
+        ]
+        yield lo, simulate_increments(model, n, seeds)
+
+
 def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:
     """Simulate X on the grid t_i = i/n, exact in law for constant coefficients.
 
@@ -316,6 +304,4 @@ def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:
     same (model, n, seed) always yields a bit-identical path; `seed` may be
     an integer or a numpy SeedSequence.
     """
-    increments = simulate_increments(model, n, [seed])[0]
-    seed_tag = seed if isinstance(seed, (int, np.integer)) else -1
-    return PathSample(n=n, increments=increments, delta=1.0 / n, seed=int(seed_tag))
+    return PathSample(simulate_increments(model, n, [seed])[0])

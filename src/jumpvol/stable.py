@@ -18,29 +18,31 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import cos, exp, gamma, inf, isfinite, lgamma, log, pi, sin
+from math import exp, gamma, inf, isfinite, lgamma, log, pi, sin
 
 import numpy as np
 from scipy import integrate
 
 from .errors import NumericalError, ParameterError
-from .kernels import Kernel, kernel_moment
+from .kernels import Kernel, kernel_moment, truncated_terms
 from .levy import RandomState, _as_generator, sample_standard_stable, stable_scale
 
 
 def c_alpha(alpha: float) -> float:
-    """alpha*(1-alpha) / (4*Gamma(2-alpha)*cos(alpha*pi/2)), extended by 1/(2*pi) at alpha=1."""
+    """Gamma(alpha+1) sin(pi alpha/2) / (2 pi), the reciprocal of 2 * sigma_alpha.
+
+    Equal to alpha(1-alpha) / (4 Gamma(2-alpha) cos(pi alpha/2)) away from
+    alpha = 1, and to its limit 1/(2 pi) there, without a special case.
+    """
     if not 0.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    if abs(alpha - 1.0) < 1e-6:
-        return 1.0 / (2.0 * pi)
-    return alpha * (1.0 - alpha) / (4.0 * gamma(2.0 - alpha) * cos(alpha * pi / 2.0))
+    return gamma(alpha + 1.0) * sin(pi * alpha / 2.0) / (2.0 * pi)
 
 
 def tail_constant(alpha: float) -> float:
     """Tail coefficient of the Levy-measure-normalized density: 2*c_alpha*sigma_alpha.
 
-    Analytically this equals 1 for every alpha in (0, 2); it is computed as
+    This equals 1 for every alpha in (0, 2), to rounding; it is computed as
     the product so that the relation stays visible and testable.
     """
     return 2.0 * c_alpha(alpha) * stable_scale(alpha)
@@ -61,7 +63,7 @@ class StableLaw:
         elif self.scale_exponent <= 0.0:
             raise ParameterError("scale_exponent must be positive")
 
-    def sample(self, rng: RandomState, size: int | None = None):
+    def sample(self, rng: RandomState, size: int) -> np.ndarray:
         scale = self.scale_exponent ** (1.0 / self.alpha)
         return scale * sample_standard_stable(self.alpha, rng, size)
 
@@ -180,8 +182,7 @@ def _chunk_sums(s: np.ndarray, zeta: float, kernel: Kernel) -> tuple[float, floa
     Its temporaries are freed on return, so a multi-zeta call holds one
     zeta's chunk-sized arrays at a time.
     """
-    weights = kernel(s * zeta)
-    vals = np.where(weights > 0.0, s * s * weights, 0.0)
+    vals = truncated_terms(s, kernel(s * zeta))
     return float(vals.sum()), float((vals * vals).sum())
 
 

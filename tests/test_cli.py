@@ -280,6 +280,15 @@ class TestDzeta:
         assert "zeta must be finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("kernel", ["phi:Q=3", "composite:c=3,M=4"])
+    def test_unknown_kernel_parameter_exits_1(self, capsys, kernel):
+        code, out, err = run_cli(
+            capsys, "dzeta", "--alpha", "1.5", "--zeta", "0.1", "--kernel", kernel
+        )
+        assert code == 1
+        assert "unknown kernel parameter" in err
+        assert out == ""
+
     def test_zeta_below_quadrature_range_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "dzeta", "--alpha", "1.5", "--zeta", "1e-300", "--draws", "100"

@@ -27,7 +27,7 @@ from jumpvol.levy import sample_stable_increment
 
 
 def make_path(values):
-    return PathSample.from_observations(values, seed=0)
+    return PathSample.from_observations(values)
 
 
 class TestEstimatorConfig:
@@ -110,7 +110,7 @@ class TestTqv:
         cfg = EstimatorConfig(beta=0.2, k=1.0)
         dx = np.full(10, 0.01)
         dx[4] = np.inf
-        path = PathSample(n=10, increments=dx, delta=0.1, seed=0)
+        path = PathSample(dx)
         assert tqv(path, cfg) == pytest.approx(9 * 0.01**2, rel=1e-12)
 
     def test_sees_simulated_increments_after_huge_jumps(self):

@@ -120,6 +120,14 @@ class TestParseKernel:
         with pytest.raises(ParameterError, match="disagrees with M"):
             parse_kernel("composite:M=4", 1.0, M=6.0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["phi:Q=3", "phi:M=4", "psi:Q=3", "composite:c=3,M=4", "composite:M=4,m=5"],
+    )
+    def test_rejects_unknown_parameters(self, spec):
+        with pytest.raises(ParameterError, match="unknown kernel parameter"):
+            parse_kernel(spec, 1.0)
+
     def test_rejects_garbage(self):
         with pytest.raises(ParameterError):
             parse_kernel("phi:M=4:extra", 1.0)

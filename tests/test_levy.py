@@ -7,6 +7,7 @@ from jumpvol import JumpLaw, ModelSpec, ParameterError, PathSample, simulate_pat
 from jumpvol.levy import (
     BLOCK_INCREMENTS,
     block_rows,
+    replicate_blocks,
     sample_jump_increment,
     sample_stable_increment,
     sample_standard_stable,
@@ -32,6 +33,9 @@ class TestStableScale:
     def test_against_closed_form(self):
         for alpha, expected in SIGMA_ALPHA.items():
             assert stable_scale(alpha) == pytest.approx(expected, rel=1e-7)
+
+    def test_exactly_pi_at_one(self):
+        assert stable_scale(1.0) == np.pi
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ParameterError):
@@ -209,19 +213,17 @@ class TestSimulatePath:
 class TestPathSample:
     def test_rejects_wrong_length(self):
         with pytest.raises(ParameterError):
-            PathSample(n=3, increments=np.zeros(2), delta=1 / 3, seed=0)
+            PathSample(np.zeros((2, 2)))
         with pytest.raises(ParameterError):
-            PathSample(
-                n=2, increments=np.zeros(2), delta=0.5, seed=0, observations=np.zeros(2)
-            )
+            PathSample(np.zeros(2), observations=np.zeros(2))
 
     def test_increments(self):
-        p = PathSample.from_observations(np.array([0.0, 1.0, 1.0]), seed=0)
+        p = PathSample.from_observations(np.array([0.0, 1.0, 1.0]))
         np.testing.assert_array_equal(p.increments, [1.0, 0.0])
         assert p.n == 2 and p.delta == 0.5
 
     def test_observations_derived_from_increments(self):
-        p = PathSample(n=3, increments=np.array([1e20, 1.0, -1e20]), delta=1 / 3, seed=0)
+        p = PathSample(np.array([1e20, 1.0, -1e20]))
         np.testing.assert_array_equal(p.observations, [0.0, 1e20, 1e20, 0.0])
         np.testing.assert_array_equal(p.increments, [1e20, 1.0, -1e20])
 
@@ -239,6 +241,19 @@ class TestSimulateIncrements:
             np.testing.assert_array_equal(
                 row, simulate_path(model, 40, seed).increments
             )
+
+    def test_replicate_blocks(self):
+        """Row r of the blocks is the path of stream (*key, r), whatever its block."""
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", alpha=1.5))
+        n, key = 1000, (7, 2)
+        count = 2 * block_rows(n) + 5
+        blocks = list(replicate_blocks(model, n, key, count))
+        assert [lo for lo, _ in blocks] == [0, block_rows(n), 2 * block_rows(n)]
+        rows = np.concatenate([block for _, block in blocks])
+        assert rows.shape == (count, n)
+        for r, row in enumerate(rows):
+            path = simulate_path(model, n, np.random.SeedSequence((*key, r)))
+            np.testing.assert_array_equal(row, path.increments)
 
     def test_block_rows(self):
         assert block_rows(700) * 700 <= BLOCK_INCREMENTS < (block_rows(700) + 1) * 700

@@ -49,10 +49,17 @@ class TestCAlpha:
 
 
 class TestTailConstant:
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize(
+        "alpha", [0.3, 0.5, 0.999999, 1.0, 1.000001, 1.2, 1.5, 1.9]
+    )
     def test_identically_one(self, alpha):
         """2 * c_alpha * sigma_alpha == 1: the normalized density has unit tail coefficient."""
-        assert tail_constant(alpha) == pytest.approx(1.0, abs=1e-9)
+        assert tail_constant(alpha) == pytest.approx(1.0, abs=1e-13)
+
+    def test_one_on_a_grid(self):
+        grid = np.concatenate([np.linspace(0.05, 1.99, 195), [1 - 1e-6, 1 + 1e-6]])
+        worst = max(abs(tail_constant(float(a)) - 1.0) for a in grid)
+        assert worst <= 1e-13
 
 
 class TestStableDensity:
@@ -239,6 +246,14 @@ class TestDZeta:
         law = StableLaw(0.5)
         mc, se = d_zeta_mc(0.01, 0.5, 10**6, 123)
         quad = d_zeta_quadrature(0.01, law)
+        assert abs(mc - quad) < 4 * se
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.01])
+    def test_mc_agrees_with_quadrature_for_composite(self, zeta):
+        """The composite kernel goes negative; its negative terms count in both."""
+        kernel = parse_kernel("composite", 1.5)
+        mc, se = d_zeta_mc(zeta, 1.5, 10**6, 123, kernel)
+        quad = d_zeta_quadrature(zeta, StableLaw(1.5), kernel)
         assert abs(mc - quad) < 4 * se
 
     def test_divergence_rate(self):
