@@ -29,16 +29,16 @@ from .harness import (
     run_rate_experiment,
 )
 from .kernels import Kernel, c_tilde, cancelling_kernel, kernel_moment, parse_kernel
-from .levy import JumpLaw, ModelSpec, PathSample, simulate_path, stable_scale
-from .stable import (
-    StableLaw,
+from .levy import (
+    JumpLaw,
+    ModelSpec,
+    PathSample,
     c_alpha,
-    d_zeta_asymptotic,
-    d_zeta_mc,
-    d_zeta_quadrature,
-    stable_density,
+    simulate_path,
+    stable_scale,
     tail_constant,
 )
+from .stable import d_zeta_asymptotic, d_zeta_mc, d_zeta_quadrature, stable_density
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "NumericalError",
     "ParameterError",
     "PathSample",
-    "StableLaw",
     "c_alpha",
     "c_tilde",
     "cancelled_kernel_tqv",

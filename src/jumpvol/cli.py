@@ -20,7 +20,7 @@ from .harness import (
 )
 from .kernels import parse_kernel
 from .levy import JumpLaw, ModelSpec, simulate_path
-from .stable import StableLaw, d_zeta_asymptotic, d_zeta_mc, d_zeta_quadrature
+from .stable import d_zeta_asymptotic, d_zeta_mc, d_zeta_quadrature
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +90,6 @@ def _cmd_rate_check(args) -> int:
 
 
 def _cmd_dzeta(args) -> int:
-    law = StableLaw(alpha=args.alpha)
     kernel = parse_kernel(args.kernel, args.alpha)
     zetas = [float(z) for z in args.zeta.replace(",", " ").split()]
     if not zetas:
@@ -99,7 +98,7 @@ def _cmd_dzeta(args) -> int:
     mcs = d_zeta_mc(zetas, args.alpha, args.draws, seed, kernel)
     lines = ["zeta,alpha,mc,quadrature,asymptotic,stderr"]
     for z, (mc, stderr) in zip(zetas, mcs):
-        quad = d_zeta_quadrature(z, law, kernel)
+        quad = d_zeta_quadrature(z, args.alpha, kernel)
         asym = d_zeta_asymptotic(z, args.alpha, kernel)
         lines.append(f"{z!r},{args.alpha!r},{mc!r},{quad!r},{asym!r},{stderr!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)

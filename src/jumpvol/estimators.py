@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DiagnosticError, ParameterError
+from .errors import DiagnosticError, ParameterError, check_alpha
 from .kernels import (
     PHI,
     Kernel,
@@ -16,8 +16,7 @@ from .kernels import (
     psi,
     truncated_terms,
 )
-from .levy import ModelSpec, PathSample, replicate_blocks, simulate_path
-from .stable import tail_constant
+from .levy import ModelSpec, PathSample, replicate_blocks, simulate_path, tail_constant
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def jump_bias(
     """
     if gamma == 0.0:
         return 0.0
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
     return (

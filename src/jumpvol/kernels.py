@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .errors import ParameterError
+from .errors import ParameterError, check_alpha
 
 PHI = "phi"
 PSI = "psi"
@@ -130,7 +130,7 @@ def parse_kernel(
         return Kernel(PSI, M=M)
     if alpha is None:
         raise ParameterError("composite kernels need alpha to determine c")
-    return Kernel(COMPOSITE, M=M, c=c_tilde(alpha, M))
+    return cancelling_kernel(alpha, M)
 
 
 def _weighted_integral(f, lo: float, hi: float, alpha: float) -> float:
@@ -163,8 +163,7 @@ def _psi_moment(alpha: float, M: float) -> float:
 
 def kernel_moment(kernel: Kernel, alpha: float) -> float:
     """int_R kernel(u) |u|^(1-alpha) du, split at the kernel breakpoints."""
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     if kernel.kind == PHI:
         return _phi_moment(alpha)
     if kernel.kind == PSI:
@@ -174,6 +173,7 @@ def kernel_moment(kernel: Kernel, alpha: float) -> float:
 
 def c_tilde(alpha: float, M: float) -> float:
     """Coefficient making the weighted moment of phi + c*psi vanish."""
+    check_alpha(alpha)
     psi_mom = _psi_moment(alpha, M)
     if abs(psi_mom) < 1e-14:
         raise ParameterError(f"psi moment vanishes for M={M}, alpha={alpha}")

@@ -3,9 +3,11 @@
 The stable law is normalized so that its Levy measure is |z|^(-1-alpha) dz,
 which corresponds to the characteristic function exp(-sigma_alpha |t|^alpha)
 with sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du in closed form
-(`stable_scale`).  All increments produced here are exact in law up to the
-Gaussian small-jump substitution used in the tempered case.  Every sampler
-takes a `size` and returns an array.
+(`stable_scale`).  Its density tail coefficient is 2 * c_alpha * sigma_alpha,
+which is 1 (`tail_constant`).  All increments produced here are exact in law
+up to the Gaussian small-jump substitution used in the tempered case.  Every
+sampler takes a `size` and returns an array, and an `rng` that may be
+anything `np.random.default_rng` accepts (a Generator is used as it is).
 """
 
 from __future__ import annotations
@@ -17,18 +19,13 @@ from math import gamma, pi, sin
 import numpy as np
 from scipy import integrate
 
-from .errors import ParameterError
-
-RandomState = np.random.Generator | np.random.SeedSequence | int
+from .errors import ParameterError, check_alpha
 
 STABLE = "stable"
 TEMPERED = "tempered"
 
-
-def _as_generator(rng: RandomState) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+# Tempered jumps below this size are replaced by a Gaussian of matched variance.
+SMALL_JUMP_CUTOFF = 0.01
 
 
 @dataclass(frozen=True)
@@ -37,17 +34,11 @@ class JumpLaw:
 
     kind: str
     alpha: float
-    small_jump_cutoff: float = 0.01
 
     def __post_init__(self):
         if self.kind not in (STABLE, TEMPERED):
             raise ParameterError(f"unknown jump law kind {self.kind!r}")
-        if not 0.0 < self.alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.kind == TEMPERED and not 0.0 < self.small_jump_cutoff <= 1.0:
-            raise ParameterError(
-                f"small_jump_cutoff must lie in (0, 1], got {self.small_jump_cutoff}"
-            )
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -66,13 +57,14 @@ class ModelSpec:
             raise ParameterError("gamma != 0 requires a jump_law")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSample:
     """Increments Delta X_1..n of a path on [0, 1] observed with delta = 1/n.
 
     The increments are the path's data.  `observations` defaults to their
     cumulative sum from X_0 = 0; `from_observations` keeps observed values
-    as given and takes their differences as the increments.
+    as given and takes their differences as the increments.  Paths compare
+    and hash by identity, as their arrays have no single truth value.
     """
 
     increments: np.ndarray
@@ -119,12 +111,32 @@ def stable_scale(alpha: float) -> float:
     pi / (Gamma(alpha+1) sin(pi alpha/2)), which has no pole at alpha = 1
     and equals pi there exactly.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     return pi / (gamma(alpha + 1.0) * sin(pi * alpha / 2.0))
 
 
-def sample_standard_stable(alpha: float, rng: RandomState, size: int) -> np.ndarray:
+def c_alpha(alpha: float) -> float:
+    """Gamma(alpha+1) sin(pi alpha/2) / (2 pi), the reciprocal of 2 * sigma_alpha.
+
+    The density of exp(-sigma |t|^alpha) has tail 2 c_alpha sigma |z|^(-1-alpha),
+    so c_alpha is the tail coefficient of the unit law exp(-|t|^alpha / 2).
+    Equal to alpha(1-alpha) / (4 Gamma(2-alpha) cos(pi alpha/2)) away from
+    alpha = 1, and to its limit 1/(2 pi) there, without a special case.
+    """
+    check_alpha(alpha)
+    return gamma(alpha + 1.0) * sin(pi * alpha / 2.0) / (2.0 * pi)
+
+
+def tail_constant(alpha: float) -> float:
+    """Tail coefficient of the Levy-measure-normalized density: 2*c_alpha*sigma_alpha.
+
+    This equals 1 for every alpha in (0, 2), to rounding; it is computed as
+    the product so that the relation stays visible and testable.
+    """
+    return 2.0 * c_alpha(alpha) * stable_scale(alpha)
+
+
+def sample_standard_stable(alpha: float, rng, size: int) -> np.ndarray:
     """Symmetric stable draws with characteristic function exp(-|t|^alpha).
 
     Chambers-Mallows-Stuck transform.  alpha = 2 is allowed and degenerates
@@ -132,7 +144,7 @@ def sample_standard_stable(alpha: float, rng: RandomState, size: int) -> np.ndar
     """
     if not 0.0 < alpha <= 2.0:
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(rng)
     u = gen.uniform(-np.pi / 2, np.pi / 2, size)
     w = gen.exponential(1.0, size)
     if alpha == 1.0:
@@ -142,9 +154,7 @@ def sample_standard_stable(alpha: float, rng: RandomState, size: int) -> np.ndar
     ) ** ((1.0 - alpha) / alpha)
 
 
-def sample_stable_increment(
-    alpha: float, delta: float, rng: RandomState, size: int
-) -> np.ndarray:
+def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
     """Increments L_delta of the Levy-measure-normalized stable process.
 
     Equal to (sigma_alpha * delta)^(1/alpha) times standard draws.  delta = 0
@@ -159,13 +169,13 @@ def sample_stable_increment(
 
 
 @lru_cache(maxsize=None)
-def tempered_tail_intensity(alpha: float, cutoff: float) -> float:
-    """Jump intensity 2 * int_cutoff^inf e^(-z) z^(-1-alpha) dz."""
-    _check_tempered_params(alpha, cutoff)
+def tempered_tail_intensity(alpha: float) -> float:
+    """Jump intensity 2 * int_c^inf e^(-z) z^(-1-alpha) dz, c = SMALL_JUMP_CUTOFF."""
+    check_alpha(alpha)
     val, _ = integrate.quad(
         lambda z: np.exp(-z) * z ** (-1.0 - alpha),
-        cutoff,
-        cutoff + 80.0,
+        SMALL_JUMP_CUTOFF,
+        SMALL_JUMP_CUTOFF + 80.0,
         epsabs=1e-12,
         limit=200,
     )
@@ -173,26 +183,22 @@ def tempered_tail_intensity(alpha: float, cutoff: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def tempered_small_jump_variance(alpha: float, cutoff: float) -> float:
-    """Variance rate 2 * int_0^cutoff z^(1-alpha) e^(-z) dz of the removed small jumps."""
-    _check_tempered_params(alpha, cutoff)
+def tempered_small_jump_variance(alpha: float) -> float:
+    """Variance rate 2 * int_0^c z^(1-alpha) e^(-z) dz, c = SMALL_JUMP_CUTOFF."""
+    check_alpha(alpha)
     val, _ = integrate.quad(
-        lambda z: z ** (1.0 - alpha) * np.exp(-z), 0.0, cutoff, epsabs=1e-14
+        lambda z: z ** (1.0 - alpha) * np.exp(-z),
+        0.0,
+        SMALL_JUMP_CUTOFF,
+        epsabs=1e-14,
     )
     return 2.0 * val
 
 
-def _check_tempered_params(alpha: float, cutoff: float):
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    if not 0.0 < cutoff <= 1.0:
-        raise ParameterError(f"cutoff must lie in (0, 1], got {cutoff}")
-
-
 def _tempered_jump_sizes(
-    alpha: float, cutoff: float, count: int, gen: np.random.Generator
+    alpha: float, count: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Magnitudes from the density proportional to e^(-z) z^(-1-alpha) on (cutoff, inf).
+    """Magnitudes with density proportional to e^(-z) z^(-1-alpha) above the cutoff.
 
     Rejection sampling with a Pareto proposal; acceptance probability e^(-z).
     """
@@ -201,7 +207,7 @@ def _tempered_jump_sizes(
     while got < count:
         # cap the proposal batch so huge jump counts stay within memory
         m = min(2 * (count - got) + 16, 4_000_000)
-        cand = cutoff * gen.uniform(size=m) ** (-1.0 / alpha)
+        cand = SMALL_JUMP_CUTOFF * gen.uniform(size=m) ** (-1.0 / alpha)
         accepted = cand[gen.uniform(size=m) < np.exp(-cand)]
         take = accepted[: count - got]
         sizes[got : got + take.size] = take
@@ -209,40 +215,36 @@ def _tempered_jump_sizes(
     return sizes
 
 
-def sample_tempered_increment(
-    alpha: float, delta: float, cutoff: float, rng: RandomState, size: int
-) -> np.ndarray:
+def sample_tempered_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
     """Tempered-stable increments over time delta: Levy measure e^(-|z|)|z|^(-1-alpha) dz.
 
-    Jumps above the cutoff are compound Poisson; jumps below it are replaced
-    by a centered Gaussian with matched variance.  The measure is symmetric,
-    so no drift compensation is needed.
+    Jumps above SMALL_JUMP_CUTOFF are compound Poisson; jumps below it are
+    replaced by a centered Gaussian with matched variance.  The measure is
+    symmetric, so no drift compensation is needed.
     """
-    _check_tempered_params(alpha, cutoff)
+    check_alpha(alpha)
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     out = np.zeros(size)
     if delta == 0:
         return out
-    gen = _as_generator(rng)
-    counts = gen.poisson(tempered_tail_intensity(alpha, cutoff) * delta, size)
+    gen = np.random.default_rng(rng)
+    counts = gen.poisson(tempered_tail_intensity(alpha) * delta, size)
     total = int(counts.sum())
     if total:
-        magnitudes = _tempered_jump_sizes(alpha, cutoff, total, gen)
+        magnitudes = _tempered_jump_sizes(alpha, total, gen)
         signs = 2.0 * gen.integers(0, 2, size=total) - 1.0
         np.add.at(out, np.repeat(np.arange(size), counts), signs * magnitudes)
-    small_sd = np.sqrt(tempered_small_jump_variance(alpha, cutoff) * delta)
+    small_sd = np.sqrt(tempered_small_jump_variance(alpha) * delta)
     out += small_sd * gen.standard_normal(size)
     return out
 
 
-def sample_jump_increment(
-    law: JumpLaw, delta: float, rng: RandomState, size: int
-) -> np.ndarray:
+def sample_jump_increment(law: JumpLaw, delta: float, rng, size: int) -> np.ndarray:
     """Dispatch to the stable or tempered increment sampler."""
     if law.kind == STABLE:
         return sample_stable_increment(law.alpha, delta, rng, size)
-    return sample_tempered_increment(law.alpha, delta, law.small_jump_cutoff, rng, size)
+    return sample_tempered_increment(law.alpha, delta, rng, size)
 
 
 # Rows per block are chosen so a block holds about this many increments:
@@ -268,7 +270,7 @@ def simulate_increments(model: ModelSpec, n: int, seeds) -> np.ndarray:
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
     delta = 1.0 / n
-    gens = [_as_generator(seed) for seed in seeds]
+    gens = [np.random.default_rng(seed) for seed in seeds]
     block = np.full((len(gens), n), model.drift * delta)
     if model.sigma > 0:
         normals = np.stack([gen.standard_normal(n) for gen in gens])

@@ -1,71 +1,26 @@
-"""Analytics for the Levy-measure-normalized symmetric stable law.
+"""Analytics for the Levy-measure-normalized symmetric stable law of index alpha.
 
-Covers the closed-form constant c_alpha, the density by its tail series or
-by Fourier inversion, and the truncated second moment
-d(zeta) = E[S^2 K(S * zeta)] evaluated by Monte Carlo, by quadrature
-against the density, and by its small-zeta power-law approximation.
-
-A normalization note that matters throughout: the density of the law with
-characteristic function exp(-sigma|t|^alpha) has tail
-f(z) ~ 2*c_alpha*sigma * |z|^(-1-alpha).  For the Levy-measure normalization
-used here (sigma = sigma_alpha) the product 2*c_alpha*sigma_alpha equals 1
-exactly, so the tail coefficient of this law is 1, while c_alpha itself is
-the tail coefficient of the unit law exp(-|t|^alpha / 2).
+Covers the density by its tail series or by Fourier inversion, and the
+truncated second moment d(zeta) = E[S^2 K(S * zeta)] evaluated by Monte
+Carlo, by quadrature against the density, and by its small-zeta power-law
+approximation.  The law is named by alpha alone: its characteristic function
+is exp(-sigma_alpha |t|^alpha), and its scale sigma_alpha and tail
+coefficient (`stable_scale`, `tail_constant`) live in `levy`, next to the
+sampler.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
-from math import exp, gamma, inf, isfinite, lgamma, log, pi, sin
+from math import exp, inf, isfinite, lgamma, log, pi, sin
 
 import numpy as np
 from scipy import integrate
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_alpha
 from .kernels import Kernel, kernel_moment, truncated_terms
-from .levy import RandomState, _as_generator, sample_standard_stable, stable_scale
-
-
-def c_alpha(alpha: float) -> float:
-    """Gamma(alpha+1) sin(pi alpha/2) / (2 pi), the reciprocal of 2 * sigma_alpha.
-
-    Equal to alpha(1-alpha) / (4 Gamma(2-alpha) cos(pi alpha/2)) away from
-    alpha = 1, and to its limit 1/(2 pi) there, without a special case.
-    """
-    if not 0.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    return gamma(alpha + 1.0) * sin(pi * alpha / 2.0) / (2.0 * pi)
-
-
-def tail_constant(alpha: float) -> float:
-    """Tail coefficient of the Levy-measure-normalized density: 2*c_alpha*sigma_alpha.
-
-    This equals 1 for every alpha in (0, 2), to rounding; it is computed as
-    the product so that the relation stays visible and testable.
-    """
-    return 2.0 * c_alpha(alpha) * stable_scale(alpha)
-
-
-@dataclass(frozen=True)
-class StableLaw:
-    """Symmetric stable law with characteristic function exp(-scale_exponent*|t|^alpha)."""
-
-    alpha: float
-    scale_exponent: float = field(default=0.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.scale_exponent == 0.0:
-            object.__setattr__(self, "scale_exponent", stable_scale(self.alpha))
-        elif self.scale_exponent <= 0.0:
-            raise ParameterError("scale_exponent must be positive")
-
-    def sample(self, rng: RandomState, size: int) -> np.ndarray:
-        scale = self.scale_exponent ** (1.0 / self.alpha)
-        return scale * sample_standard_stable(self.alpha, rng, size)
+from .levy import sample_stable_increment, stable_scale, tail_constant
 
 
 # Relative accuracy the tail series must reach before it is used, and the
@@ -146,26 +101,29 @@ def _fourier_density(z: float, alpha: float, sigma: float) -> float:
     return val / pi
 
 
-def stable_density(z: float, law: StableLaw) -> float:
-    """f_alpha(z) = (1/pi) int_0^inf cos(t z) exp(-sigma t^alpha) dt.
+def stable_density(z: float, alpha: float) -> float:
+    """f_alpha(z) = (1/pi) int_0^inf cos(t z) exp(-sigma_alpha t^alpha) dt.
 
     Summed as the tail series where that reaches _SERIES_RTOL, otherwise
     computed as the Fourier integral; raises NumericalError when neither
     route is accurate, e.g. where the density is far below the quadrature's
     absolute accuracy but the series cancels too much (alpha near 0).
     """
+    sigma = stable_scale(alpha)
     z = abs(z)
     if z > 0.0:
-        val = _tail_series(z, law.alpha, law.scale_exponent)
+        val = _tail_series(z, alpha, sigma)
         if val is not None:
             return val
-    return _fourier_density(z, law.alpha, law.scale_exponent)
+    return _fourier_density(z, alpha, sigma)
 
 
 # |zeta| range of d_zeta_quadrature: its result divides by |zeta|^3, which
-# must stay a normal float.
+# must stay a normal float.  Past _QUAD_ZETA_RTOL of a piece's value, its
+# error estimate is refused rather than returned.
 _QUAD_ZETA_MIN = 1e-100
 _QUAD_ZETA_MAX = 1e100
+_QUAD_ZETA_RTOL = 1e-6
 
 
 def _check_zeta(zeta: float) -> float:
@@ -190,14 +148,15 @@ def d_zeta_mc(
     zeta: float | Sequence[float],
     alpha: float,
     n_draws: int,
-    seed: RandomState,
+    seed,
     kernel: Kernel = Kernel("phi"),
 ) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo value of E[S^2 K(S*zeta)] with a standard-error estimate.
 
     A float zeta gives (mean, stderr); a 1-D sequence gives one such pair
     per zeta, all from the same n_draws draws, and entry i equals the
-    scalar call at zeta[i] with the same seed bit for bit.
+    scalar call at zeta[i] with the same seed bit for bit.  `seed` is
+    anything `np.random.default_rng` accepts.
     """
     zetas = np.asarray(zeta, dtype=float)
     scalar = zetas.ndim == 0
@@ -208,14 +167,13 @@ def d_zeta_mc(
         _check_zeta(z)
     if n_draws < 1:
         raise ParameterError("n_draws must be positive")
-    gen = _as_generator(seed)
-    law = StableLaw(alpha)
+    gen = np.random.default_rng(seed)
     totals = np.zeros((zetas.size, 2))
     chunk = 1_000_000
     remaining = n_draws
     while remaining > 0:
         m = min(chunk, remaining)
-        s = law.sample(gen, m)
+        s = sample_stable_increment(alpha, 1.0, gen, m)
         for i, z in enumerate(zetas):
             totals[i] += _chunk_sums(s, float(z), kernel)
         remaining -= m
@@ -228,13 +186,17 @@ def d_zeta_mc(
 
 
 def d_zeta_quadrature(
-    zeta: float, law: StableLaw, kernel: Kernel = Kernel("phi")
+    zeta: float, alpha: float, kernel: Kernel = Kernel("phi")
 ) -> float:
     """int z^2 K(z*zeta) f_alpha(z) dz over the kernel support |z| <= radius/|zeta|.
 
-    Raises NumericalError for |zeta| outside [_QUAD_ZETA_MIN, _QUAD_ZETA_MAX].
+    In u = z*zeta the integral is about |zeta|^(1+alpha) at small zeta, so
+    the absolute tolerance scales with it.  Raises NumericalError for |zeta|
+    outside [_QUAD_ZETA_MIN, _QUAD_ZETA_MAX], and when a piece's error
+    estimate exceeds both that tolerance and _QUAD_ZETA_RTOL of its value.
     """
     az = _check_zeta(zeta)
+    check_alpha(alpha)
     if not _QUAD_ZETA_MIN <= az <= _QUAD_ZETA_MAX:
         raise NumericalError(
             f"zeta={zeta} is outside the quadrature's range "
@@ -245,17 +207,23 @@ def d_zeta_quadrature(
         w = kernel(u)
         if w == 0.0:
             return 0.0
-        return u * u * w * stable_density(u / az, law)
+        return u * u * w * stable_density(u / az, alpha)
 
     # Integrate in the kernel variable u = z*zeta, splitting at breakpoints.
     points = sorted({1.0, 1.5, 2.0, kernel.support_radius})
+    epsabs = 1e-12 * min(1.0, az ** (1.0 + alpha))
     total = 0.0
     lo = 0.0
     for hi in points:
         if hi > lo:
-            val, _ = integrate.quad(
-                integrand, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-9
+            val, err = integrate.quad(
+                integrand, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9
             )
+            if err > epsabs and err > _QUAD_ZETA_RTOL * abs(val):
+                raise NumericalError(
+                    f"d(zeta) quadrature at zeta={zeta} on [{lo:g}, {hi:g}]: "
+                    f"error estimate {err:.2e} too large for the value {val:.2e}"
+                )
             total += val
             lo = hi
     return 2.0 * total / az**3

@@ -18,7 +18,6 @@ from jumpvol import (
     JumpLaw,
     Kernel,
     ModelSpec,
-    StableLaw,
     c_tilde,
     cancelled_kernel_tqv,
     cancelling_kernel,
@@ -176,7 +175,7 @@ class TestCriterion5:
     def test_dzeta_asymptote_vs_c_alpha(self):
         """zeta^(2-alpha) d(zeta) within 10% of tail_constant*kernel_moment at zeta=1e-4.
 
-        The limit constant is the tail coefficient of StableLaw(alpha),
+        The limit constant is the tail coefficient of the normalized law,
         tail_constant = 2 c_alpha sigma_alpha = 1, the constant
         d_zeta_asymptotic uses; c_alpha alone is the tail coefficient of the
         unit law exp(-|t|^alpha / 2) and is off by a factor 9.6 (alpha=0.5)
@@ -189,7 +188,7 @@ class TestCriterion5:
         parts = []
         for alpha in (0.5, 1.2):
             z = 1e-4
-            lhs = z ** (2.0 - alpha) * d_zeta_quadrature(z, StableLaw(alpha))
+            lhs = z ** (2.0 - alpha) * d_zeta_quadrature(z, alpha)
             rhs = tail_constant(alpha) * kernel_moment(Kernel("phi"), alpha)
             part_ok = abs(lhs - rhs) <= 0.10 * rhs
             ok &= part_ok
@@ -206,7 +205,7 @@ class TestCriterion5:
         for alpha in (0.5, 1.2):
             z = 1e-3
             mc, se = d_zeta_mc(z, alpha, 10**6, seed=2024)
-            quad = d_zeta_quadrature(z, StableLaw(alpha))
+            quad = d_zeta_quadrature(z, alpha)
             part_ok = abs(mc - quad) <= 3.0 * se
             ok &= part_ok
             parts.append(
@@ -242,9 +241,8 @@ class TestCriterion6:
         """Density integrates to 1 within 1e-4."""
         from scipy import integrate
 
-        law = StableLaw(1.9)
         half, _ = integrate.quad(
-            lambda z: stable_density(z, law), 0.0, 200.0, limit=400
+            lambda z: stable_density(z, 1.9), 0.0, 200.0, limit=400
         )
         ok = abs(2.0 * half - 1.0) <= 1e-4
         assert report(6, ok, f"normalization: integral = {2 * half:.6f}")
@@ -253,13 +251,13 @@ class TestCriterion6:
         """z^(1+alpha) f(z) / tail_constant within 5% of 1 at z=500, alpha=0.8.
 
         tail_constant = 2 c_alpha sigma_alpha is the tail coefficient of
-        StableLaw(alpha); c_alpha(0.8) = 0.141 belongs to the unit law
+        the normalized law; c_alpha(0.8) = 0.141 belongs to the unit law
         exp(-|t|^alpha / 2) and would give a ratio near 7.  The second tail
         term changes the ratio by -5.05% at z = 80 but by -1.2% at z = 500,
         so the probe sits at 500.
         """
         alpha, z = 0.8, 500.0
-        density = stable_density(z, StableLaw(alpha))
+        density = stable_density(z, alpha)
         ratio = z ** (1 + alpha) * density / tail_constant(alpha)
         ok = abs(ratio - 1.0) <= 0.05
         assert report(

@@ -289,6 +289,16 @@ class TestDzeta:
         assert "unknown kernel parameter" in err
         assert out == ""
 
+    @pytest.mark.parametrize("kernel", ["phi", "composite"])
+    @pytest.mark.parametrize("alpha", ["0", "2", "nan"])
+    def test_alpha_out_of_range_exits_1(self, capsys, alpha, kernel):
+        code, out, err = run_cli(
+            capsys, "dzeta", "--alpha", alpha, "--zeta", "0.1", "--kernel", kernel
+        )
+        assert code == 1
+        assert "alpha must lie in (0, 2)" in err
+        assert out == ""
+
     def test_zeta_below_quadrature_range_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "dzeta", "--alpha", "1.5", "--zeta", "1e-300", "--draws", "100"

@@ -6,6 +6,7 @@ import pytest
 from jumpvol import JumpLaw, ModelSpec, ParameterError, PathSample, simulate_path
 from jumpvol.levy import (
     BLOCK_INCREMENTS,
+    SMALL_JUMP_CUTOFF,
     block_rows,
     replicate_blocks,
     sample_jump_increment,
@@ -101,13 +102,14 @@ class TestTemperedSampler:
     def test_tail_intensity_matches_quadrature(self):
         # 2 * int_eps^inf exp(-z) z^(-1-alpha) dz at alpha=0.5, eps=0.01,
         # frozen from an independent adaptive quadrature
-        assert tempered_tail_intensity(0.5, 0.01) == pytest.approx(
+        assert SMALL_JUMP_CUTOFF == 0.01
+        assert tempered_tail_intensity(0.5) == pytest.approx(
             33.309519, rel=1e-5
         )
 
     def test_small_jump_variance_matches_quadrature(self):
         # 2 * int_0^eps z^(1-alpha) exp(-z) dz at alpha=0.5, eps=0.01
-        assert tempered_small_jump_variance(0.5, 0.01) == pytest.approx(
+        assert tempered_small_jump_variance(0.5) == pytest.approx(
             1.3253618e-3, rel=1e-4
         )
 
@@ -117,7 +119,7 @@ class TestTemperedSampler:
 
         alpha, delta = 0.9, 0.5
         rng = np.random.default_rng(21)
-        x = sample_tempered_increment(alpha, delta, 0.01, rng, 300_000)
+        x = sample_tempered_increment(alpha, delta, rng, 300_000)
         for t in (1.0, 3.0):
             ex, _ = integrate.quad(
                 lambda z: (np.cos(t * z) - 1.0) * np.exp(-z) * z ** (-1 - alpha),
@@ -131,7 +133,7 @@ class TestTemperedSampler:
 
     def test_all_moments_finite_proxy(self):
         rng = np.random.default_rng(4)
-        x = sample_tempered_increment(1.5, 0.01, 0.01, rng, 50_000)
+        x = sample_tempered_increment(1.5, 0.01, rng, 50_000)
         assert np.isfinite(np.mean(x**4))
 
     def test_dispatch(self):
@@ -139,6 +141,18 @@ class TestTemperedSampler:
         a = sample_jump_increment(law, 0.1, np.random.default_rng(1), 100)
         b = sample_stable_increment(1.1, 0.1, np.random.default_rng(1), 100)
         np.testing.assert_array_equal(a, b)
+        law = JumpLaw("tempered", 1.1)
+        a = sample_jump_increment(law, 0.1, np.random.default_rng(1), 100)
+        b = sample_tempered_increment(1.1, 0.1, np.random.default_rng(1), 100)
+        np.testing.assert_array_equal(a, b)
+
+    def test_seed_or_generator(self):
+        """A seed gives the draws of default_rng(seed); a Generator is used as is."""
+        gen = np.random.default_rng(5)
+        a = sample_tempered_increment(0.9, 0.1, gen, 50)
+        b = sample_tempered_increment(0.9, 0.1, gen, 50)
+        assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(a, sample_tempered_increment(0.9, 0.1, 5, 50))
 
 
 class TestJumpLawValidation:
@@ -151,10 +165,6 @@ class TestJumpLawValidation:
             JumpLaw("stable", 2.0)
         with pytest.raises(ParameterError):
             JumpLaw("stable", -0.1)
-
-    def test_rejects_bad_cutoff(self):
-        with pytest.raises(ParameterError):
-            JumpLaw("tempered", 1.0, small_jump_cutoff=0.0)
 
 
 class TestModelSpec:
@@ -226,6 +236,12 @@ class TestPathSample:
         p = PathSample(np.array([1e20, 1.0, -1e20]))
         np.testing.assert_array_equal(p.observations, [0.0, 1e20, 1e20, 0.0])
         np.testing.assert_array_equal(p.increments, [1e20, 1.0, -1e20])
+
+    def test_compare_and_hash_by_identity(self):
+        p, q = PathSample(np.zeros(2)), PathSample(np.zeros(2))
+        assert p == p and p != q
+        assert hash(p) == hash(p)
+        assert len({p, q}) == 2
 
 
 class TestSimulateIncrements:

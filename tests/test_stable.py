@@ -9,7 +9,6 @@ from jumpvol import (
     Kernel,
     NumericalError,
     ParameterError,
-    StableLaw,
     c_alpha,
     d_zeta_asymptotic,
     d_zeta_mc,
@@ -19,7 +18,7 @@ from jumpvol import (
     stable_density,
     tail_constant,
 )
-from jumpvol.levy import stable_scale
+from jumpvol.levy import sample_stable_increment, stable_scale
 from jumpvol.stable import _fourier_density, _series_coefficients, _tail_series
 
 
@@ -65,29 +64,29 @@ class TestTailConstant:
 class TestStableDensity:
     def test_cauchy_closed_form(self):
         """At alpha = 1 the law is Cauchy with scale sigma_1 = pi."""
-        law = StableLaw(1.0)
         c = np.pi
         for z in (0.0, 0.7, 2.0, 10.0):
             expected = c / (np.pi * (c * c + z * z))
-            assert stable_density(z, law) == pytest.approx(expected, rel=1e-8)
+            assert stable_density(z, 1.0) == pytest.approx(expected, rel=1e-8)
 
     def test_gaussian_limit_shape(self):
-        """With scale_exponent s and alpha -> 2 the density is N(0, 2s)."""
-        law = StableLaw(1.999999, scale_exponent=1.0)
-        expected = np.exp(-(1.3**2) / 4.0) / np.sqrt(4.0 * np.pi)
-        assert stable_density(1.3, law) == pytest.approx(expected, rel=1e-4)
+        """As alpha -> 2 the density is N(0, 2 sigma_alpha), near its centre."""
+        alpha = 1.999999
+        s = stable_scale(alpha)
+        for v in (0.0, 1.3):
+            z = v * np.sqrt(s)
+            expected = np.exp(-(z**2) / (4.0 * s)) / np.sqrt(4.0 * np.pi * s)
+            assert stable_density(z, alpha) == pytest.approx(expected, rel=1e-4)
 
     def test_symmetric(self):
-        law = StableLaw(1.5)
-        assert stable_density(2.3, law) == stable_density(-2.3, law)
+        assert stable_density(2.3, 1.5) == stable_density(-2.3, 1.5)
 
     def test_normalization(self):
         """Integral over [-200, 200] is 1 up to the (tiny at alpha=1.9) tail mass."""
         from scipy import integrate
 
-        law = StableLaw(1.9)
         val, _ = integrate.quad(
-            lambda z: stable_density(z, law), 0, 200, limit=400
+            lambda z: stable_density(z, 1.9), 0, 200, limit=400
         )
         # remaining tail mass: 2 * int_200^inf z^(-1-alpha) dz / alpha ~ 4.5e-5
         assert 2 * val == pytest.approx(1.0, abs=1e-4)
@@ -95,9 +94,8 @@ class TestStableDensity:
     def test_tail_ratio(self):
         """z^(1+alpha) f(z) approaches the tail coefficient 2*c_alpha*sigma_alpha = 1."""
         alpha = 0.8
-        law = StableLaw(alpha)
         z = 80.0
-        ratio = z ** (1 + alpha) * stable_density(z, law)
+        ratio = z ** (1 + alpha) * stable_density(z, alpha)
         assert ratio == pytest.approx(1.0, rel=0.06)
 
 
@@ -130,21 +128,20 @@ class TestStableDensityFarTail:
     @pytest.mark.parametrize("alpha,z", [(1.2, 1e5), (1.5, 1e5), (1.9, 1e4)])
     def test_tail_coefficient_far_out(self, alpha, z):
         """z^(1+alpha) f(z) is the tail coefficient; the next term is < 1e-5 here."""
-        ratio = z ** (1 + alpha) * stable_density(z, StableLaw(alpha))
+        ratio = z ** (1 + alpha) * stable_density(z, alpha)
         assert ratio == pytest.approx(tail_constant(alpha), rel=1e-4)
 
     def test_cauchy_far_tail(self):
         c, z = np.pi, 1e6
         expected = c / (np.pi * (c * c + z * z))
-        density = stable_density(z, StableLaw(1.0))
+        density = stable_density(z, 1.0)
         assert density == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     def test_near_origin(self, alpha):
         """Near the origin f is f(0) = Gamma(1 + 1/alpha) / (pi sigma^(1/alpha))."""
-        law = StableLaw(alpha)
-        f0 = gamma(1.0 + 1.0 / alpha) / (np.pi * law.scale_exponent ** (1.0 / alpha))
-        assert stable_density(1e-300, law) == pytest.approx(f0, rel=1e-8)
+        f0 = gamma(1.0 + 1.0 / alpha) / (np.pi * stable_scale(alpha) ** (1.0 / alpha))
+        assert stable_density(1e-300, alpha) == pytest.approx(f0, rel=1e-8)
 
     @pytest.mark.parametrize(
         "alpha,z", [(0.5, 50.0), (0.9, 10.0), (1.5, 20.0), (1.9, 50.0)]
@@ -170,41 +167,28 @@ class TestStableDensityFarTail:
         """At alpha = 0.05 the density is about 4.03e-15 near the origin: far
         below the quadrature's accuracy, while the series cancels too much."""
         with pytest.raises(NumericalError):
-            stable_density(1.0, StableLaw(0.05))
+            stable_density(1.0, 0.05)
 
     def test_dzeta_quadrature_far_zeta(self):
         """At zeta = 1e-5 the kernel reaches z = 2e5, deep in the tail; there
         d(zeta) is within 1e-3 of its small-zeta asymptote at alpha = 1.2."""
         z, alpha = 1e-5, 1.2
-        assert d_zeta_quadrature(z, StableLaw(alpha)) == pytest.approx(
+        assert d_zeta_quadrature(z, alpha) == pytest.approx(
             d_zeta_asymptotic(z, alpha), rel=1e-3
         )
-
-
-class TestStableLaw:
-    def test_default_scale(self):
-        law = StableLaw(1.5)
-        assert law.scale_exponent == pytest.approx(stable_scale(1.5))
-
-    def test_sampler_cf(self):
-        law = StableLaw(0.7, scale_exponent=2.0)
-        x = law.sample(np.random.default_rng(13), 200_000)
-        emp = np.mean(np.cos(1.0 * x))
-        assert emp == pytest.approx(np.exp(-2.0), abs=0.01)
 
 
 class TestDZeta:
     """d(zeta) = E[S^2 K(S*zeta)] with S the Levy-measure-normalized stable draw."""
 
     def test_even_in_zeta(self):
-        law = StableLaw(1.2)
-        assert d_zeta_quadrature(0.05, law) == pytest.approx(
-            d_zeta_quadrature(-0.05, law), rel=1e-10
+        assert d_zeta_quadrature(0.05, 1.2) == pytest.approx(
+            d_zeta_quadrature(-0.05, 1.2), rel=1e-10
         )
 
     def test_rejects_zero(self):
         with pytest.raises(ParameterError):
-            d_zeta_quadrature(0.0, StableLaw(1.2))
+            d_zeta_quadrature(0.0, 1.2)
         with pytest.raises(ParameterError):
             d_zeta_mc(0.0, 1.2, 100, 0)
 
@@ -215,7 +199,7 @@ class TestDZeta:
         with pytest.raises(ParameterError, match="finite"):
             d_zeta_mc([0.1, bad], 1.2, 100, 0)
         with pytest.raises(ParameterError, match="finite"):
-            d_zeta_quadrature(bad, StableLaw(1.2))
+            d_zeta_quadrature(bad, 1.2)
         with pytest.raises(ParameterError, match="finite"):
             d_zeta_asymptotic(bad, 1.2)
 
@@ -224,12 +208,27 @@ class TestDZeta:
         """|zeta|^3 would underflow to 0 or overflow: a NumericalError, not a
         ZeroDivisionError or OverflowError."""
         with pytest.raises(NumericalError, match="outside the quadrature's range"):
-            d_zeta_quadrature(zeta, StableLaw(1.5))
+            d_zeta_quadrature(zeta, 1.5)
 
     def test_quadrature_range_ends_are_finite(self):
-        law = StableLaw(1.5)
-        assert 0.0 < d_zeta_quadrature(1e-100, law) < np.inf
-        assert 0.0 <= d_zeta_quadrature(1e100, law) < 1e-290
+        assert 0.0 < d_zeta_quadrature(1e-100, 1.5) < np.inf
+        assert 0.0 <= d_zeta_quadrature(1e100, 1.5) < 1e-290
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_quadrature_at_small_zeta(self, alpha):
+        """At zeta = 1e-5 the whole integral is about 1e-5^(1+alpha), below a
+        fixed absolute tolerance of 1e-12; d(zeta) must still meet its
+        asymptote (it used to read 0.9915 and 0.5949 of it)."""
+        assert d_zeta_quadrature(1e-5, alpha) == pytest.approx(
+            d_zeta_asymptotic(1e-5, alpha), rel=1e-6
+        )
+
+    def test_quadrature_refuses_a_large_error_estimate(self, monkeypatch):
+        monkeypatch.setattr(
+            "jumpvol.stable.integrate.quad", lambda *args, **kwargs: (1.0, 1e-3)
+        )
+        with pytest.raises(NumericalError, match="error estimate"):
+            d_zeta_quadrature(0.1, 1.5)
 
     def test_asymptotic_overflow_is_numerical_error(self):
         assert np.isfinite(d_zeta_asymptotic(1e-300, 1.5))
@@ -238,14 +237,13 @@ class TestDZeta:
 
     def test_quadrature_frozen_values(self):
         # frozen from this implementation after cross-validation against MC
-        assert d_zeta_quadrature(0.01, StableLaw(0.5)) == pytest.approx(
+        assert d_zeta_quadrature(0.01, 0.5) == pytest.approx(
             1840.45, rel=1e-3
         )
 
     def test_mc_agrees_with_quadrature(self):
-        law = StableLaw(0.5)
         mc, se = d_zeta_mc(0.01, 0.5, 10**6, 123)
-        quad = d_zeta_quadrature(0.01, law)
+        quad = d_zeta_quadrature(0.01, 0.5)
         assert abs(mc - quad) < 4 * se
 
     @pytest.mark.parametrize("zeta", [0.1, 0.01])
@@ -253,15 +251,14 @@ class TestDZeta:
         """The composite kernel goes negative; its negative terms count in both."""
         kernel = parse_kernel("composite", 1.5)
         mc, se = d_zeta_mc(zeta, 1.5, 10**6, 123, kernel)
-        quad = d_zeta_quadrature(zeta, StableLaw(1.5), kernel)
+        quad = d_zeta_quadrature(zeta, 1.5, kernel)
         assert abs(mc - quad) < 4 * se
 
     def test_divergence_rate(self):
         """d(zeta) grows like |zeta|^(alpha-2) as zeta -> 0."""
         alpha = 1.2
-        law = StableLaw(alpha)
         zs = np.array([0.1, 0.01, 0.001])
-        vals = np.array([d_zeta_quadrature(z, law) for z in zs])
+        vals = np.array([d_zeta_quadrature(z, alpha) for z in zs])
         slope = np.polyfit(np.log(zs), np.log(vals), 1)[0]
         assert slope == pytest.approx(alpha - 2.0, abs=0.05)
 
@@ -277,9 +274,8 @@ class TestDZeta:
 
     def test_quadrature_approaches_asymptote(self):
         alpha = 1.2
-        law = StableLaw(alpha)
         z = 1e-3
-        assert d_zeta_quadrature(z, law) == pytest.approx(
+        assert d_zeta_quadrature(z, alpha) == pytest.approx(
             d_zeta_asymptotic(z, alpha), rel=0.05
         )
 
@@ -301,8 +297,12 @@ class TestDZetaMcSharedDraws:
         many = d_zeta_mc(zetas, 0.5, n, 11)
         assert many == [d_zeta_mc(float(z), 0.5, n, 11) for z in zetas]
         gen = np.random.default_rng(11)
-        law = StableLaw(0.5)
-        s = np.concatenate([law.sample(gen, 1_000_000), law.sample(gen, 3001)])
+        s = np.concatenate(
+            [
+                sample_stable_increment(0.5, 1.0, gen, 1_000_000),
+                sample_stable_increment(0.5, 1.0, gen, 3001),
+            ]
+        )
         for z, (mean, stderr) in zip(zetas, many):
             weights = Kernel("phi")(s * z)
             vals = np.where(weights > 0.0, s * s * weights, 0.0)
