@@ -158,6 +158,9 @@ def cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # every subcommand takes --seed; numpy seeds only from non-negative integers
+        if args.seed is not None and args.seed < 0:
+            raise ParameterError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

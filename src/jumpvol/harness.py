@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ParameterError(f"replicates must be >= 1, got {self.replicates}")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         # Validate every cell up front so no simulation starts on a bad config.
         for cell in self.cells:
             cell.estimator_config()

@@ -12,6 +12,7 @@ anything `np.random.default_rng` accepts (a Generator is used as it is).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gamma, pi, sin
@@ -136,6 +137,25 @@ def tail_constant(alpha: float) -> float:
     return 2.0 * c_alpha(alpha) * stable_scale(alpha)
 
 
+def _standard_stable_block(alpha: float, gens, size: int) -> np.ndarray:
+    """One row of standard stable draws per generator, as a (rows, size) block.
+
+    Each row draws its uniforms, then its exponentials, from its own
+    generator; the Chambers-Mallows-Stuck transform then runs once over the
+    whole block.  It is elementwise, so a row does not depend on the block.
+    """
+    u = np.empty((len(gens), size))
+    w = np.empty((len(gens), size))
+    for row_u, row_w, gen in zip(u, w, gens):
+        row_u[:] = gen.uniform(-np.pi / 2, np.pi / 2, size)
+        gen.standard_exponential(out=row_w)
+    if alpha == 1.0:
+        return np.tan(u)
+    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
+        np.cos((1.0 - alpha) * u) / w
+    ) ** ((1.0 - alpha) / alpha)
+
+
 def sample_standard_stable(alpha: float, rng, size: int) -> np.ndarray:
     """Symmetric stable draws with characteristic function exp(-|t|^alpha).
 
@@ -144,14 +164,16 @@ def sample_standard_stable(alpha: float, rng, size: int) -> np.ndarray:
     """
     if not 0.0 < alpha <= 2.0:
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    gen = np.random.default_rng(rng)
-    u = gen.uniform(-np.pi / 2, np.pi / 2, size)
-    w = gen.exponential(1.0, size)
-    if alpha == 1.0:
-        return np.tan(u)
-    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-        np.cos((1.0 - alpha) * u) / w
-    ) ** ((1.0 - alpha) / alpha)
+    return _standard_stable_block(alpha, [np.random.default_rng(rng)], size)[0]
+
+
+def _stable_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
+    if delta < 0:
+        raise ParameterError(f"delta must be nonnegative, got {delta}")
+    if delta == 0:
+        return np.zeros((len(gens), size))
+    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
+    return scale * _standard_stable_block(alpha, gens, size)
 
 
 def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
@@ -160,12 +182,7 @@ def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.nd
     Equal to (sigma_alpha * delta)^(1/alpha) times standard draws.  delta = 0
     is allowed as a degenerate probe and returns zeros.
     """
-    if delta < 0:
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
-    if delta == 0:
-        return np.zeros(size)
-    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
-    return scale * sample_standard_stable(alpha, rng, size)
+    return _stable_block(alpha, delta, [np.random.default_rng(rng)], size)[0]
 
 
 @lru_cache(maxsize=None)
@@ -201,18 +218,52 @@ def _tempered_jump_sizes(
     """Magnitudes with density proportional to e^(-z) z^(-1-alpha) above the cutoff.
 
     Rejection sampling with a Pareto proposal; acceptance probability e^(-z).
+    Each round draws its m candidates and then its m acceptance uniforms.
     """
     sizes = np.empty(count)
     got = 0
     while got < count:
         # cap the proposal batch so huge jump counts stay within memory
         m = min(2 * (count - got) + 16, 4_000_000)
-        cand = SMALL_JUMP_CUTOFF * gen.uniform(size=m) ** (-1.0 / alpha)
-        accepted = cand[gen.uniform(size=m) < np.exp(-cand)]
+        draws = gen.uniform(size=2 * m)
+        cand = SMALL_JUMP_CUTOFF * draws[:m] ** (-1.0 / alpha)
+        accepted = cand[draws[m:] < np.exp(-cand)]
         take = accepted[: count - got]
         sizes[got : got + take.size] = take
         got += take.size
     return sizes
+
+
+def _tempered_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
+    """One row of tempered-stable increments per generator, as a (rows, size) block.
+
+    Each row draws, from its own generator, its Poisson jump counts, the
+    rejection rounds of its jump sizes, their signs and its small-jump
+    normals.  The jumps are then added into the whole block at once, in
+    row order, so every entry sums its jumps as a single row would.
+    """
+    check_alpha(alpha)
+    if delta < 0:
+        raise ParameterError(f"delta must be nonnegative, got {delta}")
+    out = np.zeros((len(gens), size))
+    if delta == 0:
+        return out
+    rate = tempered_tail_intensity(alpha) * delta
+    counts = np.empty(out.shape, dtype=np.int64)
+    small = np.empty(out.shape)
+    jumps = []
+    for row_counts, row_small, gen in zip(counts, small, gens):
+        row_counts[:] = gen.poisson(rate, size)
+        total = int(row_counts.sum())
+        if total:
+            magnitudes = _tempered_jump_sizes(alpha, total, gen)
+            jumps.append((2.0 * gen.integers(0, 2, size=total) - 1.0) * magnitudes)
+        gen.standard_normal(out=row_small)
+    if jumps:
+        where = np.repeat(np.arange(out.size), counts.reshape(-1))
+        np.add.at(out.reshape(-1), where, np.concatenate(jumps))
+    out += np.sqrt(tempered_small_jump_variance(alpha) * delta) * small
+    return out
 
 
 def sample_tempered_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
@@ -222,29 +273,18 @@ def sample_tempered_increment(alpha: float, delta: float, rng, size: int) -> np.
     replaced by a centered Gaussian with matched variance.  The measure is
     symmetric, so no drift compensation is needed.
     """
-    check_alpha(alpha)
-    if delta < 0:
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
-    out = np.zeros(size)
-    if delta == 0:
-        return out
-    gen = np.random.default_rng(rng)
-    counts = gen.poisson(tempered_tail_intensity(alpha) * delta, size)
-    total = int(counts.sum())
-    if total:
-        magnitudes = _tempered_jump_sizes(alpha, total, gen)
-        signs = 2.0 * gen.integers(0, 2, size=total) - 1.0
-        np.add.at(out, np.repeat(np.arange(size), counts), signs * magnitudes)
-    small_sd = np.sqrt(tempered_small_jump_variance(alpha) * delta)
-    out += small_sd * gen.standard_normal(size)
-    return out
+    return _tempered_block(alpha, delta, [np.random.default_rng(rng)], size)[0]
+
+
+def _jump_block(law: JumpLaw, delta: float, gens, size: int) -> np.ndarray:
+    if law.kind == STABLE:
+        return _stable_block(law.alpha, delta, gens, size)
+    return _tempered_block(law.alpha, delta, gens, size)
 
 
 def sample_jump_increment(law: JumpLaw, delta: float, rng, size: int) -> np.ndarray:
     """Dispatch to the stable or tempered increment sampler."""
-    if law.kind == STABLE:
-        return sample_stable_increment(law.alpha, delta, rng, size)
-    return sample_tempered_increment(law.alpha, delta, rng, size)
+    return _jump_block(law, delta, [np.random.default_rng(rng)], size)[0]
 
 
 # Rows per block are chosen so a block holds about this many increments:
@@ -273,14 +313,98 @@ def simulate_increments(model: ModelSpec, n: int, seeds) -> np.ndarray:
     gens = [np.random.default_rng(seed) for seed in seeds]
     block = np.full((len(gens), n), model.drift * delta)
     if model.sigma > 0:
-        normals = np.stack([gen.standard_normal(n) for gen in gens])
+        normals = np.empty(block.shape)
+        for row, gen in zip(normals, gens):
+            gen.standard_normal(out=row)
         block += model.sigma * np.sqrt(delta) * normals
     if model.gamma != 0.0:
-        jumps = np.stack(
-            [sample_jump_increment(model.jump_law, delta, gen, size=n) for gen in gens]
-        )
-        block += model.gamma * jumps
+        block += model.gamma * _jump_block(model.jump_law, delta, gens, n)
     return block
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _seed_words(value) -> list[int]:
+    """The uint32 words, low first, that SeedSequence makes of one key entry."""
+    value = operator.index(value)
+    if value < 0:
+        raise ParameterError(f"seeds must be non-negative integers, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix: each call advances one running hash constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def stream_states(key: tuple, count: int) -> np.ndarray:
+    """SeedSequence((*key, r)).generate_state(4, np.uint64) for r < count, as rows.
+
+    One vectorized pass of numpy's SeedSequence hash over all replicate
+    indices r, each one uint32 word.  A row is what PCG64 is seeded with, so
+    `stream_generator(row)` is the generator `default_rng(SeedSequence((*key, r)))`.
+    """
+    if count > 2**32:
+        raise ParameterError(f"at most 2^32 replicates per key, got {count}")
+    entropy = [
+        np.full(count, word, dtype=np.uint32)
+        for entry in key
+        for word in _seed_words(entry)
+    ]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return np.stack([out[2 * i] | out[2 * i + 1] << np.uint64(32) for i in range(4)], 1)
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 a state that `stream_states` computed ahead of time."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset seed holds exactly 4 uint64 words")
+        return self.state
+
+
+def stream_generator(state: np.ndarray) -> np.random.Generator:
+    """The PCG64 generator seeded with one row of `stream_states`."""
+    return np.random.Generator(np.random.PCG64(_PresetSeed(state)))
 
 
 def replicate_blocks(model: ModelSpec, n: int, key: tuple, count: int):
@@ -288,14 +412,14 @@ def replicate_blocks(model: ModelSpec, n: int, key: tuple, count: int):
 
     Replicate r is drawn from the stream SeedSequence((*key, r)), and the
     `count` replicates come in blocks of `block_rows(n)` rows, so a
-    replicate's path does not depend on which block it falls in.
+    replicate's path does not depend on which block it falls in.  The
+    streams of all `count` replicates are seeded in one pass.
     """
+    states = stream_states(key, count)
     step = block_rows(n)
     for lo in range(0, count, step):
-        seeds = [
-            np.random.SeedSequence((*key, r)) for r in range(lo, min(lo + step, count))
-        ]
-        yield lo, simulate_increments(model, n, seeds)
+        gens = [stream_generator(state) for state in states[lo : lo + step]]
+        yield lo, simulate_increments(model, n, gens)
 
 
 def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:

@@ -308,6 +308,40 @@ class TestDzeta:
         assert out == ""
 
 
+class TestNegativeSeed:
+    """numpy seeds only from non-negative integers; -1 is a usage error, not a crash."""
+
+    CFG = TestMcTable.CFG
+
+    @pytest.mark.parametrize("command", ["simulate", "mc-table", "rate-check", "dzeta"])
+    def test_seed_flag_exits_1(self, capsys, tmp_path, command):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG + "n_grid = 50 100 200 400\n")
+        extra = {
+            "simulate": ["--n", "10"],
+            "mc-table": ["--config", str(cfg), "--out", str(tmp_path / "t.csv")],
+            "rate-check": ["--config", str(cfg)],
+            "dzeta": ["--alpha", "1.5", "--zeta", "0.1", "--draws", "100"],
+        }[command]
+        code, out, err = run_cli(capsys, command, *extra, "--seed", "-1")
+        assert code == 1
+        assert err.startswith("error:") and "seed must be non-negative" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_config_seed_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG.replace("seed = 5", "seed = -1"))
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            capsys, "mc-table", "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 1
+        assert err.startswith("error:") and "seed must be non-negative" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestModuleEntryPoints:
     """`python -m jumpvol` and `python -m jumpvol.cli` run the CLI from a checkout."""
 

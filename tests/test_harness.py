@@ -88,6 +88,10 @@ class TestParseConfig:
         with pytest.raises(ParameterError):
             parse_config(bad)
 
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            parse_config(SAMPLE_CFG.replace("seed = 42", "seed = -1"))
+
     def test_n_grid(self):
         cfg = parse_config("n_grid = 100 200 400 800\n")
         assert cfg.n_grid == (100, 200, 400, 800)

@@ -1,11 +1,12 @@
 """Tests for the smooth truncation kernels and the cancellation constant."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from jumpvol import Kernel, ParameterError, c_tilde, cancelling_kernel, kernel_moment
-from jumpvol.kernels import composite, parse_kernel, phi, psi
+from jumpvol.kernels import _phi_moment, _psi_moment, composite, parse_kernel, phi, psi
 
 E_M5_21 = float(np.exp(-5.0 / 21.0))  # shared value of phi and psi at |x| = 3/2
 
@@ -171,6 +172,60 @@ class TestKernelMoment:
     def test_c_tilde_negative(self):
         # phi's moment is positive and psi's is positive, so c_tilde < 0
         assert c_tilde(1.2, 4.0) < 0
+
+
+def mp_phi_moment(alpha):
+    """2 int_0^2 phi(u) u^(1-alpha) du at 30 digits."""
+    a = mpmath.mpf(alpha)
+
+    def band(u):
+        return mpmath.exp(mpmath.mpf(1) / 3 + 1 / (u * u - 4)) * u ** (1 - a)
+
+    return 2 * (1 / (2 - a) + mpmath.quad(band, [1, 1.5, 2]))
+
+
+def mp_psi_moment(alpha, M):
+    """2 int_1^M psi(u, M) u^(1-alpha) du at 30 digits.
+
+    M is an mpf, so the integrand's pole at u = M lies exactly on the
+    interval's end, where no node falls.
+    """
+    a, M = mpmath.mpf(alpha), mpmath.mpf(M)
+
+    def rise(u):
+        return mpmath.exp(mpmath.mpf(1) / 3 + 1 / ((3 - u) ** 2 - 4)) * u ** (1 - a)
+
+    def fall(u):
+        bump = 1 / (u * u - M * M) - mpmath.mpf(5) / 21 + 4 / (4 * M * M - 9)
+        return mpmath.exp(bump) * u ** (1 - a)
+
+    return 2 * (mpmath.quad(rise, [1, 1.5]) + mpmath.quad(fall, [1.5, M]))
+
+
+class TestMomentsAgainstMpmath:
+    """The fixed-node moments agree with 30-digit quadrature to 1e-14 relative."""
+
+    ALPHAS = [0.05, 0.5, 1.0, 1.5, 1.99]
+    MS = [1.55, 2.0, 4.0, 10.0, 50.0]
+
+    @pytest.fixture(autouse=True)
+    def digits(self):
+        with mpmath.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_phi_moment(self, alpha):
+        expected = float(mp_phi_moment(alpha))
+        assert _phi_moment(alpha) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_psi_moment_and_c_tilde(self, alpha):
+        phi_ref = mp_phi_moment(alpha)
+        for M in self.MS:
+            psi_ref = mp_psi_moment(alpha, M)
+            assert _psi_moment(alpha, M) == pytest.approx(float(psi_ref), rel=1e-14)
+            expected = float(-phi_ref / psi_ref)
+            assert c_tilde(alpha, M) == pytest.approx(expected, rel=1e-14)
 
 
 class TestKernelValuesRange:

@@ -21,6 +21,21 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+def imports_scipy(module: str) -> bool:
+    """Whether `module` has an `import scipy...` or `from scipy... import` statement."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            return True
+    return False
+
+
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -35,3 +50,8 @@ def test_levy_imports_only_errors():
 
 def test_the_scan_sees_relative_imports():
     assert {"errors", "estimators", "levy", "stable"} <= package_imports("__init__")
+
+
+def test_only_levy_and_stable_import_scipy():
+    """levy for the tempered constants, stable for the density and d(zeta)."""
+    assert {m for m in MODULES if imports_scipy(m)} == {"levy", "stable"}

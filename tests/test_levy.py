@@ -7,6 +7,7 @@ from jumpvol import JumpLaw, ModelSpec, ParameterError, PathSample, simulate_pat
 from jumpvol.levy import (
     BLOCK_INCREMENTS,
     SMALL_JUMP_CUTOFF,
+    _tempered_block,
     block_rows,
     replicate_blocks,
     sample_jump_increment,
@@ -15,6 +16,8 @@ from jumpvol.levy import (
     sample_tempered_increment,
     simulate_increments,
     stable_scale,
+    stream_generator,
+    stream_states,
     tempered_small_jump_variance,
     tempered_tail_intensity,
 )
@@ -274,3 +277,139 @@ class TestSimulateIncrements:
     def test_block_rows(self):
         assert block_rows(700) * 700 <= BLOCK_INCREMENTS < (block_rows(700) + 1) * 700
         assert block_rows(10 * BLOCK_INCREMENTS) == 1
+
+
+def reference_stable_jumps(gen, alpha, delta, n):
+    """Chambers-Mallows-Stuck, written out: uniforms, then exponentials."""
+    u = gen.uniform(-np.pi / 2, np.pi / 2, n)
+    w = gen.exponential(1.0, n)
+    if alpha == 1.0:
+        x = np.tan(u)
+    else:
+        x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
+            np.cos((1.0 - alpha) * u) / w
+        ) ** ((1.0 - alpha) / alpha)
+    return (stable_scale(alpha) * delta) ** (1.0 / alpha) * x
+
+
+def reference_tempered_jumps(gen, alpha, delta, n):
+    """Compound Poisson above the cutoff plus a Gaussian below it, written out.
+
+    Poisson counts; rejection rounds of Pareto candidates, each drawn before
+    its acceptance uniforms; one sign per jump; then the small-jump normals.
+    """
+    counts = gen.poisson(tempered_tail_intensity(alpha) * delta, n)
+    total = int(counts.sum())
+    out = np.zeros(n)
+    if total:
+        sizes = []
+        while len(sizes) < total:
+            m = min(2 * (total - len(sizes)) + 16, 4_000_000)
+            cand = SMALL_JUMP_CUTOFF * gen.uniform(size=m) ** (-1.0 / alpha)
+            keep = gen.uniform(size=m) < np.exp(-cand)
+            sizes.extend(cand[keep][: total - len(sizes)])
+        signs = 2.0 * gen.integers(0, 2, size=total) - 1.0
+        for i, jump in zip(np.repeat(np.arange(n), counts), signs * np.array(sizes)):
+            out[i] += jump
+    small = gen.standard_normal(n)
+    return out + np.sqrt(tempered_small_jump_variance(alpha) * delta) * small, counts
+
+
+def reference_row(model, n, gen):
+    delta = 1.0 / n
+    row = np.full(n, model.drift * delta)
+    if model.sigma > 0:
+        row += model.sigma * np.sqrt(delta) * gen.standard_normal(n)
+    if model.gamma != 0.0:
+        law = model.jump_law
+        if law.kind == "stable":
+            jumps = reference_stable_jumps(gen, law.alpha, delta, n)
+        else:
+            jumps, _ = reference_tempered_jumps(gen, law.alpha, delta, n)
+        row += model.gamma * jumps
+    return row
+
+
+class TestBlockAgainstWrittenOutDraws:
+    """Every block row equals that row's draws taken one by one from its stream."""
+
+    MODELS = {
+        "stable-1.0": ModelSpec(
+            drift=0.3, sigma=0.5, gamma=2.0, jump_law=JumpLaw("stable", 1.0)
+        ),
+        "stable-1.5": ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5)),
+        "tempered-0.1": ModelSpec(
+            sigma=1.0, gamma=3.0, jump_law=JumpLaw("tempered", 0.1)
+        ),
+        "tempered-0.9": ModelSpec(
+            drift=-1.0, sigma=1.0, gamma=3.0, jump_law=JumpLaw("tempered", 0.9)
+        ),
+        "sigma-0": ModelSpec(sigma=0.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5)),
+        "gamma-0": ModelSpec(sigma=2.0, gamma=0.0, jump_law=JumpLaw("tempered", 0.9)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_replicate_blocks(self, name):
+        model, n, key = self.MODELS[name], 1000, (11, 4)
+        count = block_rows(n) + 3
+        rows = np.concatenate([b for _, b in replicate_blocks(model, n, key, count)])
+        for r, row in enumerate(rows):
+            gen = np.random.default_rng(np.random.SeedSequence((*key, r)))
+            np.testing.assert_array_equal(row, reference_row(model, n, gen))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_simulate_increments_leaves_each_stream_where_the_draws_end(self, name):
+        model, n = self.MODELS[name], 50
+        gens = [np.random.default_rng(s) for s in range(4)]
+        block = simulate_increments(model, n, gens)
+        for seed, gen, row in zip(range(4), gens, block):
+            ref_gen = np.random.default_rng(seed)
+            np.testing.assert_array_equal(row, reference_row(model, n, ref_gen))
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    def test_tempered_rows_with_none_one_or_several_jumps(self, alpha):
+        """About one jump per row: the block mixes rows of 0, 1 and several jumps."""
+        size, rows = 5, 40
+        delta = 1.0 / (tempered_tail_intensity(alpha) * size)
+        block = _tempered_block(
+            alpha, delta, [np.random.default_rng(s) for s in range(rows)], size
+        )
+        totals, most_in_one_entry = set(), 0
+        for seed, row in enumerate(block):
+            ref, counts = reference_tempered_jumps(
+                np.random.default_rng(seed), alpha, delta, size
+            )
+            np.testing.assert_array_equal(row, ref)
+            totals.add(int(counts.sum()))
+            most_in_one_entry = max(most_in_one_entry, int(counts.max()))
+        assert {0, 1, 3} <= totals
+        assert most_in_one_entry >= 2
+
+
+class TestStreamStates:
+    """The vectorized seeding reproduces numpy's SeedSequence word for word."""
+
+    @pytest.mark.parametrize(
+        "key", [(), (7,), (42, 3), (1, 2, 3), (2**32, 5), (2**40 + 3, 2**64 + 1, 0)]
+    )
+    def test_equal_seed_sequence_states(self, key):
+        """Entropy of 1 to 4 words and of more, with words >= 2^32 among them."""
+        states = stream_states(key, 70)
+        assert states.shape == (70, 4) and states.dtype == np.uint64
+        for r, state in enumerate(states):
+            expected = np.random.SeedSequence((*key, r)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(state, expected)
+
+    def test_generator_equals_default_rng(self):
+        state = stream_states((3, 1), 18)[17]
+        gen = stream_generator(state)
+        ref = np.random.default_rng(np.random.SeedSequence((3, 1, 17)))
+        assert gen.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+    def test_rejects_negative_key(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            stream_states((-1, 0), 1)
+        with pytest.raises(ParameterError, match="non-negative"):
+            next(replicate_blocks(ModelSpec(), 10, (-1, 0), 2))
