@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 
@@ -109,8 +110,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="jumpvol", description="Jump-diffusion volatility toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="dump one simulated path as CSV")
@@ -124,7 +126,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="run the estimators on a path CSV")
-    common(p)
+    # estimating a given path draws nothing, so it takes no --seed
+    common(p, seed=False)
     p.add_argument("--in", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--k", type=float, default=1.0)
@@ -154,13 +157,42 @@ def build_parser() -> _Parser:
     return parser
 
 
+# mallopt's parameter numbers for the trim and mmap thresholds, and the
+# values set: 64 MB, and glibc's largest mmap threshold, 32 MB.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 64 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _retain_freed_memory() -> None:
+    """Ask glibc's malloc to keep freed memory for reuse rather than return it.
+
+    The commands free and allocate arrays of the same sizes over and over:
+    blocks of about 128 KB in mc-table and rate-check, 8 MB chunks of draws
+    in dzeta.  At glibc's default thresholds (128 KB, raised only as mmapped
+    blocks are freed) much of that memory goes back to the system and
+    faults in again: about 41 000 page faults in an mc-table run of
+    table_beta02.cfg, against a few hundred with these thresholds.  Where
+    malloc is not glibc's, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def cli(argv=None) -> int:
+    _retain_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # every subcommand takes --seed; numpy seeds only from non-negative integers
-        if args.seed is not None and args.seed < 0:
-            raise ParameterError(f"--seed must be non-negative, got {args.seed}")
+        # numpy seeds only from non-negative integers
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ParameterError(f"--seed must be non-negative, got {seed}")
         return args.func(args)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

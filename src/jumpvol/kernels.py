@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, check_alpha
+from .levy import tanh_sinh
 
 PHI = "phi"
 PSI = "psi"
@@ -132,21 +133,14 @@ def parse_kernel(
     return cancelling_kernel(alpha, M)
 
 
-# Tanh-sinh rule on [-1, 1]: nodes tanh(pi/2 sinh t) and their weights at
-# t = k/32 for |t| <= 3.2; beyond that the weights fall below 1e-16.  The
-# moments' integrands are smooth on each piece, so the rule gives them to
-# rounding (within 1e-15 relative of 30-digit quadrature).
-_TS_T = np.arange(-102, 103) / 32.0
-_TS_S = np.pi / 2.0 * np.sinh(_TS_T)
-_TS_NODES = np.tanh(_TS_S)
-_TS_WEIGHTS = np.pi / 64.0 * np.cosh(_TS_T) / np.cosh(_TS_S) ** 2
-
-
 def _weighted_integral(f, lo: float, hi: float, alpha: float) -> float:
-    """int_lo^hi f(u) u^(1-alpha) du on the fixed tanh-sinh nodes."""
-    half = (hi - lo) / 2.0
-    u = (lo + hi) / 2.0 + half * _TS_NODES
-    return half * float(np.dot(_TS_WEIGHTS, f(u) * u ** (1.0 - alpha)))
+    """int_lo^hi f(u) u^(1-alpha) du on the fixed tanh-sinh nodes.
+
+    The moments' integrands are smooth on each piece, so the rule gives
+    them to rounding (within 1e-15 relative of 30-digit quadrature).
+    """
+    u, weights = tanh_sinh(lo, hi)
+    return float(np.dot(weights, f(u) * u ** (1.0 - alpha)))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Analytics for the Levy-measure-normalized symmetric stable law of index alpha.
 
-Covers the density by its tail series or by Fourier inversion, and the
+Covers the density by Fourier inversion on fixed nodes or by its tail
+series, and the
 truncated second moment d(zeta) = E[S^2 K(S * zeta)] evaluated by Monte
 Carlo, by quadrature against the density, and by its small-zeta power-law
 approximation.  The law is named by alpha alone: its characteristic function
@@ -13,22 +14,23 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from math import exp, inf, isfinite, lgamma, log, pi, sin
+from math import ceil, cos, exp, inf, isfinite, lgamma, log, pi, sin
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericalError, ParameterError, check_alpha
 from .kernels import Kernel, kernel_moment, truncated_terms
-from .levy import sample_stable_increment, stable_scale, tail_constant
+from .levy import sample_stable_increment, stable_scale, tail_constant, tanh_sinh
 
 
-# Relative accuracy the tail series must reach before it is used, and the
-# relative quadrature error estimate above which the inversion is refused.
+_EPS = np.finfo(float).eps
+# Relative accuracy the tail series must reach before it is used, the one
+# (rounding) it is preferred at, and the relative error estimate above
+# which a density is refused.
 _SERIES_RTOL = 1e-11
+_SERIES_RTOL_ROUNDING = 4.0 * _EPS
 _QUAD_RTOL = 1e-4
 _SERIES_MAX_TERMS = 200
-_EPS = np.finfo(float).eps
 
 
 @lru_cache(maxsize=64)
@@ -40,8 +42,11 @@ def _series_coefficients(alpha: float) -> tuple[tuple[float, float], ...]:
     )
 
 
-def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
-    """Tail series of the density, or None where it is not accurate.
+def _tail_series_with_error(
+    z: float, alpha: float, sigma: float, rtol: float
+) -> tuple[float, float] | None:
+    """Tail series of the density and its error estimate, or None where it
+    does not reach rtol.
 
     f(z) = (1/(pi z)) sum_k (-1)^(k+1) Gamma(k alpha+1)/k! sin(k pi alpha/2) x^k
     with x = sigma z^-alpha.
@@ -50,9 +55,9 @@ def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
     (convergent for x < 1 at alpha = 1).  Its error is estimated as the
     magnitude of the first omitted term (truncation) plus the rounding unit
     times the sum of the terms' magnitudes (cancellation).  Returns None
-    when that estimate exceeds _SERIES_RTOL of the sum, or when the terms
-    start to grow for alpha >= 1, or once the cancellation alone exceeds
-    _SERIES_RTOL of the first term, which bounds the sum.
+    when that estimate exceeds rtol of the sum, or when the terms start to
+    grow for alpha >= 1, or once the cancellation alone exceeds rtol of the
+    first term, which bounds the sum.
     """
     log_x = log(sigma) - alpha * log(z)
     # Past x = e^5 the cancellation rules the series out for every alpha < 1,
@@ -64,9 +69,9 @@ def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
     prev = inf
     for k, (log_coef, sine) in enumerate(_series_coefficients(alpha), start=1):
         mag = exp(log_coef + k * log_x)
-        if mag + _EPS * abs_sum <= _SERIES_RTOL * abs(total):
-            return total / (pi * z)
-        if (alpha >= 1.0 and mag > prev) or _EPS * abs_sum > _SERIES_RTOL * first:
+        if mag + _EPS * abs_sum <= rtol * abs(total):
+            return total / (pi * z), (mag + _EPS * abs_sum) / (pi * z)
+        if (alpha >= 1.0 and mag > prev) or _EPS * abs_sum > rtol * first:
             return None
         term = mag * sine
         total += term if k % 2 else -term
@@ -75,55 +80,183 @@ def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
     return None
 
 
-def _fourier_density(z: float, alpha: float, sigma: float) -> float:
-    """(1/pi) int_0^T* cos(t z) exp(-sigma t^alpha) dt by weighted quadrature.
+def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
+    """The tail series' value at _SERIES_RTOL, or None where it does not reach it."""
+    found = _tail_series_with_error(z, alpha, sigma, _SERIES_RTOL)
+    return None if found is None else found[0]
 
-    The exponential damping makes the integrand negligible past T* with
-    sigma*T*^alpha = 40.  The quadrature works to an absolute accuracy near
-    1e-11, so a value whose error estimate exceeds _QUAD_RTOL of the value
-    itself raises NumericalError rather than being returned.
+
+# The rotated form's trapezoid rule in s = log r: step 1/16 on |s| <= 80.
+_LOG_R = np.arange(-1280, 1281) / 16.0
+# Rows of z per block of the inversion; its buffer stays under a MB.
+_Z_BLOCK = 64
+# Largest z T of the cosine form: its nodes are about 500 / (z T) per period
+# of cos(t z) at mid-range, too few past this.
+_COSINE_MAX_ZT = 256.0
+
+
+def _nested(weights: np.ndarray) -> np.ndarray:
+    """A rule's weights as one column, and the rule at twice the step (every
+    other node, weight doubled) as a second, so that one product gives both
+    sums; their distance is the error estimate used throughout."""
+    coarse = np.zeros_like(weights)
+    coarse[::2] = 2.0 * weights[::2]
+    return np.column_stack([weights, coarse])
+
+
+@lru_cache(maxsize=64)
+def _cosine_rule(alpha: float, sigma: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes t and nested weights of (1/pi) int_0^T cos(t z) exp(-sigma t^alpha) dt.
+
+    Tanh-sinh nodes on [0, T], with sigma T^alpha = 40.  The last item
+    bounds the integral past T, e^(-40) / (pi * d(sigma t^alpha)/dt at T),
+    which matters where both the density and alpha are small, as the
+    integrand then decays slowly.
     """
     t_max = (40.0 / sigma) ** (1.0 / alpha)
-    val, err = integrate.quad(
-        lambda t: np.exp(-sigma * t**alpha),
-        0.0,
-        t_max,
-        weight="cos",
-        wvar=z,
-        limit=4000,
-        epsabs=1e-11,
-    )
-    if not err <= _QUAD_RTOL * abs(val):
+    t, weights = tanh_sinh(0.0, t_max)
+    tail = exp(-40.0) * t_max / (40.0 * alpha * pi)
+    return t, _nested(weights * np.exp(-sigma * t**alpha) / pi), tail
+
+
+@lru_cache(maxsize=64)
+def _laplace_rule(alpha: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r and nested weights of the rotated form, for alpha < 1.
+
+    f(z) = (1/pi) int_0^inf exp(-z r - sigma r^alpha cos(pi alpha/2))
+    sin(sigma r^alpha sin(pi alpha/2)) dr, the Fourier integral with its
+    path turned onto the imaginary axis, by the trapezoid rule in log r.
+    It does not oscillate in z, but its integrand turns oscillatory as
+    alpha nears 1.  Nodes whose weight underflows are dropped.
+    """
+    r = np.exp(_LOG_R)
+    ra = sigma * r**alpha
+    damping = np.exp(-ra * cos(pi * alpha / 2.0))
+    weights = _nested(r / 16.0 * damping * np.sin(ra * sin(pi * alpha / 2.0)) / pi)
+    keep = weights[:, 0] != 0.0
+    return r[keep], weights[keep]
+
+
+def _decay(x: np.ndarray) -> np.ndarray:
+    """e^-x in place.  Past x = 700 it is set to 0 rather than computed, as
+    numpy's exp slows down by an order of magnitude where it underflows."""
+    beyond = x > 700.0
+    np.minimum(x, 700.0, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x[beyond] = 0.0
+    return x
+
+
+def _cosine(x: np.ndarray) -> np.ndarray:
+    return np.cos(x, out=x)
+
+
+def _nested_sums(kernel, z: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
+    """sum_j weights_j kernel(z_i nodes_j) for each z_i and its error estimate.
+
+    Works in blocks of _Z_BLOCK values of z through one buffer, which
+    `kernel` overwrites; fresh multi-MB temporaries would each cost more in
+    page faults than the arithmetic.
+    """
+    sums = np.empty((z.size, 2))
+    buf = np.empty((min(z.size, _Z_BLOCK), nodes.size))
+    for lo in range(0, z.size, _Z_BLOCK):
+        block = z[lo : lo + _Z_BLOCK]
+        with np.errstate(over="ignore"):  # a huge z r only decays to 0
+            values = np.multiply.outer(block, nodes, out=buf[: block.size])
+        sums[lo : lo + block.size] = kernel(values) @ weights
+    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
+
+
+def _inversion(
+    z: np.ndarray, alpha: float, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """f at each z >= 0 of a 1-D array on fixed nodes, with error estimates.
+
+    For alpha < 1 the rotated form gives every value its nodes reach.  The
+    cosine form (1/pi) int_0^T cos(t z) exp(-sigma t^alpha) dt is used
+    where that estimate is above _SERIES_RTOL of the value and z T is at
+    most _COSINE_MAX_ZT (past that its nodes would not resolve the cosine);
+    each z takes the value whose estimate is smaller.  An estimate is the
+    distance between two nested rules, plus the cosine form's cut-off.
+    Values neither form reaches are NaN, with an infinite estimate.
+    """
+    val = np.full(z.size, np.nan)
+    err = np.full(z.size, np.inf)
+    if alpha < 1.0:
+        r, r_weights = _laplace_rule(alpha, sigma)
+        near = z * r[0] <= 700.0  # farther out, e^(-z r) is 0 at every node
+        val[near], err[near] = _nested_sums(_decay, z[near], r, r_weights)
+    t, t_weights, t_tail = _cosine_rule(alpha, sigma)
+    todo = ~(err <= _SERIES_RTOL * np.abs(val)) & (z * t[-1] <= _COSINE_MAX_ZT)
+    if todo.any():
+        v, e = _nested_sums(_cosine, z[todo], t, t_weights)
+        e += t_tail
+        better = e < err[todo]
+        val[todo] = np.where(better, v, val[todo])
+        err[todo] = np.where(better, e, err[todo])
+    return val, err
+
+
+def _fourier_density(z, alpha: float, sigma: float) -> np.ndarray:
+    """The inversion's values alone, shaped like z."""
+    zs = np.abs(np.ravel(z).astype(float))
+    return _inversion(zs, alpha, sigma)[0].reshape(np.shape(z))
+
+
+def _density(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """f at each |z| of a 1-D array, with error estimates.
+
+    One vectorized inversion gives every value.  Where its error estimate
+    is above rounding, the tail series replaces it if the series gets to
+    rounding there (at large z); where the estimate also exceeds
+    _SERIES_RTOL (where the inversion's nodes do not resolve its
+    integrand), the series at _SERIES_RTOL does.  A value whose estimate
+    still exceeds _QUAD_RTOL of the value raises NumericalError rather
+    than being returned.
+    """
+    sigma = stable_scale(alpha)
+    z = np.abs(z)
+    val, err = _inversion(z, alpha, sigma)
+    above_rounding = ~(err <= _SERIES_RTOL_ROUNDING * np.abs(val))
+    for i in np.flatnonzero(above_rounding & (z > 0.0)):
+        found = _tail_series_with_error(z[i], alpha, sigma, _SERIES_RTOL_ROUNDING)
+        if found is None and not err[i] <= _SERIES_RTOL * abs(val[i]):
+            found = _tail_series_with_error(z[i], alpha, sigma, _SERIES_RTOL)
+        if found is not None:
+            val[i], err[i] = found
+    bad = ~(err <= _QUAD_RTOL * np.abs(val))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise NumericalError(
-            f"density inversion at z={z}: error estimate {err:.2e} too large "
-            f"for the value {val:.2e}"
+            f"density at z={z[i]}: error estimate {err[i]:.2e} too large for "
+            f"the value {val[i]:.2e}"
         )
-    return val / pi
+    return val, err
 
 
 def stable_density(z: float, alpha: float) -> float:
     """f_alpha(z) = (1/pi) int_0^inf cos(t z) exp(-sigma_alpha t^alpha) dt.
 
-    Summed as the tail series where that reaches _SERIES_RTOL, otherwise
-    computed as the Fourier integral; raises NumericalError when neither
-    route is accurate, e.g. where the density is far below the quadrature's
-    absolute accuracy but the series cancels too much (alpha near 0).
+    Computed as the Fourier integral on fixed nodes, or as the tail series
+    where that is the more accurate (at large z); raises NumericalError
+    when neither route is accurate.
     """
-    sigma = stable_scale(alpha)
-    z = abs(z)
-    if z > 0.0:
-        val = _tail_series(z, alpha, sigma)
-        if val is not None:
-            return val
-    return _fourier_density(z, alpha, sigma)
+    return float(_density(np.array([z], dtype=float), alpha)[0][0])
 
 
 # |zeta| range of d_zeta_quadrature: its result divides by |zeta|^3, which
-# must stay a normal float.  Past _QUAD_ZETA_RTOL of a piece's value, its
-# error estimate is refused rather than returned.
+# must stay a normal float.  Past _QUAD_ZETA_RTOL of the total, its error
+# estimate is refused rather than returned.  Each term carries rounding of
+# a few units of _EPS, from the density and the kernel.  A piece in log u
+# spans at most two decades, so its nodes resolve the turn near |zeta| at
+# every |zeta|.
 _QUAD_ZETA_MIN = 1e-100
 _QUAD_ZETA_MAX = 1e100
 _QUAD_ZETA_RTOL = 1e-6
+_QUAD_ZETA_ROUNDING = 8.0 * _EPS
+_QUAD_ZETA_LOG_PIECE = log(100.0)
 
 
 def _check_zeta(zeta: float) -> float:
@@ -190,10 +323,18 @@ def d_zeta_quadrature(
 ) -> float:
     """int z^2 K(z*zeta) f_alpha(z) dz over the kernel support |z| <= radius/|zeta|.
 
-    In u = z*zeta the integral is about |zeta|^(1+alpha) at small zeta, so
-    the absolute tolerance scales with it.  Raises NumericalError for |zeta|
-    outside [_QUAD_ZETA_MIN, _QUAD_ZETA_MAX], and when a piece's error
-    estimate exceeds both that tolerance and _QUAD_ZETA_RTOL of its value.
+    Integrated in u = z*zeta on fixed tanh-sinh nodes over pieces split at
+    the kernel's breakpoints, with the density evaluated once for all
+    nodes.  For |zeta| < 1, [|zeta|, 1] is integrated in log u, in pieces of
+    at most _QUAD_ZETA_LOG_PIECE: there the integrand turns from u^2 f(0)
+    into the power law |zeta|^(1+alpha) u^(1-alpha) near u = |zeta|, which
+    nodes spaced evenly in u would not resolve.  The error estimate of the
+    total is its distance to the rule at twice the step, plus each term's
+    magnitude times the density's own error estimate and a few units of
+    rounding, so it counts where a composite kernel's parts cancel.
+    Raises NumericalError for |zeta| outside [_QUAD_ZETA_MIN,
+    _QUAD_ZETA_MAX], and when that estimate exceeds _QUAD_ZETA_RTOL of the
+    total.
     """
     az = _check_zeta(zeta)
     check_alpha(alpha)
@@ -202,30 +343,32 @@ def d_zeta_quadrature(
             f"zeta={zeta} is outside the quadrature's range "
             f"{_QUAD_ZETA_MIN:g} <= |zeta| <= {_QUAD_ZETA_MAX:g}"
         )
-
-    def integrand(u):
-        w = kernel(u)
-        if w == 0.0:
-            return 0.0
-        return u * u * w * stable_density(u / az, alpha)
-
-    # Integrate in the kernel variable u = z*zeta, splitting at breakpoints.
-    points = sorted({1.0, 1.5, 2.0, kernel.support_radius})
-    epsabs = 1e-12 * min(1.0, az ** (1.0 + alpha))
-    total = 0.0
-    lo = 0.0
-    for hi in points:
-        if hi > lo:
-            val, err = integrate.quad(
-                integrand, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-9
-            )
-            if err > epsabs and err > _QUAD_ZETA_RTOL * abs(val):
-                raise NumericalError(
-                    f"d(zeta) quadrature at zeta={zeta} on [{lo:g}, {hi:g}]: "
-                    f"error estimate {err:.2e} too large for the value {val:.2e}"
-                )
-            total += val
-            lo = hi
+    knee = min(az, 1.0)
+    pieces = [tanh_sinh(0.0, knee)]
+    edges = np.linspace(log(knee), 0.0, ceil(-log(knee) / _QUAD_ZETA_LOG_PIECE) + 1)
+    for lo, hi in zip(edges, edges[1:]):
+        s, weights = tanh_sinh(lo, hi)
+        pieces.append((np.exp(s), weights * np.exp(s)))
+    points = (1.0, *sorted({1.5, 2.0, kernel.support_radius}))
+    pieces += [tanh_sinh(lo, hi) for lo, hi in zip(points, points[1:])]
+    # Every other node: the rule at step 1/32, nested with the one at 1/16.
+    u = np.concatenate([nodes[::2] for nodes, _ in pieces])
+    weights = np.vstack([_nested(2.0 * w[::2]) for _, w in pieces])
+    k = kernel(u)
+    on = k != 0.0
+    terms = np.zeros(u.size)
+    term_errs = np.zeros(u.size)
+    f, f_err = _density(u[on] / az, alpha)
+    scale = u[on] ** 2 * k[on]
+    terms[on] = scale * f
+    term_errs[on] = np.abs(scale) * (f_err + _QUAD_ZETA_ROUNDING * np.abs(f))
+    total, coarse = map(float, terms @ weights)
+    err = abs(total - coarse) + float(term_errs @ weights[:, 0])
+    if not err <= _QUAD_ZETA_RTOL * abs(total):
+        raise NumericalError(
+            f"d(zeta) quadrature at zeta={zeta}: error estimate {err:.2e} too "
+            f"large for the value {total:.2e}"
+        )
     return 2.0 * total / az**3
 
 

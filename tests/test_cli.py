@@ -48,6 +48,18 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_estimate_takes_no_seed(self, capsys, tmp_path):
+        """Estimating a given path draws nothing, so --seed is refused."""
+        p = tmp_path / "x.csv"
+        p.write_text("i,t,x\n0,0,0\n1,0.5,1\n2,1,2\n")
+        args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "1.5"]
+        args += ["--gamma", "1"]
+        assert run_cli(capsys, *args)[0] == 0
+        code, out, err = run_cli(capsys, *args, "--seed", "1")
+        assert code == 1
+        assert "unrecognized arguments: --seed 1" in err
+        assert out == ""
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(
             capsys,

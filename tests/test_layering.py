@@ -1,6 +1,9 @@
 """Tests for the module layering: which package modules import which."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jumpvol
@@ -52,6 +55,18 @@ def test_the_scan_sees_relative_imports():
     assert {"errors", "estimators", "levy", "stable"} <= package_imports("__init__")
 
 
-def test_only_levy_and_stable_import_scipy():
-    """levy for the tempered constants, stable for the density and d(zeta)."""
-    assert {m for m in MODULES if imports_scipy(m)} == {"levy", "stable"}
+def test_no_module_imports_scipy():
+    assert {m for m in MODULES if imports_scipy(m)} == set()
+
+
+def test_cli_import_loads_no_scipy():
+    """Nothing jumpvol imports pulls scipy in indirectly either."""
+    code = (
+        "import sys, jumpvol.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-c", code]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

@@ -2,9 +2,12 @@
 
 from math import exp, gamma, inf, lgamma, log, pi, sin
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
+import jumpvol.stable
 from jumpvol import (
     Kernel,
     NumericalError,
@@ -163,10 +166,17 @@ class TestStableDensityFarTail:
         for z in np.logspace(-2, 8, 41):
             assert _tail_series(z, alpha, sigma) == _direct_tail_series(z, alpha, sigma)
 
-    def test_refuses_when_no_route_is_accurate(self):
-        """At alpha = 0.05 the density is about 4.03e-15 near the origin: far
-        below the quadrature's accuracy, while the series cancels too much."""
-        with pytest.raises(NumericalError):
+    def test_refuses_when_no_route_is_accurate(self, monkeypatch):
+        """Where the inversion's error estimate is as large as its value and
+        the tail series cancels too much (alpha = 0.05, z = 1), the density
+        is refused.  The rotated form reaches that point, so its estimate
+        is inflated here to make a case that has to refuse."""
+
+        def inaccurate(z, alpha, sigma):
+            return np.full(z.size, 4e-15), np.full(z.size, 4e-15)
+
+        monkeypatch.setattr("jumpvol.stable._inversion", inaccurate)
+        with pytest.raises(NumericalError, match="error estimate"):
             stable_density(1.0, 0.05)
 
     def test_dzeta_quadrature_far_zeta(self):
@@ -224,9 +234,15 @@ class TestDZeta:
         )
 
     def test_quadrature_refuses_a_large_error_estimate(self, monkeypatch):
-        monkeypatch.setattr(
-            "jumpvol.stable.integrate.quad", lambda *args, **kwargs: (1.0, 1e-3)
-        )
+        """Density errors of 1e-3 of each value carry into the total's
+        estimate, which is then far above the tolerance."""
+        density = jumpvol.stable._density
+
+        def noisy(z, alpha):
+            val, err = density(z, alpha)
+            return val, err + 1e-3 * np.abs(val)
+
+        monkeypatch.setattr("jumpvol.stable._density", noisy)
         with pytest.raises(NumericalError, match="error estimate"):
             d_zeta_quadrature(0.1, 1.5)
 
@@ -318,3 +334,114 @@ class TestDZetaMcSharedDraws:
     def test_rejects_bad_sequences(self, zeta):
         with pytest.raises(ParameterError):
             d_zeta_mc(zeta, 1.2, 100, 0)
+
+
+def _mp_sigma(a):
+    return mpmath.pi / (mpmath.gamma(a + 1) * mpmath.sin(mpmath.pi * a / 2))
+
+
+def _mp_series_density(z, alpha):
+    """f by its convergent tail series (alpha < 1), summed at 60 digits."""
+    with mpmath.workdps(60):
+        a, z = mpmath.mpf(alpha), mpmath.mpf(z)
+        log_x = mpmath.log(_mp_sigma(a) * z ** (-a))
+        total = mpmath.mpf(0)
+        for k in range(1, 2000):
+            mag = mpmath.exp(
+                mpmath.loggamma(k * a + 1) - mpmath.loggamma(k + 1) + k * log_x
+            )
+            total += (1 if k % 2 else -1) * mag * mpmath.sin(k * mpmath.pi * a / 2)
+            if k > 5 and mag < mpmath.mpf(10) ** -40 * abs(total):
+                return float(total / (mpmath.pi * z))
+    raise AssertionError("reference series did not converge")
+
+
+def _mp_fourier_density(z, alpha):
+    """(1/pi) int_0^T cos(z t) exp(-sigma t^alpha) dt at 30 digits, with
+    sigma T^alpha = 90, integrated over half-periods of the cosine."""
+    with mpmath.workdps(30):
+        a, z = mpmath.mpf(alpha), mpmath.mpf(z)
+        sigma = _mp_sigma(a)
+        t_max = (90 / sigma) ** (1 / a)
+        pieces = int(z * t_max / mpmath.pi) + 1
+        points = [t_max * i / pieces for i in range(pieces + 1)]
+
+        def integrand(t):
+            return mpmath.cos(z * t) * mpmath.exp(-sigma * t**a)
+
+        return float(mpmath.quad(integrand, points) / mpmath.pi)
+
+
+class TestDensityAgainstMpmath:
+    @pytest.mark.parametrize("alpha,z", [(1.99, 100.0), (0.999, 3.0)])
+    def test_cosine_form(self, alpha, z):
+        """Where QUADPACK's weighted rule was 1.9e-9 and 6.9e-11 off."""
+        assert stable_density(z, alpha) == pytest.approx(
+            _mp_fourier_density(z, alpha), rel=1e-11, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "alpha,z", [(0.05, 1.0), (0.05, 1e8), (0.1, 4.6e3), (0.1, 2.2e4), (0.1, 2.2e5)]
+    )
+    def test_small_alpha(self, alpha, z):
+        """Far below the cosine form's absolute accuracy, where the tail
+        series cancels too much, the rotated form gives the density."""
+        assert stable_density(z, alpha) == pytest.approx(
+            _mp_series_density(z, alpha), rel=1e-12, abs=0.0
+        )
+
+    def test_small_alpha_value(self):
+        assert stable_density(1.0, 0.05) == pytest.approx(4.032125e-15, rel=1e-6)
+
+
+def _reference_d_zeta(zeta, alpha, kernel):
+    """d(zeta) by QUADPACK at epsrel 1e-14 on each piece of the same
+    integrand, split at the kernel's breakpoints and at zeta * 10^k below 1."""
+    points = [0.0]
+    while points[-1] < zeta:
+        points.append(zeta)
+    while points[-1] * 10.0 < 1.0:
+        points.append(points[-1] * 10.0)
+    points += [p for p in (1.0, 1.5, 2.0, kernel.support_radius) if p > points[-1]]
+    total = 0.0
+    for lo, hi in zip(points, points[1:]):
+        val, _ = integrate.quad(
+            lambda u: u * u * kernel(u) * stable_density(u / zeta, alpha),
+            lo,
+            hi,
+            epsabs=1e-300,
+            epsrel=1e-14,
+            limit=500,
+        )
+        total += val
+    return 2.0 * total / zeta**3
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestDZetaAgainstReference:
+    @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("zeta", [0.1, 1e-2, 1e-3, 1e-5])
+    def test_phi(self, alpha, zeta):
+        kernel = Kernel("phi")
+        assert d_zeta_quadrature(zeta, alpha, kernel) == pytest.approx(
+            _reference_d_zeta(zeta, alpha, kernel), rel=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "alpha,zeta", [(1.5, 1e-3), (1.9, 1e-3), (1.5, 1e-4), (1.2, 1e-5)]
+    )
+    def test_composite(self, alpha, zeta):
+        """The kernel's parts cancel to 1e-3..1e-6 of either here; the
+        total still meets the reference."""
+        kernel = parse_kernel("composite", alpha)
+        assert d_zeta_quadrature(zeta, alpha, kernel) == pytest.approx(
+            _reference_d_zeta(zeta, alpha, kernel), rel=1e-8
+        )
+
+    @pytest.mark.parametrize("alpha,zeta", [(1.9, 1e-5), (1.5, 1e-8), (1.9, 1e-8)])
+    def test_composite_refuses_where_cancellation_takes_the_accuracy(self, alpha, zeta):
+        """The parts cancel to about 1e-8 of either at (1.9, 1e-5), where
+        the old per-piece check returned -6.789e-7 against -6.83e-7, and to
+        rounding at zeta = 1e-8, where it returned noise."""
+        with pytest.raises(NumericalError, match="error estimate"):
+            d_zeta_quadrature(zeta, alpha, parse_kernel("composite", alpha))
