@@ -92,7 +92,10 @@ def _cmd_rate_check(args) -> int:
 
 def _cmd_dzeta(args) -> int:
     kernel = parse_kernel(args.kernel, args.alpha)
-    zetas = [float(z) for z in args.zeta.replace(",", " ").split()]
+    try:
+        zetas = [float(z) for z in args.zeta.replace(",", " ").split()]
+    except ValueError:
+        raise ParameterError(f"--zeta must be numbers, got {args.zeta!r}") from None
     if not zetas:
         raise ParameterError("--zeta needs at least one value")
     seed = args.seed if args.seed is not None else 0

@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DiagnosticError, ParameterError, check_alpha
-from .kernels import (
-    PHI,
-    Kernel,
-    cancelling_kernel,
-    kernel_moment,
-    phi,
-    psi,
-    truncated_terms,
-)
+from .kernels import Kernel, cancelling_kernel, kernel_moment, truncated_terms
 from .levy import ModelSpec, PathSample, replicate_blocks, simulate_path, tail_constant
 
 
@@ -48,20 +41,21 @@ def realized_volatility(path: PathSample) -> float:
     return float(np.sum(path.increments**2))
 
 
-def truncated_sums(increments: np.ndarray, kernel_values: np.ndarray) -> np.ndarray:
-    """sum (Delta X_i)^2 K_i over the last axis, given K_i = K(Delta X_i / u_n).
+def truncated_sums(increments: np.ndarray, threshold: float, kernel: Kernel) -> np.ndarray:
+    """sum (Delta X_i)^2 K(Delta X_i / u_n) over the last axis, u_n = threshold.
 
-    Every truncated quadratic variation in the package is this sum, for one
-    path (a vector) or a block of paths (one per row), over the terms of
-    `kernels.truncated_terms`.
+    The truncated quadratic variation of one path (a vector) or of a block
+    of paths (one per row), over the terms of `kernels.truncated_terms`.
     """
-    return truncated_terms(increments, kernel_values).sum(axis=-1)
+    (terms,) = truncated_terms(increments, increments / threshold, kernel)
+    return terms.sum(axis=-1)
 
 
 def tqv(path: PathSample, config: EstimatorConfig) -> float:
     """Truncated quadratic variation sum (Delta X_i)^2 K(Delta X_i / (k n^-beta))."""
-    dx = path.increments
-    return float(truncated_sums(dx, config.kernel(dx / config.threshold(path.n))))
+    return float(
+        truncated_sums(path.increments, config.threshold(path.n), config.kernel)
+    )
 
 
 def jump_bias(
@@ -164,6 +158,15 @@ def fit_power_law(n_values, biases) -> tuple[float, float]:
     return float(slope), float(np.sqrt(var))
 
 
+@lru_cache(maxsize=64)
+def _cell_constants(
+    config: EstimatorConfig, alpha: float, gamma: float, M: float, n: int
+) -> tuple[Kernel, float]:
+    """The cancelling composite kernel and the jump bias of one Monte Carlo cell."""
+    bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
+    return cancelling_kernel(alpha, M), bias
+
+
 def normalized_errors(
     increments: np.ndarray,
     config: EstimatorConfig,
@@ -175,22 +178,22 @@ def normalized_errors(
     """(E1, E2, E3) per row of an increment block, shape (rows, 3).
 
     The sqrt(n)-normalized errors of tqv, corrected_tqv and
-    cancelled_kernel_tqv, bit-identical to those per-path routes, from one
-    evaluation of phi and one of psi: the composite kernel's values are
-    phi + c~ psi, as `kernels.composite` computes them.
+    cancelled_kernel_tqv, bit-identical to those per-path routes.  The
+    estimator kernel and the composite kernel share one sparse pass of
+    `kernels.truncated_terms`; c~ and the jump bias are computed once per
+    cell, not per block.
     """
     n = increments.shape[-1]
-    x = increments / config.threshold(n)
-    phi_values = phi(x)
-    comp_values = phi_values + cancelling_kernel(alpha, M).c * psi(x, M)
-    est_values = phi_values if config.kernel.kind == PHI else config.kernel(x)
-    q = truncated_sums(increments, est_values)
-    bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
+    composite, bias = _cell_constants(config, alpha, gamma, M, n)
+    est_terms, comp_terms = truncated_terms(
+        increments, increments / config.threshold(n), config.kernel, composite
+    )
+    q = est_terms.sum(axis=-1)
     root_n = np.sqrt(n)
     errors = np.empty((len(q), 3))
     errors[:, 0] = (q - sigma_sq) * root_n
     errors[:, 1] = (q - bias - sigma_sq) * root_n
-    errors[:, 2] = (truncated_sums(increments, comp_values) - sigma_sq) * root_n
+    errors[:, 2] = (comp_terms.sum(axis=-1) - sigma_sq) * root_n
     return errors
 
 
@@ -215,8 +218,9 @@ def rate_fit(
     for n in n_grid:
         acc = np.empty(replicates)
         for lo, block in replicate_blocks(model, n, (seed, n), replicates):
-            kernel_values = config.kernel(block / config.threshold(n))
-            acc[lo : lo + len(block)] = truncated_sums(block, kernel_values)
+            acc[lo : lo + len(block)] = truncated_sums(
+                block, config.threshold(n), config.kernel
+            )
         biases.append(float(acc.mean()) - truth)
     slope, stderr = fit_power_law(n_grid, biases)
     return slope, stderr

@@ -76,6 +76,11 @@ class ExperimentConfig:
         }
 
 
+def _int_list(value: str) -> tuple[int, ...]:
+    """Integers separated by commas or blanks."""
+    return tuple(int(v) for v in value.replace(",", " ").split())
+
+
 _GLOBAL_KEYS = {
     "n": int,
     "replicates": int,
@@ -83,7 +88,7 @@ _GLOBAL_KEYS = {
     "seed": int,
     "csv": str,
     "json": str,
-    "n_grid": str,
+    "n_grid": _int_list,
     "jumps": str,
     "kernel": str,
     "M": float,
@@ -143,16 +148,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParameterError(f"cell {i}: missing keys {sorted(missing)}")
         cell_objs.append(CellConfig(**merged))
 
-    n_grid: tuple[int, ...] = ()
-    if "n_grid" in globals_:
-        n_grid = tuple(int(v) for v in globals_["n_grid"].replace(",", " ").split())
     return ExperimentConfig(
         cells=tuple(cell_objs),
         n=globals_.get("n", 700),
         replicates=globals_.get("replicates", 500),
         sigma=globals_.get("sigma", 1.0),
         seed=globals_.get("seed", 0),
-        n_grid=n_grid,
+        n_grid=globals_.get("n_grid", ()),
         csv_path=globals_.get("csv", ""),
         json_path=globals_.get("json", ""),
     )

@@ -88,15 +88,43 @@ class Kernel:
         return composite(x, self.c, self.M)
 
 
-def truncated_terms(x, kernel_values) -> np.ndarray:
-    """Terms x^2 K of a truncated sum, given the kernel values K.
+def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
+    """Terms dx^2 K(x) of a truncated sum, one array per kernel.
 
-    A term is zero wherever K is, even where x^2 overflows; kernels that
-    go negative (composites) keep their negative terms.
+    One sparse pass serves every kernel.  |x| and the interior |x| < 1, where
+    phi and composites are 1 and psi is 0, are found once; each kernel is
+    then evaluated only on the band 1 <= |x| < widest support radius, which
+    holds few entries.  A term is zero wherever its kernel is, even where
+    dx^2 overflows or x is not finite; kernels that go negative (composites)
+    keep their negative terms.  Every term equals the dense dx * dx * K(x)
+    where K(x) != 0, so sums over the terms are the dense sums bit for bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = x * x * kernel_values
-    return np.where(kernel_values != 0.0, terms, 0.0)
+    dx = np.asarray(dx, dtype=float)
+    # One full-size buffer holds |x|, then the terms of the interior.
+    squares = np.abs(np.asarray(x, dtype=float))
+    outside = np.flatnonzero(~(squares < 1.0))
+    radius = max(kernel.support_radius for kernel in kernels)
+    band = outside[squares.take(outside) < radius]
+    ax_band = squares.take(band)
+    with np.errstate(over="ignore"):
+        np.multiply(dx, dx, out=squares)
+    squares.put(outside, 0.0)
+    band_squares = dx.take(band)
+    band_squares *= band_squares
+    # The last kernel that is 1 on the interior takes `squares` itself; any
+    # before it take copies made before that one writes its band.
+    last = max(
+        (i for i, kernel in enumerate(kernels) if kernel.kind != PSI), default=-1
+    )
+    out = []
+    for i, kernel in enumerate(kernels):
+        if kernel.kind == PSI:
+            terms = np.zeros(dx.shape)
+        else:
+            terms = squares if i == last else squares.copy()
+        terms.put(band, band_squares * kernel(ax_band))
+        out.append(terms)
+    return tuple(out)
 
 
 def parse_kernel(

@@ -136,11 +136,73 @@ def tail_constant(alpha: float) -> float:
     return 2.0 * c_alpha(alpha) * stable_scale(alpha)
 
 
+# fl(pi/2) falls short of pi/2 by this much: (pi/2 - |u|) + _HALF_PI_LO is
+# pi/2 - |u| to rounding for every double |u| <= fl(pi/2).
+_HALF_PI_LO = 6.123233995736766e-17
+
+
+def _chambers_mallows_stuck(alpha: float, u: np.ndarray, w: np.ndarray) -> None:
+    """Overwrite uniforms u on [-pi/2, pi/2] with standard stable draws.
+
+    X = sin(alpha u) / cos(u)^(1/alpha) * (cos((1-alpha) u) / w)^((1-alpha)/alpha)
+    for exponentials w (Chambers, Mallows & Stuck 1976); u and w are
+    C-contiguous arrays of one shape.  Each sine and cosine comes from the
+    tangent of half its angle, which numpy evaluates several times faster:
+      cos u = 2s/(1+s^2), s = tan(d/2), d = (pi/2 - |u|) + _HALF_PI_LO,
+      sin(alpha u) = 2a/(1+a^2), a = tan(alpha u/2),
+      cos((1-alpha) u) = (1-b)(1+b)/(1+b^2), b = tan((1-alpha) u/2).
+    pi/2 - |u| is exact for |u| >= pi/4, so cos u keeps its relative
+    accuracy up to |u| = pi/2.  The transform is elementwise; it runs over
+    pieces of at most BLOCK_INCREMENTS entries through four reused buffers,
+    so its temporaries stay cache-sized however many draws there are.
+    """
+    u, w = u.reshape(-1), w.reshape(-1)
+    if alpha == 1.0:
+        np.tan(u, out=u)
+        return
+    step = max(1, min(u.size, BLOCK_INCREMENTS))
+    buffers = np.empty((4, step))
+    for lo in range(0, u.size, step):
+        up, wp = u[lo : lo + step], w[lo : lo + step]
+        c, a, b, t = buffers[:, : up.size]
+        # c = cos(u)^(1/alpha)
+        np.abs(up, out=c)
+        np.subtract(np.pi / 2, c, out=c)
+        c += _HALF_PI_LO
+        c *= 0.5
+        np.tan(c, out=c)
+        np.multiply(c, c, out=t)
+        t += 1.0
+        c *= 2.0
+        c /= t
+        c **= 1.0 / alpha
+        # a = sin(alpha u) / c
+        np.multiply(up, alpha / 2, out=a)
+        np.tan(a, out=a)
+        np.multiply(a, a, out=t)
+        t += 1.0
+        a *= 2.0
+        a /= t
+        a /= c
+        # c = (cos((1-alpha) u) / w)^((1-alpha)/alpha)
+        np.multiply(up, (1.0 - alpha) / 2, out=b)
+        np.tan(b, out=b)
+        np.subtract(1.0, b, out=c)
+        np.multiply(b, b, out=t)
+        t += 1.0
+        b += 1.0
+        c *= b
+        c /= t
+        c /= wp
+        c **= (1.0 - alpha) / alpha
+        np.multiply(a, c, out=up)
+
+
 def _standard_stable_block(alpha: float, gens, size: int) -> np.ndarray:
     """One row of standard stable draws per generator, as a (rows, size) block.
 
     Each row draws its uniforms, then its exponentials, from its own
-    generator; the Chambers-Mallows-Stuck transform then runs once over the
+    generator; the Chambers-Mallows-Stuck transform then runs over the
     whole block.  It is elementwise, so a row does not depend on the block.
     """
     u = np.empty((len(gens), size))
@@ -148,11 +210,8 @@ def _standard_stable_block(alpha: float, gens, size: int) -> np.ndarray:
     for row_u, row_w, gen in zip(u, w, gens):
         row_u[:] = gen.uniform(-np.pi / 2, np.pi / 2, size)
         gen.standard_exponential(out=row_w)
-    if alpha == 1.0:
-        return np.tan(u)
-    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-        np.cos((1.0 - alpha) * u) / w
-    ) ** ((1.0 - alpha) / alpha)
+    _chambers_mallows_stuck(alpha, u, w)
+    return u
 
 
 def sample_standard_stable(alpha: float, rng, size: int) -> np.ndarray:
@@ -312,7 +371,8 @@ def sample_jump_increment(law: JumpLaw, delta: float, rng, size: int) -> np.ndar
 
 # Rows per block are chosen so a block holds about this many increments:
 # large enough to amortize numpy call overhead over many paths, small enough
-# that a whole Monte Carlo cell is never held in memory at once.
+# that a whole Monte Carlo cell is never held in memory at once.  It also
+# bounds the pieces the stable transform works through.
 BLOCK_INCREMENTS = 16_384
 
 

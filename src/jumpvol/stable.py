@@ -273,7 +273,7 @@ def _chunk_sums(s: np.ndarray, zeta: float, kernel: Kernel) -> tuple[float, floa
     Its temporaries are freed on return, so a multi-zeta call holds one
     zeta's chunk-sized arrays at a time.
     """
-    vals = truncated_terms(s, kernel(s * zeta))
+    (vals,) = truncated_terms(s, s * zeta, kernel)
     return float(vals.sum()), float((vals * vals).sum())
 
 

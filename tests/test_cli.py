@@ -227,6 +227,17 @@ class TestRateCheck:
         assert code == 0
         assert out.startswith("alpha,beta,expected_slope,fitted_slope,stderr")
 
+    def test_non_integer_n_grid_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(
+            "replicates = 10\nn_grid = 100, abc, 400\n"
+            "[cell]\nalpha = 0.5\ngamma = 1\nbeta = 0.2\nk = 3\n"
+        )
+        code, out, err = run_cli(capsys, "rate-check", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: line 2: bad value for n_grid")
+        assert out == ""
+
 
 class TestDzeta:
     def test_csv_schema(self, capsys):
@@ -290,6 +301,15 @@ class TestDzeta:
         )
         assert code == 1
         assert "zeta must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("zeta", ["abc", "0.1,abc"])
+    def test_non_numeric_zeta_exits_1(self, capsys, zeta):
+        code, out, err = run_cli(
+            capsys, "dzeta", "--alpha", "1.5", "--zeta", zeta, "--draws", "100"
+        )
+        assert code == 1
+        assert err.startswith("error:") and "--zeta must be numbers" in err
         assert out == ""
 
     @pytest.mark.parametrize("kernel", ["phi:Q=3", "composite:c=3,M=4"])

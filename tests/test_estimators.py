@@ -21,8 +21,8 @@ from jumpvol import (
     simulate_path,
     tqv,
 )
-from jumpvol.estimators import fit_power_law, rate_fit
-from jumpvol.kernels import phi
+from jumpvol.estimators import fit_power_law, normalized_errors, rate_fit
+from jumpvol.kernels import cancelling_kernel, phi
 from jumpvol.levy import sample_stable_increment
 
 
@@ -130,6 +130,58 @@ class TestTqv:
             assert tqv(simulate_path(model, n, seed), cfg) == pytest.approx(
                 expected, rel=1e-12
             ), f"seed {seed}"
+
+
+def scaled_exactly(c, u):
+    """An increment dx with dx / u == c exactly, searched within 20 ulps of c * u."""
+    for direction in (np.inf, -np.inf):
+        dx = c * u
+        for _ in range(20):
+            if dx / u == c:
+                return dx
+            dx = np.nextafter(dx, direction)
+    raise AssertionError(f"no increment maps to {c} under division by {u}")
+
+
+class TestNormalizedErrors:
+    """Each row's (E1, E2, E3) equals the per-path estimators' errors bit for bit."""
+
+    ALPHA, GAMMA, SIGMA_SQ = 1.5, 1.0, 1.0
+
+    def block(self, config, M):
+        n = 40
+        u = config.threshold(n)
+        gen = np.random.default_rng(8)
+        dx = u * gen.uniform(-1.2 * max(2.0, M), 1.2 * max(2.0, M), (30, n))
+        dx[:10] *= 0.3
+        dx[0, :3] = [np.inf, np.nan, 1e200]
+        dx[1, :3] = [-np.inf, np.nan, -1e200]
+        for i, c in enumerate((1.0, 1.5, 2.0, M)):
+            dx[2, i] = scaled_exactly(c, u)
+            dx[3, i] = -dx[2, i]
+        return dx
+
+    @pytest.mark.parametrize(
+        "kind, M", [("phi", 4.0), ("psi", 4.0), ("composite", 4.0), ("composite", 1.8)]
+    )
+    def test_rows_equal_per_path_estimators(self, kind, M):
+        kernel = (
+            cancelling_kernel(self.ALPHA, M) if kind == "composite" else Kernel(kind, M=M)
+        )
+        config = EstimatorConfig(beta=0.25, k=1.0, kernel=kernel)
+        block = self.block(config, M)
+        errors = normalized_errors(
+            block, config, self.ALPHA, self.GAMMA, M, self.SIGMA_SQ
+        )
+        root_n = np.sqrt(block.shape[1])
+        for row, got in zip(block, errors):
+            path = PathSample(row)
+            e1 = (tqv(path, config) - self.SIGMA_SQ) * root_n
+            e2 = corrected_tqv(path, config, self.ALPHA, self.GAMMA, self.SIGMA_SQ)
+            e3 = cancelled_kernel_tqv(path, config, self.ALPHA, M, self.SIGMA_SQ)
+            expected = [e1, e2.normalized_error, e3.normalized_error]
+            np.testing.assert_array_equal(got, expected)
+        assert np.isfinite(errors).all()
 
 
 class TestJumpBias:

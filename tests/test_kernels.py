@@ -6,7 +6,15 @@ import pytest
 from scipy import integrate
 
 from jumpvol import Kernel, ParameterError, c_tilde, cancelling_kernel, kernel_moment
-from jumpvol.kernels import _phi_moment, _psi_moment, composite, parse_kernel, phi, psi
+from jumpvol.kernels import (
+    _phi_moment,
+    _psi_moment,
+    composite,
+    parse_kernel,
+    phi,
+    psi,
+    truncated_terms,
+)
 
 E_M5_21 = float(np.exp(-5.0 / 21.0))  # shared value of phi and psi at |x| = 3/2
 
@@ -238,3 +246,62 @@ class TestKernelValuesRange:
         x = np.linspace(-9, 9, 901)
         v = psi(x, 8.0)
         assert np.all(v >= 0) and np.all(v <= 1)
+
+
+def dense_terms(dx, x, kernel):
+    """The terms dx^2 K(x) from the kernel's values at every entry."""
+    values = kernel(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = dx * dx * values
+    return np.where(values != 0.0, terms, 0.0)
+
+
+class TestTruncatedTerms:
+    """The sparse pass gives the dense terms bit for bit."""
+
+    KERNELS = {
+        "phi": Kernel("phi"),
+        "psi": Kernel("psi", M=4.0),
+        "psi-narrow": Kernel("psi", M=1.8),
+        "composite": cancelling_kernel(1.5, 4.0),
+        "composite-wide": cancelling_kernel(0.7, 6.0),
+        "composite-narrow": cancelling_kernel(1.2, 1.8),
+    }
+
+    def block(self):
+        """Increments over interior, band and beyond, with non-finite and
+        overflowing entries, and |x| exactly at every breakpoint."""
+        u = 0.37
+        gen = np.random.default_rng(12)
+        dx = u * gen.uniform(-7.0, 7.0, (6, 200))
+        special = [np.inf, -np.inf, np.nan, 1e200, -1e200, 0.0, -0.0]
+        dx[0, : len(special)] = special
+        x = dx / u
+        breakpoints = [1.0, 1.5, 1.8, 2.0, 4.0, 6.0]
+        x[1, : len(breakpoints)] = breakpoints
+        x[2, : len(breakpoints)] = np.negative(breakpoints)
+        return dx, x
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_equals_dense_terms(self, name):
+        dx, x = self.block()
+        (terms,) = truncated_terms(dx, x, self.KERNELS[name])
+        np.testing.assert_array_equal(terms, dense_terms(dx, x, self.KERNELS[name]))
+        np.testing.assert_array_equal(
+            terms.sum(axis=-1), dense_terms(dx, x, self.KERNELS[name]).sum(axis=-1)
+        )
+
+    def test_kernels_of_one_pass_equal_single_passes(self):
+        dx, x = self.block()
+        kernels = [self.KERNELS[name] for name in sorted(self.KERNELS)]
+        for kernel, terms in zip(kernels, truncated_terms(dx, x, *kernels)):
+            np.testing.assert_array_equal(terms, dense_terms(dx, x, kernel))
+
+    def test_vector_and_empty(self):
+        kernel = self.KERNELS["composite"]
+        dx = np.array([0.1, 0.5, 0.9, 1.6, 3.0])
+        (terms,) = truncated_terms(dx, dx / 0.5, kernel)
+        np.testing.assert_array_equal(terms, dense_terms(dx, dx / 0.5, kernel))
+        (empty,) = truncated_terms(np.empty(0), np.empty(0), kernel)
+        assert empty.shape == (0,)
+

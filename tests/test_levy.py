@@ -1,5 +1,6 @@
 """Tests for path simulation and the stable / tempered-stable samplers."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from jumpvol import JumpLaw, ModelSpec, ParameterError, PathSample, simulate_pat
 from jumpvol.levy import (
     BLOCK_INCREMENTS,
     SMALL_JUMP_CUTOFF,
+    _chambers_mallows_stuck,
     _tempered_block,
     block_rows,
     replicate_blocks,
@@ -31,6 +33,9 @@ SIGMA_ALPHA = {
     1.5: 3.3421710326670878,
     1.9: 10.989919026918956,
 }
+
+# pi/2 - fl(pi/2)
+HALF_PI_LO = 6.123233995736766e-17
 
 
 class TestStableScale:
@@ -76,6 +81,61 @@ class TestStandardStableSampler:
         rng = np.random.default_rng(3)
         x = sample_standard_stable(0.7, rng, 200_000)
         assert np.mean(np.sign(x)) == pytest.approx(0.0, abs=0.01)
+
+
+def _transform_grid():
+    """About 400 u on [-pi/2, pi/2] without 0, crowded towards the ends."""
+    half_pi = np.pi / 2
+    ends = half_pi - 10.0 ** -np.arange(1, 11)
+    special = [half_pi, np.nextafter(half_pi, 0.0), np.pi / 4, 1e-12]
+    side = np.concatenate((ends, special))
+    u = np.concatenate((np.linspace(-half_pi, half_pi, 376), side, -side))
+    w = np.random.default_rng(0).standard_exponential(u.size)
+    return u, w
+
+
+def _cms_mpmath(alpha, u, w):
+    """The transform at the exact binary values of alpha, u and w, to 40 digits."""
+    with mpmath.workdps(40):
+        a, u, w = mpmath.mpf(alpha), mpmath.mpf(u), mpmath.mpf(w)
+        return (mpmath.sin(a * u) / mpmath.cos(u) ** (1 / a)) * (
+            mpmath.cos((1 - a) * u) / w
+        ) ** ((1 - a) / a)
+
+
+class TestChambersMallowsStuck:
+    """The tangent form of the transform is as accurate as the sine/cosine form."""
+
+    def test_half_pi_low_part(self):
+        with mpmath.workdps(40):
+            low = float(mpmath.pi / 2 - mpmath.mpf(np.pi / 2))
+        assert low == HALF_PI_LO
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.999, 1.2, 1.5, 1.9, 1.99])
+    def test_against_mpmath(self, alpha):
+        u, w = _transform_grid()
+        exact = np.array([float(_cms_mpmath(alpha, a, b)) for a, b in zip(u, w)])
+        sin_cos = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
+            np.cos((1.0 - alpha) * u) / w
+        ) ** ((1.0 - alpha) / alpha)
+        tan = u.copy()
+        _chambers_mallows_stuck(alpha, tan, w)
+        worst_tan = np.max(np.abs(tan / exact - 1.0))
+        worst_sin_cos = np.max(np.abs(sin_cos / exact - 1.0))
+        assert worst_tan <= 2.0 * worst_sin_cos
+        assert worst_tan <= 5e-14
+
+    def test_pieces_equal_one_pass(self):
+        """Past BLOCK_INCREMENTS draws the transform runs in pieces, bit for bit."""
+        gen = np.random.default_rng(4)
+        u = gen.uniform(-np.pi / 2, np.pi / 2, (3, BLOCK_INCREMENTS - 5))
+        w = gen.standard_exponential(u.shape)
+        whole = u.copy()
+        _chambers_mallows_stuck(1.5, whole, w)
+        for row_u, row_w, row in zip(u, w, whole):
+            alone = row_u.copy()
+            _chambers_mallows_stuck(1.5, alone, row_w)
+            np.testing.assert_array_equal(alone, row)
 
 
 class TestStableIncrement:
@@ -280,15 +340,23 @@ class TestSimulateIncrements:
 
 
 def reference_stable_jumps(gen, alpha, delta, n):
-    """Chambers-Mallows-Stuck, written out: uniforms, then exponentials."""
+    """Chambers-Mallows-Stuck, written out: uniforms, then exponentials.
+
+    Each sine and cosine is taken from the tangent of half its angle, as
+    the sampler computes them.
+    """
     u = gen.uniform(-np.pi / 2, np.pi / 2, n)
     w = gen.exponential(1.0, n)
     if alpha == 1.0:
         x = np.tan(u)
     else:
-        x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * u) / w
-        ) ** ((1.0 - alpha) / alpha)
+        s = np.tan(((np.pi / 2 - np.abs(u)) + HALF_PI_LO) * 0.5)
+        cos_u = (2.0 * s) / (s * s + 1.0)
+        a = np.tan(u * (alpha / 2))
+        sin_au = (2.0 * a) / (a * a + 1.0)
+        b = np.tan(u * ((1.0 - alpha) / 2))
+        cos_bu = ((1.0 - b) * (b + 1.0)) / (b * b + 1.0)
+        x = (sin_au / cos_u ** (1.0 / alpha)) * (cos_bu / w) ** ((1.0 - alpha) / alpha)
     return (stable_scale(alpha) * delta) ** (1.0 / alpha) * x
 
 
