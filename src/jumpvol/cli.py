@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .errors import DiagnosticError, NumericalError, ParameterError
-from .estimators import EstimatorConfig, cancelled_kernel_tqv, corrected_tqv, tqv
+from .estimators import EstimatorConfig, estimates
 from .harness import (
     emit_report,
     load_config,
@@ -56,9 +56,8 @@ def _cmd_estimate(args) -> int:
         path = path_from_csv(fh.read())
     kernel = parse_kernel(args.kernel, args.alpha, args.M)
     config = EstimatorConfig(beta=args.beta, k=args.k, kernel=kernel)
-    q_n = tqv(path, config)
-    q_c = corrected_tqv(path, config, args.alpha, args.gamma).final_estimate
-    q_nc = cancelled_kernel_tqv(path, config, args.alpha, args.M).final_estimate
+    row = estimates(path.increments, config, args.alpha, args.gamma, args.M)
+    q_n, q_c, q_nc = row.tolist()
     text = f"q_n = {q_n!r}\nq_n_corrected = {q_c!r}\nq_n_cancelled = {q_nc!r}\n"
     _write_or_print(text, args.out)
     return 0

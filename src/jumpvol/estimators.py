@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +46,9 @@ def truncated_sums(increments: np.ndarray, threshold: float, kernel: Kernel) -> 
     The truncated quadratic variation of one path (a vector) or of a block
     of paths (one per row), over the terms of `kernels.truncated_terms`.
     """
-    (terms,) = truncated_terms(increments, increments / threshold, kernel)
+    with np.errstate(over="ignore"):  # a huge increment only leaves the support
+        x = increments / threshold
+    (terms,) = truncated_terms(increments, x, kernel)
     return terms.sum(axis=-1)
 
 
@@ -158,43 +159,29 @@ def fit_power_law(n_values, biases) -> tuple[float, float]:
     return float(slope), float(np.sqrt(var))
 
 
-@lru_cache(maxsize=64)
-def _cell_constants(
-    config: EstimatorConfig, alpha: float, gamma: float, M: float, n: int
-) -> tuple[Kernel, float]:
-    """The cancelling composite kernel and the jump bias of one Monte Carlo cell."""
-    bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
-    return cancelling_kernel(alpha, M), bias
-
-
-def normalized_errors(
+def estimates(
     increments: np.ndarray,
     config: EstimatorConfig,
     alpha: float,
     gamma: float,
     M: float,
-    sigma_sq: float,
 ) -> np.ndarray:
-    """(E1, E2, E3) per row of an increment block, shape (rows, 3).
+    """(Q_n, Q_n - jump bias, Q_nc) per row of increments, shape (..., 3).
 
-    The sqrt(n)-normalized errors of tqv, corrected_tqv and
-    cancelled_kernel_tqv, bit-identical to those per-path routes.  The
-    estimator kernel and the composite kernel share one sparse pass of
-    `kernels.truncated_terms`; c~ and the jump bias are computed once per
-    cell, not per block.
+    The values of tqv, corrected_tqv and cancelled_kernel_tqv, bit for bit,
+    for one path (a vector) or a block of paths (one per row).  The
+    estimator kernel and the cancelling composite share one sparse pass of
+    `kernels.truncated_terms`.
     """
     n = increments.shape[-1]
-    composite, bias = _cell_constants(config, alpha, gamma, M, n)
+    bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
+    with np.errstate(over="ignore"):  # a huge increment only leaves the support
+        x = increments / config.threshold(n)
     est_terms, comp_terms = truncated_terms(
-        increments, increments / config.threshold(n), config.kernel, composite
+        increments, x, config.kernel, cancelling_kernel(alpha, M)
     )
     q = est_terms.sum(axis=-1)
-    root_n = np.sqrt(n)
-    errors = np.empty((len(q), 3))
-    errors[:, 0] = (q - sigma_sq) * root_n
-    errors[:, 1] = (q - bias - sigma_sq) * root_n
-    errors[:, 2] = (comp_terms.sum(axis=-1) - sigma_sq) * root_n
-    return errors
+    return np.stack((q, q - bias, comp_terms.sum(axis=-1)), axis=-1)
 
 
 def rate_fit(

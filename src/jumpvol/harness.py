@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DiagnosticError, NumericalError, ParameterError
-from .estimators import EstimatorConfig, normalized_errors, rate_fit
+from .estimators import EstimatorConfig, estimates, rate_fit
 from .kernels import parse_kernel
 from .levy import JumpLaw, ModelSpec, PathSample, replicate_blocks
 
@@ -93,6 +93,8 @@ _GLOBAL_KEYS = {
     "kernel": str,
     "M": float,
 }
+# Global keys whose ExperimentConfig field has another name.
+_PATH_FIELDS = {"csv": "csv_path", "json": "json_path"}
 _CELL_KEYS = {
     "alpha": float,
     "gamma": float,
@@ -138,7 +140,7 @@ def parse_config(text: str) -> ExperimentConfig:
         (current if current is not None else globals_)[key] = parsed
 
     defaults = {
-        k: globals_[k] for k in ("kernel", "M", "jumps") if k in globals_
+        k: globals_.pop(k) for k in ("kernel", "M", "jumps") if k in globals_
     }
     cell_objs = []
     for i, cd in enumerate(cells):
@@ -148,16 +150,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParameterError(f"cell {i}: missing keys {sorted(missing)}")
         cell_objs.append(CellConfig(**merged))
 
-    return ExperimentConfig(
-        cells=tuple(cell_objs),
-        n=globals_.get("n", 700),
-        replicates=globals_.get("replicates", 500),
-        sigma=globals_.get("sigma", 1.0),
-        seed=globals_.get("seed", 0),
-        n_grid=globals_.get("n_grid", ()),
-        csv_path=globals_.get("csv", ""),
-        json_path=globals_.get("json", ""),
-    )
+    settings = {_PATH_FIELDS.get(k, k): v for k, v in globals_.items()}
+    return ExperimentConfig(cells=tuple(cell_objs), **settings)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -224,6 +218,7 @@ def replicate_errors(config: ExperimentConfig, cell_idx: int) -> tuple:
     cell = config.cells[cell_idx]
     est_cfg = cell.estimator_config()
     errors = np.empty((config.replicates, 3))
+    root_n = np.sqrt(config.n)
     simulate_s = estimate_s = 0.0
     blocks = replicate_blocks(
         cell.model(config.sigma), config.n, (config.seed, cell_idx), config.replicates
@@ -231,9 +226,8 @@ def replicate_errors(config: ExperimentConfig, cell_idx: int) -> tuple:
     t0 = time.perf_counter()
     for lo, block in blocks:
         t1 = time.perf_counter()
-        errors[lo : lo + len(block)] = normalized_errors(
-            block, est_cfg, cell.alpha, cell.gamma, cell.M, config.sigma**2
-        )
+        est = estimates(block, est_cfg, cell.alpha, cell.gamma, cell.M)
+        errors[lo : lo + len(block)] = (est - config.sigma**2) * root_n
         simulate_s += t1 - t0
         t0 = time.perf_counter()
         estimate_s += t0 - t1
@@ -352,7 +346,8 @@ def path_to_csv(path_sample) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["i", "t", "x"])
-    for i, x in enumerate(path_sample.observations):
+    observations = np.concatenate(([0.0], np.cumsum(path_sample.increments)))
+    for i, x in enumerate(observations):
         writer.writerow([i, _format(i * path_sample.delta), _format(float(x))])
     return buf.getvalue()
 
@@ -366,7 +361,12 @@ def path_from_csv(text: str) -> PathSample:
     for row in reader:
         if not row:
             continue
-        xs.append(float(row[2]))
+        try:
+            xs.append(float(row[2]))
+        except (IndexError, ValueError):
+            raise ParameterError(
+                f"path CSV line {reader.line_num}: expected i,t,x, got {row}"
+            ) from None
     if len(xs) < 3:
         raise ParameterError("path CSV must contain at least 3 observations")
     return PathSample.from_observations(xs)

@@ -5,15 +5,16 @@ which corresponds to the characteristic function exp(-sigma_alpha |t|^alpha)
 with sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du in closed form
 (`stable_scale`).  Its density tail coefficient is 2 * c_alpha * sigma_alpha,
 which is 1 (`tail_constant`).  All increments produced here are exact in law
-up to the Gaussian small-jump substitution used in the tempered case.  Every
-sampler takes a `size` and returns an array, and an `rng` that may be
-anything `np.random.default_rng` accepts (a Generator is used as it is).
+up to the Gaussian small-jump substitution used in the tempered case.  The
+block samplers draw one row per generator; `sample_stable_increment` takes
+a `size` and an `rng` that may be anything `np.random.default_rng` accepts
+(a Generator is used as it is).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gamma, log, pi, sin
 
@@ -61,14 +62,12 @@ class ModelSpec:
 class PathSample:
     """Increments Delta X_1..n of a path on [0, 1] observed with delta = 1/n.
 
-    The increments are the path's data.  `observations` defaults to their
-    cumulative sum from X_0 = 0; `from_observations` keeps observed values
-    as given and takes their differences as the increments.  Paths compare
-    and hash by identity, as their arrays have no single truth value.
+    The increments are the path's data; the observed values, from X_0 = 0,
+    are their cumulative sum.  Paths compare and hash by identity, as their
+    arrays have no single truth value.
     """
 
     increments: np.ndarray
-    observations: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         dx = np.asarray(self.increments, dtype=float)
@@ -77,15 +76,6 @@ class PathSample:
                 f"increments must be a non-empty vector, got shape {dx.shape}"
             )
         object.__setattr__(self, "increments", dx)
-        if self.observations is None:
-            obs = np.concatenate(([0.0], np.cumsum(dx)))
-        else:
-            obs = np.asarray(self.observations, dtype=float)
-            if obs.shape != (dx.size + 1,):
-                raise ParameterError(
-                    f"observations must have length n+1={dx.size + 1}, got {obs.shape}"
-                )
-        object.__setattr__(self, "observations", obs)
 
     @property
     def n(self) -> int:
@@ -97,10 +87,11 @@ class PathSample:
 
     @classmethod
     def from_observations(cls, observations) -> "PathSample":
+        """The path whose increments are the differences of observed values."""
         obs = np.asarray(observations, dtype=float)
         if obs.ndim != 1 or obs.size < 2:
             raise ParameterError(f"need at least 2 observations, got shape {obs.shape}")
-        return cls(increments=np.diff(obs), observations=obs)
+        return cls(np.diff(obs))
 
 
 def stable_scale(alpha: float) -> float:
@@ -198,47 +189,32 @@ def _chambers_mallows_stuck(alpha: float, u: np.ndarray, w: np.ndarray) -> None:
         np.multiply(a, c, out=up)
 
 
-def _standard_stable_block(alpha: float, gens, size: int) -> np.ndarray:
-    """One row of standard stable draws per generator, as a (rows, size) block.
+def _stable_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
+    """One row of stable increments over time delta per generator, (rows, size).
 
     Each row draws its uniforms, then its exponentials, from its own
-    generator; the Chambers-Mallows-Stuck transform then runs over the
-    whole block.  It is elementwise, so a row does not depend on the block.
+    generator; the Chambers-Mallows-Stuck transform and the scaling then run
+    over the whole block.  Both are elementwise, so a row does not depend on
+    the block.
     """
+    if not delta > 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
     u = np.empty((len(gens), size))
     w = np.empty((len(gens), size))
     for row_u, row_w, gen in zip(u, w, gens):
         row_u[:] = gen.uniform(-np.pi / 2, np.pi / 2, size)
         gen.standard_exponential(out=row_w)
     _chambers_mallows_stuck(alpha, u, w)
+    u *= scale
     return u
 
 
-def sample_standard_stable(alpha: float, rng, size: int) -> np.ndarray:
-    """Symmetric stable draws with characteristic function exp(-|t|^alpha).
-
-    Chambers-Mallows-Stuck transform.  alpha = 2 is allowed and degenerates
-    to sqrt(2) times a standard normal.
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    return _standard_stable_block(alpha, [np.random.default_rng(rng)], size)[0]
-
-
-def _stable_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
-    if delta < 0:
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
-    if delta == 0:
-        return np.zeros((len(gens), size))
-    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
-    return scale * _standard_stable_block(alpha, gens, size)
-
-
 def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
-    """Increments L_delta of the Levy-measure-normalized stable process.
+    """Increments L_delta of the Levy-measure-normalized stable process, delta > 0.
 
-    Equal to (sigma_alpha * delta)^(1/alpha) times standard draws.  delta = 0
-    is allowed as a degenerate probe and returns zeros.
+    Equal to (sigma_alpha * delta)^(1/alpha) times draws with characteristic
+    function exp(-|t|^alpha).
     """
     return _stable_block(alpha, delta, [np.random.default_rng(rng)], size)[0]
 
@@ -325,11 +301,9 @@ def _tempered_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
     row order, so every entry sums its jumps as a single row would.
     """
     check_alpha(alpha)
-    if delta < 0:
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
+    if not delta > 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
     out = np.zeros((len(gens), size))
-    if delta == 0:
-        return out
     rate = tempered_tail_intensity(alpha) * delta
     counts = np.empty(out.shape, dtype=np.int64)
     small = np.empty(out.shape)
@@ -348,25 +322,10 @@ def _tempered_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
     return out
 
 
-def sample_tempered_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
-    """Tempered-stable increments over time delta: Levy measure e^(-|z|)|z|^(-1-alpha) dz.
-
-    Jumps above SMALL_JUMP_CUTOFF are compound Poisson; jumps below it are
-    replaced by a centered Gaussian with matched variance.  The measure is
-    symmetric, so no drift compensation is needed.
-    """
-    return _tempered_block(alpha, delta, [np.random.default_rng(rng)], size)[0]
-
-
 def _jump_block(law: JumpLaw, delta: float, gens, size: int) -> np.ndarray:
     if law.kind == STABLE:
         return _stable_block(law.alpha, delta, gens, size)
     return _tempered_block(law.alpha, delta, gens, size)
-
-
-def sample_jump_increment(law: JumpLaw, delta: float, rng, size: int) -> np.ndarray:
-    """Dispatch to the stable or tempered increment sampler."""
-    return _jump_block(law, delta, [np.random.default_rng(rng)], size)[0]
 
 
 # Rows per block are chosen so a block holds about this many increments:

@@ -80,12 +80,6 @@ def _tail_series_with_error(
     return None
 
 
-def _tail_series(z: float, alpha: float, sigma: float) -> float | None:
-    """The tail series' value at _SERIES_RTOL, or None where it does not reach it."""
-    found = _tail_series_with_error(z, alpha, sigma, _SERIES_RTOL)
-    return None if found is None else found[0]
-
-
 # The rotated form's trapezoid rule in s = log r: step 1/16 on |s| <= 80.
 _LOG_R = np.arange(-1280, 1281) / 16.0
 # Rows of z per block of the inversion; its buffer stays under a MB.
@@ -197,12 +191,6 @@ def _inversion(
         val[todo] = np.where(better, v, val[todo])
         err[todo] = np.where(better, e, err[todo])
     return val, err
-
-
-def _fourier_density(z, alpha: float, sigma: float) -> np.ndarray:
-    """The inversion's values alone, shaped like z."""
-    zs = np.abs(np.ravel(z).astype(float))
-    return _inversion(zs, alpha, sigma)[0].reshape(np.shape(z))
 
 
 def _density(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,16 @@ from pathlib import Path
 import pytest
 
 import jumpvol
-from jumpvol import EstimatorConfig, parse_kernel, tqv
+from jumpvol import (
+    EstimatorConfig,
+    cancelled_kernel_tqv,
+    corrected_tqv,
+    parse_kernel,
+    tqv,
+)
 from jumpvol.cli import cli
 from jumpvol.harness import path_from_csv
+from jumpvol.kernels import truncated_terms
 
 
 def run_cli(capsys, *argv):
@@ -102,41 +109,54 @@ class TestSimulate:
 
 class TestEstimate:
     def test_round_trip_matches_in_process(self, capsys, tmp_path):
-        """simulate | estimate equals in-process estimation bit-exactly."""
+        """simulate | estimate prints tqv, corrected_tqv and cancelled_kernel_tqv
+        of the loaded path bit-exactly, for each kind of estimator kernel."""
         out = tmp_path / "p.csv"
-        run_cli(
-            capsys,
-            "simulate",
-            "--n",
-            "100",
-            "--gamma",
-            "1",
-            "--alpha",
-            "1.5",
-            "--seed",
-            "3",
-            "--out",
-            str(out),
-        )
-        code, text, _ = run_cli(
-            capsys,
-            "estimate",
-            "--in",
-            str(out),
-            "--beta",
-            "0.2",
-            "--k",
-            "2",
-            "--alpha",
-            "1.5",
-            "--gamma",
-            "1",
-        )
-        assert code == 0
-        printed = float(text.splitlines()[0].split("=")[1])
+        simulate = "simulate --n 100 --gamma 1 --alpha 1.5 --seed 3 --out".split()
+        assert run_cli(capsys, *simulate, str(out))[0] == 0
         path = path_from_csv(out.read_text())
-        cfg = EstimatorConfig(beta=0.2, k=2.0, kernel=parse_kernel("phi", 1.5))
-        assert printed == tqv(path, cfg)
+        for spec, M in (("phi", 4.0), ("psi:M=3", 3.0), ("composite:M=2.5", 2.5)):
+            args = ["estimate", "--in", str(out), "--beta", "0.2", "--k", "2"]
+            args += ["--alpha", "1.5", "--gamma", "1", "--kernel", spec, "--M", str(M)]
+            code, text, _ = run_cli(capsys, *args)
+            assert code == 0
+            printed = [float(line.split("=")[1]) for line in text.splitlines()]
+            cfg = EstimatorConfig(beta=0.2, k=2.0, kernel=parse_kernel(spec, 1.5, M))
+            expected = [
+                tqv(path, cfg),
+                corrected_tqv(path, cfg, 1.5, 1.0).final_estimate,
+                cancelled_kernel_tqv(path, cfg, 1.5, M).final_estimate,
+            ]
+            assert printed == expected, spec
+
+    def test_one_kernel_pass(self, capsys, tmp_path, monkeypatch):
+        """The three estimates come from one truncated_terms pass over the
+        estimator kernel and the composite; each call records its kernels."""
+        from jumpvol import estimators
+
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args) - 2)
+            return truncated_terms(*args)
+
+        p = tmp_path / "p.csv"
+        p.write_text("i,t,x\n0,0.0,0.0\n1,0.5,0.01\n2,1.0,0.03\n")
+        monkeypatch.setattr(estimators, "truncated_terms", counted)
+        args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "1.5"]
+        assert run_cli(capsys, *args, "--gamma", "1")[0] == 0
+        assert calls == [2]
+
+    @pytest.mark.parametrize("row", ["1,0.5", "1,0.5,abc"])
+    def test_malformed_path_csv_exits_1(self, capsys, tmp_path, row):
+        """A short row or a non-numeric x is refused with the line it is on."""
+        p = tmp_path / "p.csv"
+        p.write_text(f"i,t,x\n0,0.0,0.0\n{row}\n2,1.0,0.03\n")
+        args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "1.5"]
+        code, out, err = run_cli(capsys, *args, "--gamma", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: path CSV line 3")
 
     def test_kernel_m_disagreeing_with_m_rejected(self, capsys, tmp_path):
         p = tmp_path / "p.csv"

@@ -21,7 +21,7 @@ from jumpvol import (
     simulate_path,
     tqv,
 )
-from jumpvol.estimators import fit_power_law, normalized_errors, rate_fit
+from jumpvol.estimators import estimates, fit_power_law, rate_fit
 from jumpvol.kernels import cancelling_kernel, phi
 from jumpvol.levy import sample_stable_increment
 
@@ -143,10 +143,10 @@ def scaled_exactly(c, u):
     raise AssertionError(f"no increment maps to {c} under division by {u}")
 
 
-class TestNormalizedErrors:
-    """Each row's (E1, E2, E3) equals the per-path estimators' errors bit for bit."""
+class TestEstimates:
+    """Each row's (Q_n, Q_n - bias, Q_nc) equals the per-path estimators bit for bit."""
 
-    ALPHA, GAMMA, SIGMA_SQ = 1.5, 1.0, 1.0
+    ALPHA, GAMMA = 1.5, 1.0
 
     def block(self, config, M):
         n = 40
@@ -170,18 +170,29 @@ class TestNormalizedErrors:
         )
         config = EstimatorConfig(beta=0.25, k=1.0, kernel=kernel)
         block = self.block(config, M)
-        errors = normalized_errors(
-            block, config, self.ALPHA, self.GAMMA, M, self.SIGMA_SQ
-        )
-        root_n = np.sqrt(block.shape[1])
-        for row, got in zip(block, errors):
+        values = estimates(block, config, self.ALPHA, self.GAMMA, M)
+        assert values.shape == (len(block), 3)
+        for row, got in zip(block, values):
             path = PathSample(row)
-            e1 = (tqv(path, config) - self.SIGMA_SQ) * root_n
-            e2 = corrected_tqv(path, config, self.ALPHA, self.GAMMA, self.SIGMA_SQ)
-            e3 = cancelled_kernel_tqv(path, config, self.ALPHA, M, self.SIGMA_SQ)
-            expected = [e1, e2.normalized_error, e3.normalized_error]
+            expected = [
+                tqv(path, config),
+                corrected_tqv(path, config, self.ALPHA, self.GAMMA).final_estimate,
+                cancelled_kernel_tqv(path, config, self.ALPHA, M).final_estimate,
+            ]
             np.testing.assert_array_equal(got, expected)
-        assert np.isfinite(errors).all()
+            one_row = estimates(row, config, self.ALPHA, self.GAMMA, M)
+            np.testing.assert_array_equal(one_row, got)
+        assert np.isfinite(values).all()
+
+    def test_increment_near_largest_double_warns_nothing(self):
+        """Dividing such an increment by u_n overflows to inf, outside every
+        kernel's support; the suite turns a leaked RuntimeWarning into an error."""
+        path = PathSample(np.array([0.01, 1.7e308, 0.02]))
+        config = EstimatorConfig(beta=0.2)
+        expected = 0.01**2 + 0.02**2
+        assert tqv(path, config) == expected
+        values = estimates(path.increments, config, self.ALPHA, self.GAMMA, 4.0)
+        assert values[0] == values[2] == expected
 
 
 class TestJumpBias:

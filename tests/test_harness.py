@@ -23,7 +23,7 @@ from jumpvol.harness import (
     report_to_csv,
     report_to_json,
 )
-from jumpvol.levy import ModelSpec, simulate_path
+from jumpvol.levy import ModelSpec, PathSample, simulate_path
 
 SAMPLE_CFG = """\
 # comment line
@@ -152,16 +152,16 @@ class TestRunMc:
         """A replicate with a non-finite error is excluded and counted, not averaged."""
         from jumpvol import harness
 
-        clean_errors = harness.normalized_errors
+        clean_estimates = harness.estimates
 
         def poisoned(*args):
-            errors = clean_errors(*args)
-            errors[0, 2] = np.inf
-            errors[1, 0] = np.nan
-            return errors
+            values = clean_estimates(*args)
+            values[0, 2] = np.inf
+            values[1, 0] = np.nan
+            return values
 
         clean = run_mc(small_config).results[0]
-        monkeypatch.setattr(harness, "normalized_errors", poisoned)
+        monkeypatch.setattr(harness, "estimates", poisoned)
         res = run_mc(small_config).results[0]
         assert (res.replicates, res.excluded) == (small_config.replicates - 2, 2)
         assert res.flagged
@@ -174,7 +174,7 @@ class TestRunMc:
         def all_nan(block, *args):
             return np.full((len(block), 3), np.nan)
 
-        monkeypatch.setattr(harness, "normalized_errors", all_nan)
+        monkeypatch.setattr(harness, "estimates", all_nan)
         with pytest.raises(NumericalError, match="every replicate failed"):
             run_mc(small_config)
 
@@ -258,16 +258,26 @@ class TestRateExperiment:
 
 class TestPathCsv:
     def test_round_trip_bit_exact(self):
+        """The CSV holds X_0 = 0 and the increments' cumulative sums exactly;
+        a loaded path's increments are their differences."""
         path = simulate_path(ModelSpec(sigma=1.0), 50, 9)
-        back = path_from_csv(path_to_csv(path))
-        np.testing.assert_array_equal(back.observations, path.observations)
+        text = path_to_csv(path)
+        xs = [float(row["x"]) for row in csv.DictReader(io.StringIO(text))]
+        observations = np.concatenate(([0.0], np.cumsum(path.increments)))
+        np.testing.assert_array_equal(xs, observations)
+        back = path_from_csv(text)
+        np.testing.assert_array_equal(back.increments, np.diff(observations))
         assert back.n == path.n
 
-    def test_observations_kept_as_read(self):
-        """A loaded path keeps its observations; its increments are their differences."""
+    def test_written_observations_are_cumulative_sums(self):
+        """Huge increments that cancel leave the written path where it was."""
+        text = path_to_csv(PathSample(np.array([1e20, 1.0, -1e20])))
+        xs = [float(row["x"]) for row in csv.DictReader(io.StringIO(text))]
+        assert xs == [0.0, 1e20, 1e20, 0.0]
+
+    def test_increments_are_differences_as_read(self):
         text = "i,t,x\n0,0.0,1.5\n1,0.5,1e17\n2,1.0,1.75\n"
         back = path_from_csv(text)
-        np.testing.assert_array_equal(back.observations, [1.5, 1e17, 1.75])
         np.testing.assert_array_equal(back.increments, np.diff([1.5, 1e17, 1.75]))
 
     def test_header_required(self):

@@ -1,4 +1,5 @@
-"""Tests for the module layering: which package modules import which."""
+"""Tests for the module layering: which package modules import which, and
+that package code uses every public definition."""
 
 import ast
 import os
@@ -70,3 +71,39 @@ def test_cli_import_loads_no_scipy():
     argv = [sys.executable, "-c", code]
     result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names that `node` uses: bare names, attributes and imported names."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def unreferenced_public_definitions(package: Path) -> set[str]:
+    """`module.name` of each public module-level function or class that no
+    package code uses outside its own definition (an import counts)."""
+    statements = []  # (module, statement) for every top-level statement
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements += [(path.stem, stmt) for stmt in tree.body]
+    uses = [referenced_names(stmt) for _, stmt in statements]
+    unused = set()
+    for i, (module, stmt) in enumerate(statements):
+        definition = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        if not definition or stmt.name.startswith("_"):
+            continue
+        if not any(stmt.name in names for j, names in enumerate(uses) if j != i):
+            unused.add(f"{module}.{stmt.name}")
+    return unused
+
+
+def test_every_public_definition_is_used_by_the_package():
+    """A public function or class that only tests reach is dead code."""
+    assert unreferenced_public_definitions(PACKAGE) == set()

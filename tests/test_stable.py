@@ -22,7 +22,12 @@ from jumpvol import (
     tail_constant,
 )
 from jumpvol.levy import sample_stable_increment, stable_scale
-from jumpvol.stable import _fourier_density, _series_coefficients, _tail_series
+from jumpvol.stable import (
+    _SERIES_RTOL,
+    _inversion,
+    _series_coefficients,
+    _tail_series_with_error,
+)
 
 
 class TestCAlpha:
@@ -103,7 +108,8 @@ class TestStableDensity:
 
 
 def _direct_tail_series(z, alpha, sigma):
-    """_tail_series with its coefficients computed in the loop, as reference."""
+    """The tail series' value at _SERIES_RTOL, or None where it does not reach
+    it, with its coefficients computed in the loop, as reference."""
     eps, rtol = np.finfo(float).eps, 1e-11
     log_x = log(sigma) - alpha * log(z)
     if log_x >= (0.0 if alpha >= 1.0 else 5.0):
@@ -152,9 +158,8 @@ class TestStableDensityFarTail:
     def test_series_agrees_with_fourier_inversion(self, alpha, z):
         """Where both routes are accurate they agree; the series is the one used."""
         sigma = stable_scale(alpha)
-        series = _tail_series(z, alpha, sigma)
-        assert series is not None
-        fourier = _fourier_density(z, alpha, sigma)
+        series = _tail_series_with_error(z, alpha, sigma, _SERIES_RTOL)[0]
+        fourier = _inversion(np.array([z]), alpha, sigma)[0][0]
         assert series == pytest.approx(fourier, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0, 1.5, 1.9])
@@ -164,7 +169,9 @@ class TestStableDensityFarTail:
         assert _series_coefficients(alpha) is _series_coefficients(alpha)
         sigma = stable_scale(alpha)
         for z in np.logspace(-2, 8, 41):
-            assert _tail_series(z, alpha, sigma) == _direct_tail_series(z, alpha, sigma)
+            found = _tail_series_with_error(z, alpha, sigma, _SERIES_RTOL)
+            series = None if found is None else found[0]
+            assert series == _direct_tail_series(z, alpha, sigma)
 
     def test_refuses_when_no_route_is_accurate(self, monkeypatch):
         """Where the inversion's error estimate is as large as its value and
