@@ -7,13 +7,10 @@ with bias subtraction, kernel cancellation, and Richardson extrapolation.
 
 from .errors import DiagnosticError, NumericalError, ParameterError
 from .estimators import (
-    EstimateResult,
     EstimatorConfig,
-    cancelled_kernel_tqv,
-    corrected_tqv,
+    estimates,
     jump_bias,
     rate_fit,
-    realized_volatility,
     richardson,
     richardson_paired,
     tqv,
@@ -45,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CellConfig",
     "DiagnosticError",
-    "EstimateResult",
     "EstimatorConfig",
     "ExperimentConfig",
     "JumpLaw",
@@ -57,20 +53,18 @@ __all__ = [
     "PathSample",
     "c_alpha",
     "c_tilde",
-    "cancelled_kernel_tqv",
     "cancelling_kernel",
-    "corrected_tqv",
     "d_zeta_asymptotic",
     "d_zeta_mc",
     "d_zeta_quadrature",
     "emit_report",
+    "estimates",
     "jump_bias",
     "kernel_moment",
     "load_config",
     "parse_config",
     "parse_kernel",
     "rate_fit",
-    "realized_volatility",
     "richardson",
     "richardson_paired",
     "run_mc",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,36 +27,25 @@ class EstimatorConfig:
         return self.k * n ** (-self.beta)
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    q_n: float
-    correction_applied: float
-    final_estimate: float
-    normalized_error: float | None = None
-
-
-def realized_volatility(path: PathSample) -> float:
-    """Plain quadratic variation sum (Delta X_i)^2."""
-    return float(np.sum(path.increments**2))
-
-
-def truncated_sums(increments: np.ndarray, threshold: float, kernel: Kernel) -> np.ndarray:
+def truncated_sums(
+    increments: np.ndarray, threshold: float, *kernels: Kernel
+) -> tuple[np.ndarray, ...]:
     """sum (Delta X_i)^2 K(Delta X_i / u_n) over the last axis, u_n = threshold.
 
-    The truncated quadratic variation of one path (a vector) or of a block
-    of paths (one per row), over the terms of `kernels.truncated_terms`.
+    One sum per kernel K: the truncated quadratic variation of one path (a
+    vector) or of a block of paths (one per row), over the terms of one
+    `kernels.truncated_terms` pass.
     """
     with np.errstate(over="ignore"):  # a huge increment only leaves the support
         x = increments / threshold
-    (terms,) = truncated_terms(increments, x, kernel)
-    return terms.sum(axis=-1)
+    terms = truncated_terms(increments, x, *kernels)
+    return tuple(t.sum(axis=-1) for t in terms)
 
 
 def tqv(path: PathSample, config: EstimatorConfig) -> float:
     """Truncated quadratic variation sum (Delta X_i)^2 K(Delta X_i / (k n^-beta))."""
-    return float(
-        truncated_sums(path.increments, config.threshold(path.n), config.kernel)
-    )
+    (q,) = truncated_sums(path.increments, config.threshold(path.n), config.kernel)
+    return float(q)
 
 
 def jump_bias(
@@ -85,35 +74,6 @@ def jump_bias(
         * k ** (2.0 - alpha)
         * kernel_moment(kernel, alpha)
     )
-
-
-def corrected_tqv(
-    path: PathSample,
-    config: EstimatorConfig,
-    alpha: float,
-    gamma: float,
-    sigma_sq: float | None = None,
-) -> EstimateResult:
-    """Bias-subtracted estimator: tqv minus the first-order jump bias."""
-    q = tqv(path, config)
-    correction = jump_bias(alpha, config.beta, gamma, config.k, path.n, config.kernel)
-    final = q - correction
-    err = None if sigma_sq is None else (final - sigma_sq) * np.sqrt(path.n)
-    return EstimateResult(q, correction, final, err)
-
-
-def cancelled_kernel_tqv(
-    path: PathSample,
-    config: EstimatorConfig,
-    alpha: float,
-    M: float = 4.0,
-    sigma_sq: float | None = None,
-) -> EstimateResult:
-    """Estimator with the composite kernel whose weighted moment vanishes."""
-    comp = cancelling_kernel(alpha, M)
-    q = tqv(path, replace(config, kernel=comp))
-    err = None if sigma_sq is None else (q - sigma_sq) * np.sqrt(path.n)
-    return EstimateResult(q, 0.0, q, err)
 
 
 def richardson(q_n: float, q_2n: float, alpha: float, beta: float) -> float:
@@ -168,20 +128,16 @@ def estimates(
 ) -> np.ndarray:
     """(Q_n, Q_n - jump bias, Q_nc) per row of increments, shape (..., 3).
 
-    The values of tqv, corrected_tqv and cancelled_kernel_tqv, bit for bit,
-    for one path (a vector) or a block of paths (one per row).  The
+    For one path (a vector) or a block of paths (one per row); the
     estimator kernel and the cancelling composite share one sparse pass of
     `kernels.truncated_terms`.
     """
     n = increments.shape[-1]
     bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
-    with np.errstate(over="ignore"):  # a huge increment only leaves the support
-        x = increments / config.threshold(n)
-    est_terms, comp_terms = truncated_terms(
-        increments, x, config.kernel, cancelling_kernel(alpha, M)
+    q, q_c = truncated_sums(
+        increments, config.threshold(n), config.kernel, cancelling_kernel(alpha, M)
     )
-    q = est_terms.sum(axis=-1)
-    return np.stack((q, q - bias, comp_terms.sum(axis=-1)), axis=-1)
+    return np.stack((q, q - bias, q_c), axis=-1)
 
 
 def rate_fit(
@@ -190,7 +146,6 @@ def rate_fit(
     n_grid,
     replicates: int,
     seed: int,
-    sigma_sq: float | None = None,
 ) -> tuple[float, float]:
     """Empirical decay exponent of the mean bias of tqv over an n grid.
 
@@ -200,14 +155,11 @@ def rate_fit(
     n_grid = sorted(set(int(n) for n in n_grid))
     if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
         raise DiagnosticError("n grid must have >= 4 values spanning a factor of 8")
-    truth = sigma_sq if sigma_sq is not None else model.sigma**2
     biases = []
     for n in n_grid:
         acc = np.empty(replicates)
         for lo, block in replicate_blocks(model, n, (seed, n), replicates):
-            acc[lo : lo + len(block)] = truncated_sums(
-                block, config.threshold(n), config.kernel
-            )
-        biases.append(float(acc.mean()) - truth)
-    slope, stderr = fit_power_law(n_grid, biases)
-    return slope, stderr
+            (q,) = truncated_sums(block, config.threshold(n), config.kernel)
+            acc[lo : lo + len(block)] = q
+        biases.append(float(acc.mean()) - model.sigma**2)
+    return fit_power_law(n_grid, biases)

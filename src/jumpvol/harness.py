@@ -111,10 +111,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Global keys appear before the first section; each [cell] section
     describes one experiment cell and inherits global kernel/M/jumps defaults.
+    A key set twice in one [cell] is an error.  A global key set again
+    replaces the earlier value: perfbench's `with_globals` appends its
+    overrides after a config's own globals.
     """
     globals_: dict = {}
     cells: list[dict] = []
     current: dict | None = None
+    set_on: dict = {}  # key -> line that set it in the current [cell]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,6 +126,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if line == "[cell]":
             current = {}
             cells.append(current)
+            set_on = {}
             continue
         if line.startswith("["):
             raise ParameterError(f"line {lineno}: unknown section {line!r}")
@@ -133,6 +138,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in table:
             where = "cell" if current is not None else "global"
             raise ParameterError(f"line {lineno}: unknown {where} key {key!r}")
+        if current is not None:
+            if key in set_on:
+                first = set_on[key]
+                raise ParameterError(f"line {lineno}: {key} already set on line {first}")
+            set_on[key] = lineno
         try:
             parsed = table[key](value)
         except ValueError as exc:
@@ -331,7 +341,6 @@ def run_rate_experiment(config: ExperimentConfig) -> str:
             config.n_grid,
             config.replicates,
             config.seed,
-            sigma_sq=config.sigma**2,
         )
         expected = cell.beta * (2.0 - cell.alpha)
         lines.append(
@@ -353,20 +362,29 @@ def path_to_csv(path_sample) -> str:
 
 
 def path_from_csv(text: str) -> PathSample:
+    """The path of a CSV with header i,t,x, whose rows are i = 0, 1, ..., n
+    in order with t within 1e-9 of i/n."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "t", "x"]:
         raise ParameterError("path CSV must have header i,t,x")
-    xs = []
+    rows = []  # (line, i, t, x)
     for row in reader:
         if not row:
             continue
         try:
-            xs.append(float(row[2]))
+            rows.append((reader.line_num, int(row[0]), float(row[1]), float(row[2])))
         except (IndexError, ValueError):
             raise ParameterError(
                 f"path CSV line {reader.line_num}: expected i,t,x, got {row}"
             ) from None
-    if len(xs) < 3:
+    if len(rows) < 3:
         raise ParameterError("path CSV must contain at least 3 observations")
-    return PathSample.from_observations(xs)
+    n = len(rows) - 1
+    for want, (line, i, t, _) in enumerate(rows):
+        if i != want or not abs(t - want / n) <= 1e-9:
+            raise ParameterError(
+                f"path CSV line {line}: expected i = {want}, t = {want / n!r}, "
+                f"got i = {i}, t = {t!r}"
+            )
+    return PathSample.from_observations([x for *_, x in rows])

@@ -19,9 +19,7 @@ from jumpvol import (
     Kernel,
     ModelSpec,
     c_tilde,
-    cancelled_kernel_tqv,
     cancelling_kernel,
-    corrected_tqv,
     d_zeta_mc,
     d_zeta_quadrature,
     kernel_moment,
@@ -31,7 +29,6 @@ from jumpvol import (
     simulate_path,
     stable_density,
     tail_constant,
-    tqv,
 )
 from jumpvol.kernels import phi, psi
 from jumpvol.levy import sample_stable_increment, stable_scale
@@ -343,9 +340,10 @@ class TestCriterion8:
 class TestCriterion9:
     def test_determinism_and_per_path_equality(self):
         """Identical reports on rerun, and every replicate's (E1, E2, E3) equal
-        bit for bit to the per-path route simulate_path -> tqv, corrected_tqv,
-        cancelled_kernel_tqv.  R = 64 at n = 300 is not a multiple of the 54
+        bit for bit to the per-path route simulate_path -> estimates of its
+        increments -> (est - sigma^2) sqrt(n).  R = 64 at n = 300 is not a multiple of the 54
         rows of a simulation block, so a partial block is covered too."""
+        from jumpvol.estimators import estimates
         from jumpvol.harness import replicate_errors, report_to_csv
 
         cells = (
@@ -361,12 +359,9 @@ class TestCriterion9:
             est, model = cell.estimator_config(), cell.model(cfg.sigma)
             for r in range(cfg.replicates):
                 seed = np.random.SeedSequence((cfg.seed, ci, r))
-                path = simulate_path(model, cfg.n, seed)
-                per_path = [
-                    (tqv(path, est) - 1.0) * np.sqrt(cfg.n),
-                    corrected_tqv(path, est, cell.alpha, cell.gamma, 1.0).normalized_error,
-                    cancelled_kernel_tqv(path, est, cell.alpha, cell.M, 1.0).normalized_error,
-                ]
+                dx = simulate_path(model, cfg.n, seed).increments
+                row = estimates(dx, est, cell.alpha, cell.gamma, cell.M)
+                per_path = (row - cfg.sigma**2) * np.sqrt(cfg.n)
                 mismatches += not np.array_equal(errors[r], per_path)
             mismatches += first.results[ci].mean_e3 != float(errors[:, 2].mean())
         ok = rerun_ok and mismatches == 0

@@ -10,13 +10,9 @@ from pathlib import Path
 import pytest
 
 import jumpvol
-from jumpvol import (
-    EstimatorConfig,
-    cancelled_kernel_tqv,
-    corrected_tqv,
-    parse_kernel,
-    tqv,
-)
+import numpy as np
+
+from jumpvol import EstimatorConfig, cancelling_kernel, jump_bias, parse_kernel
 from jumpvol.cli import cli
 from jumpvol.harness import path_from_csv
 from jumpvol.kernels import truncated_terms
@@ -109,25 +105,28 @@ class TestSimulate:
 
 class TestEstimate:
     def test_round_trip_matches_in_process(self, capsys, tmp_path):
-        """simulate | estimate prints tqv, corrected_tqv and cancelled_kernel_tqv
-        of the loaded path bit-exactly, for each kind of estimator kernel."""
+        """simulate | estimate prints Q_n, Q_n minus the jump bias and Q_nc of
+        the loaded path bit-exactly, for each kind of estimator kernel, against
+        dense sums dx * dx * K(dx / u_n) over the terms where K != 0."""
         out = tmp_path / "p.csv"
         simulate = "simulate --n 100 --gamma 1 --alpha 1.5 --seed 3 --out".split()
         assert run_cli(capsys, *simulate, str(out))[0] == 0
-        path = path_from_csv(out.read_text())
+        dx = path_from_csv(out.read_text()).increments
+        u = EstimatorConfig(beta=0.2, k=2.0).threshold(len(dx))
         for spec, M in (("phi", 4.0), ("psi:M=3", 3.0), ("composite:M=2.5", 2.5)):
             args = ["estimate", "--in", str(out), "--beta", "0.2", "--k", "2"]
             args += ["--alpha", "1.5", "--gamma", "1", "--kernel", spec, "--M", str(M)]
             code, text, _ = run_cli(capsys, *args)
             assert code == 0
             printed = [float(line.split("=")[1]) for line in text.splitlines()]
-            cfg = EstimatorConfig(beta=0.2, k=2.0, kernel=parse_kernel(spec, 1.5, M))
-            expected = [
-                tqv(path, cfg),
-                corrected_tqv(path, cfg, 1.5, 1.0).final_estimate,
-                cancelled_kernel_tqv(path, cfg, 1.5, M).final_estimate,
-            ]
-            assert printed == expected, spec
+            kernel = parse_kernel(spec, 1.5, M)
+            with np.errstate(over="ignore", invalid="ignore"):
+                q_n, q_nc = [
+                    float(np.where(kv != 0.0, dx * dx * kv, 0.0).sum())
+                    for kv in (kernel(dx / u), cancelling_kernel(1.5, M)(dx / u))
+                ]
+            q_corrected = q_n - jump_bias(1.5, 0.2, 1.0, 2.0, len(dx), kernel)
+            assert printed == [q_n, q_corrected, q_nc], spec
 
     def test_one_kernel_pass(self, capsys, tmp_path, monkeypatch):
         """The three estimates come from one truncated_terms pass over the
@@ -157,6 +156,27 @@ class TestEstimate:
         assert code == 1
         assert out == ""
         assert err.startswith("error: path CSV line 3")
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("0,0.0,0.0\n2,0.5,0.01\n3,1.0,0.03\n", 3),
+            ("0,0.0,0.0\n1,0.3,0.01\n2,1.0,0.03\n", 3),
+            ("0,0.0,0.0\n1,0.25,0.01\n2,0.5,0.03\n", 3),
+            ("7,0,0.0\n3,5,0.01\n9,10,0.03\n", 2),
+        ],
+        ids=["gap-in-i", "uneven-t", "t-ends-before-1", "i-out-of-order"],
+    )
+    def test_path_csv_off_the_grid_exits_1(self, capsys, tmp_path, rows, line):
+        """Rows must be i = 0, 1, ..., n in order with t = i/n; the first row
+        that is not is refused with the line it is on."""
+        p = tmp_path / "p.csv"
+        p.write_text("i,t,x\n" + rows)
+        args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "1.5"]
+        code, out, err = run_cli(capsys, *args, "--gamma", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: path CSV line {line}: expected i = {line - 2}")
 
     def test_kernel_m_disagreeing_with_m_rejected(self, capsys, tmp_path):
         p = tmp_path / "p.csv"

@@ -11,11 +11,8 @@ from jumpvol import (
     ModelSpec,
     ParameterError,
     PathSample,
-    cancelled_kernel_tqv,
-    corrected_tqv,
     jump_bias,
     kernel_moment,
-    realized_volatility,
     richardson,
     richardson_paired,
     simulate_path,
@@ -45,22 +42,6 @@ class TestEstimatorConfig:
         assert cfg.threshold(16) == pytest.approx(1.0)
 
 
-class TestRealizedVolatility:
-    def test_constant_path(self):
-        assert realized_volatility(make_path(np.zeros(11))) == 0.0
-
-    def test_single_unit_increment(self):
-        assert realized_volatility(make_path([0.0, 1.0, 1.0])) == 1.0
-
-    def test_brownian_mean(self):
-        model = ModelSpec(sigma=1.0)
-        vals = [
-            realized_volatility(simulate_path(model, 700, s)) for s in range(500)
-        ]
-        se = np.std(vals, ddof=1) / np.sqrt(len(vals))
-        assert abs(np.mean(vals) - 1.0) < 3 * se
-
-
 class TestTqv:
     def test_increment_outside_support(self):
         cfg = EstimatorConfig(beta=0.2, k=1.0)
@@ -75,14 +56,14 @@ class TestTqv:
         rng = np.random.default_rng(0)
         obs = np.cumsum(np.r_[0.0, rng.uniform(-thr / 4, thr / 4, 10)])
         p = make_path(obs)
-        assert tqv(p, cfg) == realized_volatility(p)
+        assert tqv(p, cfg) == np.sum(p.increments**2)
 
     def test_dominated_by_rv(self):
         cfg = EstimatorConfig(beta=0.3, k=1.0)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
         for s in range(5):
             p = simulate_path(model, 300, s)
-            assert 0.0 <= tqv(p, cfg) <= realized_volatility(p)
+            assert 0.0 <= tqv(p, cfg) <= np.sum(p.increments**2)
 
     def test_sign_flip_invariance(self):
         cfg = EstimatorConfig(beta=0.2, k=2.0)
@@ -143,8 +124,16 @@ def scaled_exactly(c, u):
     raise AssertionError(f"no increment maps to {c} under division by {u}")
 
 
+def dense_sums(dx, kernel, u):
+    """sum dx * dx * K(dx / u) over the last axis, taking a term as 0 where
+    K is 0: the truncated sum without the sparse pass of truncated_terms."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kv = kernel(dx / u)
+        return np.where(kv != 0.0, dx * dx * kv, 0.0).sum(axis=-1)
+
+
 class TestEstimates:
-    """Each row's (Q_n, Q_n - bias, Q_nc) equals the per-path estimators bit for bit."""
+    """Each row's (Q_n, Q_n - bias, Q_nc) equals the dense sums bit for bit."""
 
     ALPHA, GAMMA = 1.5, 1.0
 
@@ -172,14 +161,15 @@ class TestEstimates:
         block = self.block(config, M)
         values = estimates(block, config, self.ALPHA, self.GAMMA, M)
         assert values.shape == (len(block), 3)
+        n = block.shape[1]
+        u = config.threshold(n)
+        bias = jump_bias(self.ALPHA, config.beta, self.GAMMA, config.k, n, kernel)
+        q_n = dense_sums(block, kernel, u)
+        q_nc = dense_sums(block, cancelling_kernel(self.ALPHA, M), u)
+        expected = np.stack((q_n, q_n - bias, q_nc), axis=-1)
+        np.testing.assert_array_equal(values, expected)
         for row, got in zip(block, values):
-            path = PathSample(row)
-            expected = [
-                tqv(path, config),
-                corrected_tqv(path, config, self.ALPHA, self.GAMMA).final_estimate,
-                cancelled_kernel_tqv(path, config, self.ALPHA, M).final_estimate,
-            ]
-            np.testing.assert_array_equal(got, expected)
+            assert tqv(PathSample(row), config) == got[0]
             one_row = estimates(row, config, self.ALPHA, self.GAMMA, M)
             np.testing.assert_array_equal(one_row, got)
         assert np.isfinite(values).all()
@@ -219,37 +209,33 @@ class TestJumpBias:
 
 
 class TestCorrectedTqv:
+    """The corrected estimate: column 1 of `estimates`, Q_n minus the jump bias."""
+
     def test_gamma_zero_identity(self):
         cfg = EstimatorConfig(beta=0.2, k=2.0)
         p = simulate_path(ModelSpec(sigma=1.0), 200, 5)
-        res = corrected_tqv(p, cfg, 1.5, 0.0)
-        assert res.final_estimate == res.q_n == tqv(p, cfg)
+        q_n, q_corrected, _ = estimates(p.increments, cfg, 1.5, 0.0, 4.0)
+        assert q_corrected == q_n == tqv(p, cfg)
 
     def test_exact_decomposition(self):
         cfg = EstimatorConfig(beta=0.2, k=2.0)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.2))
         p = simulate_path(model, 300, 7)
-        res = corrected_tqv(p, cfg, 1.2, 1.0)
-        assert res.final_estimate + res.correction_applied == res.q_n
-
-    def test_normalized_error(self):
-        cfg = EstimatorConfig(beta=0.2, k=2.0)
-        p = simulate_path(ModelSpec(sigma=1.0), 100, 2)
-        res = corrected_tqv(p, cfg, 1.5, 0.0, sigma_sq=1.0)
-        assert res.normalized_error == pytest.approx(
-            (res.final_estimate - 1.0) * 10.0
-        )
+        q_n, q_corrected, _ = estimates(p.increments, cfg, 1.2, 1.0, 4.0)
+        assert q_corrected == q_n - jump_bias(1.2, 0.2, 1.0, 2.0, 300)
 
 
 class TestCancelledKernelTqv:
+    """The cancelled estimate Q_nc: column 2 of `estimates`."""
+
     def test_small_increments_equal_rv(self):
         cfg = EstimatorConfig(beta=0.2, k=1.0)
         thr = cfg.threshold(10)
         rng = np.random.default_rng(1)
         obs = np.cumsum(np.r_[0.0, rng.uniform(-thr / 4, thr / 4, 10)])
         p = make_path(obs)
-        res = cancelled_kernel_tqv(p, cfg, alpha=1.2, M=4.0)
-        assert res.final_estimate == realized_volatility(p)
+        q_nc = estimates(p.increments, cfg, 1.2, 1.0, 4.0)[2]
+        assert q_nc == np.sum(p.increments**2)
 
     def test_decomposition_vs_psi_sum(self):
         """Q_nc - Q_n = c_tilde * sum (dX)^2 psi(dX / thr)."""
@@ -260,8 +246,7 @@ class TestCancelledKernelTqv:
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
         p = simulate_path(model, 300, 9)
         alpha, M = 1.5, 4.0
-        q_n = tqv(p, cfg)
-        q_nc = cancelled_kernel_tqv(p, cfg, alpha, M).final_estimate
+        q_n, _, q_nc = estimates(p.increments, cfg, alpha, 1.0, M)
         thr = cfg.threshold(p.n)
         psi_sum = float(np.sum(p.increments**2 * psi(p.increments / thr, M)))
         assert q_nc - q_n == pytest.approx(c_tilde(alpha, M) * psi_sum, rel=1e-10)

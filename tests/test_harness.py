@@ -96,6 +96,17 @@ class TestParseConfig:
         cfg = parse_config("n_grid = 100 200 400 800\n")
         assert cfg.n_grid == (100, 200, 400, 800)
 
+    def test_repeated_global_key_last_wins(self):
+        """perfbench's tiny runs append `replicates` after a config's own."""
+        text = SAMPLE_CFG.replace("n = 300\n", "n = 100\nn = 300\n")
+        assert parse_config(text).n == 300
+
+    def test_repeated_cell_key_rejected(self):
+        """Within one [cell]; a cell key may still override a global default."""
+        text = SAMPLE_CFG.replace("alpha = 1.5\n", "alpha = 1.5\nalpha = 0.5\n")
+        with pytest.raises(ParameterError, match="line 12: alpha already set on line 11"):
+            parse_config(text)
+
     @pytest.mark.parametrize("kind", ["psi", "composite"])
     def test_kernel_takes_cell_m(self, kind):
         """A bare psi/composite spec gets the M that the E3 kernel uses."""
