@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 import time
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -209,12 +212,43 @@ class McReport:
     config: ExperimentConfig
     results: tuple[CellResult, ...]
     wall_time: float = 0.0
+    workers: int = 1
 
 
 REPORT_HEADER = (
     "alpha,gamma,beta,k,n,replicates,"
     "mean_e1,rms_e1,mean_e2,mean_e3,stderr_e1,stderr_e2,stderr_e3"
 )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _map_cells(fn, config: ExperimentConfig) -> tuple[list, int]:
+    """[fn(config, i) for every cell index i], and the processes it ran on.
+
+    Each cell seeds its own generators, so its result does not depend on
+    which process runs it, or when.  The cells run on forked workers, one per usable CPU
+    and at most one per cell; at one CPU, or where fork is unavailable, they
+    run in this process.  `fn` must be a module-level function, so that a
+    worker can find it by name.
+    """
+    indices = range(len(config.cells))
+    workers = min(_usable_cpus(), len(indices))
+    if workers > 1:
+        # Imported here, not at the top: it would add to `import jumpvol.cli`.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                args = zip(repeat(config), indices)
+                return pool.starmap(fn, args, chunksize=1), workers
+    return list(map(fn, repeat(config), indices)), 1
 
 
 def replicate_errors(config: ExperimentConfig, cell_idx: int) -> tuple:
@@ -253,13 +287,14 @@ def run_mc(config: ExperimentConfig) -> McReport:
 
     Replicates whose E1, E2 or E3 is not finite are excluded; a cell with
     more than 1% exclusions is flagged, and a cell with no finite replicate
-    is an error.
+    is an error.  The cells run on `_map_cells`' workers.
     """
     start = time.monotonic()
     reps = config.replicates
     results = []
-    for ci, cell in enumerate(config.cells):
-        errs, simulate_s, estimate_s = replicate_errors(config, ci)
+    per_cell, workers = _map_cells(replicate_errors, config)
+    for ci, (errs, simulate_s, estimate_s) in enumerate(per_cell):
+        cell = config.cells[ci]
         ok = errs[np.isfinite(errs).all(axis=1)]
         succeeded = ok.shape[0]
         if succeeded == 0:
@@ -286,7 +321,10 @@ def run_mc(config: ExperimentConfig) -> McReport:
             )
         )
     return McReport(
-        config=config, results=tuple(results), wall_time=time.monotonic() - start
+        config=config,
+        results=tuple(results),
+        wall_time=time.monotonic() - start,
+        workers=workers,
     )
 
 
@@ -306,6 +344,7 @@ def report_to_json(report: McReport) -> str:
     payload = {
         "config": report.config.as_dict(),
         "wall_time": report.wall_time,
+        "workers": report.workers,
         "cells": [dict(zip(header, res.row())) for res in report.results],
         "excluded": [res.excluded for res in report.results],
         "flagged": [res.flagged for res in report.results],
@@ -329,19 +368,28 @@ def emit_report(report: McReport, fmt: str, path: str) -> None:
 RATE_HEADER = "alpha,beta,expected_slope,fitted_slope,stderr"
 
 
+def _cell_rate_fit(config: ExperimentConfig, cell_idx: int) -> tuple[float, float]:
+    """`rate_fit` of one cell: (slope, stderr)."""
+    cell = config.cells[cell_idx]
+    return rate_fit(
+        cell.model(config.sigma),
+        cell.estimator_config(),
+        config.n_grid,
+        config.replicates,
+        config.seed,
+    )
+
+
 def run_rate_experiment(config: ExperimentConfig) -> str:
-    """Fit the bias decay exponent per cell; returns the rate-report CSV text."""
+    """Fit the bias decay exponent per cell; returns the rate-report CSV text.
+
+    The cells run on `_map_cells`' workers.
+    """
     if len(config.n_grid) < 4:
         raise DiagnosticError("rate experiment requires an n_grid of >= 4 values")
     lines = [RATE_HEADER]
-    for cell in config.cells:
-        slope, stderr = rate_fit(
-            cell.model(config.sigma),
-            cell.estimator_config(),
-            config.n_grid,
-            config.replicates,
-            config.seed,
-        )
+    fits, _ = _map_cells(_cell_rate_fit, config)
+    for cell, (slope, stderr) in zip(config.cells, fits):
         expected = cell.beta * (2.0 - cell.alpha)
         lines.append(
             ",".join(
@@ -363,7 +411,7 @@ def path_to_csv(path_sample) -> str:
 
 def path_from_csv(text: str) -> PathSample:
     """The path of a CSV with header i,t,x, whose rows are i = 0, 1, ..., n
-    in order with t within 1e-9 of i/n."""
+    in order with t within 1e-9 of i/n and a finite x."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "t", "x"]:
@@ -381,10 +429,12 @@ def path_from_csv(text: str) -> PathSample:
     if len(rows) < 3:
         raise ParameterError("path CSV must contain at least 3 observations")
     n = len(rows) - 1
-    for want, (line, i, t, _) in enumerate(rows):
+    for want, (line, i, t, x) in enumerate(rows):
         if i != want or not abs(t - want / n) <= 1e-9:
             raise ParameterError(
                 f"path CSV line {line}: expected i = {want}, t = {want / n!r}, "
                 f"got i = {i}, t = {t!r}"
             )
+        if not math.isfinite(x):
+            raise ParameterError(f"path CSV line {line}: x must be finite, got {x!r}")
     return PathSample.from_observations([x for *_, x in rows])

@@ -203,8 +203,11 @@ def _stable_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
     u = np.empty((len(gens), size))
     w = np.empty((len(gens), size))
     for row_u, row_w, gen in zip(u, w, gens):
-        row_u[:] = gen.uniform(-np.pi / 2, np.pi / 2, size)
+        gen.random(out=row_u)
         gen.standard_exponential(out=row_w)
+    # uniform(-pi/2, pi/2) bit for bit: it too is -pi/2 + pi * random()
+    u *= np.pi
+    u += -np.pi / 2
     _chambers_mallows_stuck(alpha, u, w)
     u *= scale
     return u

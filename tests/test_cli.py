@@ -146,9 +146,12 @@ class TestEstimate:
         assert run_cli(capsys, *args, "--gamma", "1")[0] == 0
         assert calls == [2]
 
-    @pytest.mark.parametrize("row", ["1,0.5", "1,0.5,abc"])
+    @pytest.mark.parametrize(
+        "row", ["1,0.5", "1,0.5,abc", "1,0.5,nan", "1,0.5,inf", "1,0.5,-inf"]
+    )
     def test_malformed_path_csv_exits_1(self, capsys, tmp_path, row):
-        """A short row or a non-numeric x is refused with the line it is on."""
+        """A short row, or an x that is not a number or not finite, is refused
+        with the line it is on; a non-finite x is not dropped from the sums."""
         p = tmp_path / "p.csv"
         p.write_text(f"i,t,x\n0,0.0,0.0\n{row}\n2,1.0,0.03\n")
         args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "1.5"]
@@ -254,6 +257,25 @@ k = 2
     def test_missing_config(self, capsys):
         code, _, _ = run_cli(capsys, "mc-table", "--config", "/no/such.cfg")
         assert code == 1
+
+    def test_every_replicate_failed_in_a_worker_exits_2(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The workers are forked, so they run the monkeypatched estimates."""
+        from jumpvol import harness
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG + "[cell]\nalpha = 1.5\ngamma = 1\nbeta = 0.2\nk = 2\n")
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(
+            harness, "estimates", lambda block, *args: np.full((len(block), 3), np.nan)
+        )
+        out = tmp_path / "table.csv"
+        args = ["mc-table", "--config", str(cfg), "--out", str(out)]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "every replicate failed" in err
+        assert not out.exists()
 
 
 class TestRateCheck:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -195,6 +196,86 @@ class TestRunMc:
         for key in ("simulate_s", "estimate_s"):
             assert len(payload[key]) == 1
             assert payload[key][0] > 0.0
+
+
+# Three cells, stable and tempered, so that two workers share them unevenly.
+POOL_CELLS = (
+    CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+    CellConfig(alpha=0.5, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
+    CellConfig(alpha=1.9, gamma=1.0, beta=0.2, k=2.0),
+)
+# Keys of the JSON report that are timings or say how the cells ran.
+RUN_KEYS = ("wall_time", "simulate_s", "estimate_s", "workers")
+
+
+def _cell_pid(config, cell_idx):
+    return os.getpid()
+
+
+class TestCellPool:
+    @pytest.fixture
+    def at_workers(self, monkeypatch):
+        """Run the cells on up to `count` processes, whatever this machine has."""
+        from jumpvol import harness
+
+        def at(count):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: count)
+
+        return at
+
+    def test_workers_are_other_processes(self, at_workers):
+        from jumpvol.harness import _map_cells
+
+        cfg = ExperimentConfig(cells=POOL_CELLS, n=50, replicates=2)
+        at_workers(1)
+        assert _map_cells(_cell_pid, cfg) == ([os.getpid()] * 3, 1)
+        at_workers(2)
+        pids, workers = _map_cells(_cell_pid, cfg)
+        assert workers == 2
+        assert os.getpid() not in pids
+        at_workers(8)
+        assert _map_cells(_cell_pid, cfg)[1] == 3  # at most one per cell
+
+    def test_mc_reports_do_not_depend_on_workers(self, at_workers):
+        cfg = ExperimentConfig(cells=POOL_CELLS, n=200, replicates=40, seed=11)
+        csvs, payloads = [], []
+        for count in (1, 2):
+            at_workers(count)
+            report = run_mc(cfg)
+            assert report.workers == count
+            csvs.append(report_to_csv(report))
+            payload = json.loads(report_to_json(report))
+            assert payload["workers"] == count
+            for key in RUN_KEYS:
+                del payload[key]
+            payloads.append(payload)
+        assert csvs[0] == csvs[1]
+        assert payloads[0] == payloads[1]
+
+    def test_rate_report_does_not_depend_on_workers(self, at_workers):
+        cfg = ExperimentConfig(
+            cells=POOL_CELLS, replicates=20, seed=3, n_grid=(50, 100, 200, 400)
+        )
+        texts = []
+        for count in (1, 2):
+            at_workers(count)
+            texts.append(run_rate_experiment(cfg))
+        assert len(texts[0].splitlines()) == 4
+        assert texts[0] == texts[1]
+
+    def test_error_raised_in_a_worker_reaches_the_caller(self, at_workers, monkeypatch):
+        """Forked workers run the monkeypatched estimates; what one raises is
+        raised again, with its type, in the caller."""
+        from jumpvol import NumericalError, harness
+
+        def failing(block, *args):
+            raise NumericalError("no estimate in this worker")
+
+        monkeypatch.setattr(harness, "estimates", failing)
+        at_workers(2)
+        cfg = ExperimentConfig(cells=POOL_CELLS, n=100, replicates=4)
+        with pytest.raises(NumericalError, match="no estimate in this worker"):
+            run_mc(cfg)
 
 
 class TestEmitReport:

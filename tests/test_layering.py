@@ -60,17 +60,26 @@ def test_no_module_imports_scipy():
     assert {m for m in MODULES if imports_scipy(m)} == set()
 
 
-def test_cli_import_loads_no_scipy():
-    """Nothing jumpvol imports pulls scipy in indirectly either."""
-    code = (
-        "import sys, jumpvol.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def modules_loaded_by_cli_import() -> list[str]:
+    """The modules that `import jumpvol.cli` leaves loaded in a fresh interpreter."""
+    code = "import sys, jumpvol.cli; print(' '.join(sorted(sys.modules)))"
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     argv = [sys.executable, "-c", code]
     result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    """Nothing jumpvol imports pulls scipy in indirectly either."""
+    loaded = modules_loaded_by_cli_import()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_multiprocessing_pool():
+    """The cell pool imports multiprocessing at first use, so that commands
+    which run no cells do not pay for its import."""
+    assert "multiprocessing.pool" not in modules_loaded_by_cli_import()
 
 
 def referenced_names(node: ast.AST) -> set[str]:
