@@ -22,6 +22,7 @@ from .harness import (
 from .kernels import parse_kernel
 from .levy import JumpLaw, ModelSpec, simulate_path
 from .stable import d_zeta_asymptotic, d_zeta_mc, d_zeta_quadrature
+from .workers import fork_map
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,9 +100,9 @@ def _cmd_dzeta(args) -> int:
         raise ParameterError("--zeta needs at least one value")
     seed = args.seed if args.seed is not None else 0
     mcs = d_zeta_mc(zetas, args.alpha, args.draws, seed, kernel)
+    quads = fork_map(lambda z: d_zeta_quadrature(z, args.alpha, kernel), zetas)
     lines = ["zeta,alpha,mc,quadrature,asymptotic,stderr"]
-    for z, (mc, stderr) in zip(zetas, mcs):
-        quad = d_zeta_quadrature(z, args.alpha, kernel)
+    for z, (mc, stderr), quad in zip(zetas, mcs, quads):
         asym = d_zeta_asymptotic(z, args.alpha, kernel)
         lines.append(f"{z!r},{args.alpha!r},{mc!r},{quad!r},{asym!r},{stderr!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)

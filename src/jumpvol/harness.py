@@ -6,17 +6,24 @@ import csv
 import io
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import DiagnosticError, NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, rate_fit
 from .kernels import parse_kernel
-from .levy import JumpLaw, ModelSpec, PathSample, replicate_blocks
+from .levy import (
+    JumpLaw,
+    ModelSpec,
+    PathSample,
+    block_rows,
+    simulate_increments,
+    stream_generator,
+    stream_states,
+)
+from .workers import fork_map, worker_count
 
 
 @dataclass(frozen=True)
@@ -221,61 +228,49 @@ REPORT_HEADER = (
 )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux
-        return os.cpu_count() or 1
+def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
+    """(E1, E2, E3) of every replicate of every cell, and the processes used.
 
-
-def _map_cells(fn, config: ExperimentConfig) -> tuple[list, int]:
-    """[fn(config, i) for every cell index i], and the processes it ran on.
-
-    Each cell seeds its own generators, so its result does not depend on
-    which process runs it, or when.  The cells run on forked workers, one per usable CPU
-    and at most one per cell; at one CPU, or where fork is unavailable, they
-    run in this process.  `fn` must be a module-level function, so that a
-    worker can find it by name.
+    Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
+    errors have shape (R, 3).  Replicate r of cell i is the path of stream
+    (seed, i, r).  The streams are seeded per cell up front; the paths are
+    then simulated and estimated in blocks of `block_rows(n)` rows, which
+    `fork_map` spreads over its processes.  A replicate's errors depend on
+    neither its block nor the process that ran it.  A cell's stage times
+    add up its blocks' times, in whichever process ran them.
     """
-    indices = range(len(config.cells))
-    workers = min(_usable_cpus(), len(indices))
-    if workers > 1:
-        # Imported here, not at the top: it would add to `import jumpvol.cli`.
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                args = zip(repeat(config), indices)
-                return pool.starmap(fn, args, chunksize=1), workers
-    return list(map(fn, repeat(config), indices)), 1
-
-
-def replicate_errors(config: ExperimentConfig, cell_idx: int) -> tuple:
-    """(E1, E2, E3) of every replicate of one cell, shape (R, 3), plus stage times.
-
-    Replicate r is the path of stream (seed, cell-index, r); the paths are
-    simulated and estimated in blocks of `block_rows(n)` rows, so a
-    replicate's errors do not depend on which block it falls in.  Returns
-    (errors, simulate_s, estimate_s).
-    """
-    cell = config.cells[cell_idx]
-    est_cfg = cell.estimator_config()
-    errors = np.empty((config.replicates, 3))
+    step = block_rows(config.n)
     root_n = np.sqrt(config.n)
-    simulate_s = estimate_s = 0.0
-    blocks = replicate_blocks(
-        cell.model(config.sigma), config.n, (config.seed, cell_idx), config.replicates
-    )
-    t0 = time.perf_counter()
-    for lo, block in blocks:
+    cells = [
+        (cell, cell.model(config.sigma), cell.estimator_config())
+        for cell in config.cells
+    ]
+    blocks = []  # (cell index, first replicate, stream states of its rows)
+    for ci in range(len(cells)):
+        states = stream_states((config.seed, ci), config.replicates)
+        starts = range(0, config.replicates, step)
+        blocks += [(ci, lo, states[lo : lo + step]) for lo in starts]
+
+    def block_errors(item):
+        ci, _, states = item
+        cell, model, est_cfg = cells[ci]
+        t0 = time.perf_counter()
+        gens = [stream_generator(state) for state in states]
+        block = simulate_increments(model, config.n, gens)
         t1 = time.perf_counter()
         est = estimates(block, est_cfg, cell.alpha, cell.gamma, cell.M)
-        errors[lo : lo + len(block)] = (est - config.sigma**2) * root_n
-        simulate_s += t1 - t0
-        t0 = time.perf_counter()
-        estimate_s += t0 - t1
-    return errors, simulate_s, estimate_s
+        errors = (est - config.sigma**2) * root_n
+        return errors, t1 - t0, time.perf_counter() - t1
+
+    per_cell = [[np.empty((config.replicates, 3)), 0.0, 0.0] for _ in cells]
+    for (ci, lo, _), (errors, simulate_s, estimate_s) in zip(
+        blocks, fork_map(block_errors, blocks)
+    ):
+        out = per_cell[ci]
+        out[0][lo : lo + len(errors)] = errors
+        out[1] += simulate_s
+        out[2] += estimate_s
+    return [tuple(out) for out in per_cell], worker_count(len(blocks))
 
 
 def _stderr(v: np.ndarray) -> float:
@@ -287,12 +282,12 @@ def run_mc(config: ExperimentConfig) -> McReport:
 
     Replicates whose E1, E2 or E3 is not finite are excluded; a cell with
     more than 1% exclusions is flagged, and a cell with no finite replicate
-    is an error.  The cells run on `_map_cells`' workers.
+    is an error.  The blocks of replicates run on `fork_map`'s processes.
     """
     start = time.monotonic()
     reps = config.replicates
     results = []
-    per_cell, workers = _map_cells(replicate_errors, config)
+    per_cell, workers = replicate_errors(config)
     for ci, (errs, simulate_s, estimate_s) in enumerate(per_cell):
         cell = config.cells[ci]
         ok = errs[np.isfinite(errs).all(axis=1)]
@@ -368,27 +363,20 @@ def emit_report(report: McReport, fmt: str, path: str) -> None:
 RATE_HEADER = "alpha,beta,expected_slope,fitted_slope,stderr"
 
 
-def _cell_rate_fit(config: ExperimentConfig, cell_idx: int) -> tuple[float, float]:
-    """`rate_fit` of one cell: (slope, stderr)."""
-    cell = config.cells[cell_idx]
-    return rate_fit(
-        cell.model(config.sigma),
-        cell.estimator_config(),
-        config.n_grid,
-        config.replicates,
-        config.seed,
-    )
-
-
 def run_rate_experiment(config: ExperimentConfig) -> str:
     """Fit the bias decay exponent per cell; returns the rate-report CSV text.
 
-    The cells run on `_map_cells`' workers.
+    The cells run on `fork_map`'s processes, one cell per item.
     """
     if len(config.n_grid) < 4:
         raise DiagnosticError("rate experiment requires an n_grid of >= 4 values")
+
+    def cell_fit(cell):
+        model, est_cfg = cell.model(config.sigma), cell.estimator_config()
+        return rate_fit(model, est_cfg, config.n_grid, config.replicates, config.seed)
+
     lines = [RATE_HEADER]
-    fits, _ = _map_cells(_cell_rate_fit, config)
+    fits = fork_map(cell_fit, config.cells)
     for cell, (slope, stderr) in zip(config.cells, fits):
         expected = cell.beta * (2.0 - cell.alpha)
         lines.append(

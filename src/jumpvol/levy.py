@@ -8,7 +8,10 @@ which is 1 (`tail_constant`).  All increments produced here are exact in law
 up to the Gaussian small-jump substitution used in the tempered case.  The
 block samplers draw one row per generator; `sample_stable_increment` takes
 a `size` and an `rng` that may be anything `np.random.default_rng` accepts
-(a Generator is used as it is).
+(a Generator is used as it is).  The stable sampler's two steps,
+`stable_draws` and the elementwise `stable_transform`, are public, so that
+a caller can draw in one process and transform slices of the draws in
+others.
 """
 
 from __future__ import annotations
@@ -189,28 +192,44 @@ def _chambers_mallows_stuck(alpha: float, u: np.ndarray, w: np.ndarray) -> None:
         np.multiply(a, c, out=up)
 
 
-def _stable_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
-    """One row of stable increments over time delta per generator, (rows, size).
+def stable_draws(gens, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms and exponentials of one row of stable draws per generator.
 
     Each row draws its uniforms, then its exponentials, from its own
-    generator; the Chambers-Mallows-Stuck transform and the scaling then run
-    over the whole block.  Both are elementwise, so a row does not depend on
-    the block.
+    generator; both arrays have shape (rows, size).  `stable_transform`
+    turns them into increments.
     """
-    if not delta > 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
     u = np.empty((len(gens), size))
     w = np.empty((len(gens), size))
     for row_u, row_w, gen in zip(u, w, gens):
         gen.random(out=row_u)
         gen.standard_exponential(out=row_w)
+    return u, w
+
+
+def stable_transform(
+    alpha: float, delta: float, u: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Overwrite the uniforms u of `stable_draws` with stable increments over
+    time delta and return u; w holds the matching exponentials.
+
+    The Chambers-Mallows-Stuck transform and the scaling are elementwise,
+    so any slice of the draws transforms to the same slice of increments.
+    """
+    if not delta > 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
     # uniform(-pi/2, pi/2) bit for bit: it too is -pi/2 + pi * random()
     u *= np.pi
     u += -np.pi / 2
     _chambers_mallows_stuck(alpha, u, w)
     u *= scale
     return u
+
+
+def _stable_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
+    """One row of stable increments over time delta per generator, (rows, size)."""
+    return stable_transform(alpha, delta, *stable_draws(gens, size))
 
 
 def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:

@@ -20,7 +20,15 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, check_alpha
 from .kernels import Kernel, kernel_moment, truncated_terms
-from .levy import sample_stable_increment, stable_scale, tail_constant, tanh_sinh
+from .levy import (
+    BLOCK_INCREMENTS,
+    stable_draws,
+    stable_scale,
+    stable_transform,
+    tail_constant,
+    tanh_sinh,
+)
+from .workers import fork_map
 
 
 _EPS = np.finfo(float).eps
@@ -255,12 +263,8 @@ def _check_zeta(zeta: float) -> float:
     return abs(zeta)
 
 
-def _chunk_sums(s: np.ndarray, zeta: float, kernel: Kernel) -> tuple[float, float]:
-    """Sums of S^2 K(S*zeta) and of its square over one chunk of draws.
-
-    Its temporaries are freed on return, so a multi-zeta call holds one
-    zeta's chunk-sized arrays at a time.
-    """
+def _piece_sums(s: np.ndarray, zeta: float, kernel: Kernel) -> tuple[float, float]:
+    """Sums of S^2 K(S*zeta) and of its square over one piece of draws."""
     (vals,) = truncated_terms(s, s * zeta, kernel)
     return float(vals.sum()), float((vals * vals).sum())
 
@@ -278,6 +282,12 @@ def d_zeta_mc(
     per zeta, all from the same n_draws draws, and entry i equals the
     scalar call at zeta[i] with the same seed bit for bit.  `seed` is
     anything `np.random.default_rng` accepts.
+
+    The draws come in chunks of 10^6: the uniforms, then the exponentials
+    of a chunk are drawn in the caller.  Pieces of BLOCK_INCREMENTS draws
+    are then transformed and summed for every zeta while they are in
+    cache, on `fork_map`'s processes; the piece sums are added in piece
+    order, so the result does not depend on the number of processes.
     """
     zetas = np.asarray(zeta, dtype=float)
     scalar = zetas.ndim == 0
@@ -288,15 +298,24 @@ def d_zeta_mc(
         _check_zeta(z)
     if n_draws < 1:
         raise ParameterError("n_draws must be positive")
+    check_alpha(alpha)
     gen = np.random.default_rng(seed)
     totals = np.zeros((zetas.size, 2))
     chunk = 1_000_000
     remaining = n_draws
     while remaining > 0:
         m = min(chunk, remaining)
-        s = sample_stable_increment(alpha, 1.0, gen, m)
-        for i, z in enumerate(zetas):
-            totals[i] += _chunk_sums(s, float(z), kernel)
+        (u,), (w,) = stable_draws([gen], m)
+
+        def piece_sums(lo):
+            hi = lo + BLOCK_INCREMENTS
+            # transformed in a copy: writing to u would make a forked
+            # worker copy the caller's pages, one fault at a time
+            s = stable_transform(alpha, 1.0, u[lo:hi].copy(), w[lo:hi])
+            return [_piece_sums(s, float(z), kernel) for z in zetas]
+
+        for sums in fork_map(piece_sums, range(0, m, BLOCK_INCREMENTS)):
+            totals += sums
         remaining -= m
     out = []
     for total, total_sq in totals:

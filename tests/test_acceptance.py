@@ -354,8 +354,9 @@ class TestCriterion9:
         first = run_mc(cfg)
         rerun_ok = report_to_csv(first) == report_to_csv(run_mc(cfg))
         mismatches = 0
+        per_cell, _ = replicate_errors(cfg)
         for ci, cell in enumerate(cells):
-            errors, _, _ = replicate_errors(cfg, ci)
+            errors, _, _ = per_cell[ci]
             est, model = cell.estimator_config(), cell.model(cfg.sigma)
             for r in range(cfg.replicates):
                 seed = np.random.SeedSequence((cfg.seed, ci, r))

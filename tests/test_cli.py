@@ -262,11 +262,11 @@ k = 2
         self, capsys, tmp_path, monkeypatch
     ):
         """The workers are forked, so they run the monkeypatched estimates."""
-        from jumpvol import harness
+        from jumpvol import harness, workers
 
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CFG + "[cell]\nalpha = 1.5\ngamma = 1\nbeta = 0.2\nk = 2\n")
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(
             harness, "estimates", lambda block, *args: np.full((len(block), 3), np.nan)
         )
@@ -276,6 +276,68 @@ k = 2
         assert code == 2
         assert "every replicate failed" in err
         assert not out.exists()
+
+
+# Runs the CLI on argv with fork_map at two processes, whatever this machine
+# has, after running `patch`; CALLER is the calling process.
+FORKED_CLI = """
+import os, sys
+from jumpvol import cli, harness, workers
+workers.usable_cpus = lambda: 2
+CALLER = os.getpid()
+{patch}
+sys.exit(cli.cli(sys.argv[1:]))
+"""
+
+
+def run_forked_cli(*argv, patch=""):
+    """The CLI in a fresh interpreter whose output is a pipe, as
+    (exit code, stdout, stderr); a run that does not end fails the test."""
+    src = str(Path(jumpvol.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
+    code = FORKED_CLI.format(patch=patch)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestForkedWorkers:
+    def test_killed_worker_exits_1(self, tmp_path):
+        """A worker killed by a signal, as by the OOM killer, ends the run
+        with an error that names the signal, instead of a hang."""
+        cfg = tmp_path / "exp.cfg"
+        # two blocks of rows, so that one runs in a worker
+        cfg.write_text(TestMcTable.CFG.replace("replicates = 6", "replicates = 200"))
+        patch = (
+            "estimates = harness.estimates\n"
+            "def killing(*args):\n"
+            "    if os.getpid() != CALLER:\n"
+            "        os.kill(os.getpid(), 9)\n"
+            "    return estimates(*args)\n"
+            "harness.estimates = killing\n"
+        )
+        out = tmp_path / "table.csv"
+        args = ["mc-table", "--config", str(cfg), "--out", str(out)]
+        code, stdout, err = run_forked_cli(*args, patch=patch)
+        assert code == 1
+        assert err.startswith("error: worker process") and "SIGKILL" in err
+        assert not out.exists()
+
+    def test_dzeta_prints_once(self):
+        """Forked workers leave without flushing the output they inherit."""
+        args = ["dzeta", "--alpha", "1.5", "--zeta", "0.1,0.01,0.001"]
+        code, out, err = run_forked_cli(*args, "--draws", "40000", "--seed", "2")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "zeta,alpha,mc,quadrature,asymptotic,stderr"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.1", "0.01", "0.001"]
 
 
 class TestRateCheck:

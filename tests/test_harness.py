@@ -12,7 +12,9 @@ from jumpvol import (
     CellConfig,
     ExperimentConfig,
     ParameterError,
+    d_zeta_mc,
     parse_config,
+    parse_kernel,
     run_mc,
     run_rate_experiment,
 )
@@ -24,7 +26,9 @@ from jumpvol.harness import (
     report_to_csv,
     report_to_json,
 )
+from jumpvol import workers
 from jumpvol.levy import ModelSpec, PathSample, simulate_path
+from jumpvol.workers import fork_map
 
 SAMPLE_CFG = """\
 # comment line
@@ -198,7 +202,7 @@ class TestRunMc:
             assert payload[key][0] > 0.0
 
 
-# Three cells, stable and tempered, so that two workers share them unevenly.
+# Three cells, stable and tempered, so that the workers share them unevenly.
 POOL_CELLS = (
     CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
     CellConfig(alpha=0.5, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
@@ -208,48 +212,49 @@ POOL_CELLS = (
 RUN_KEYS = ("wall_time", "simulate_s", "estimate_s", "workers")
 
 
-def _cell_pid(config, cell_idx):
-    return os.getpid()
-
-
 class TestCellPool:
     @pytest.fixture
     def at_workers(self, monkeypatch):
-        """Run the cells on up to `count` processes, whatever this machine has."""
-        from jumpvol import harness
+        """Run `fork_map` on up to `count` processes, whatever this machine has."""
 
         def at(count):
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: count)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: count)
 
         return at
 
     def test_workers_are_other_processes(self, at_workers):
-        from jumpvol.harness import _map_cells
-
-        cfg = ExperimentConfig(cells=POOL_CELLS, n=50, replicates=2)
+        """The caller runs items 0, w, 2w, ...; every other share has its own child."""
+        me = os.getpid()
         at_workers(1)
-        assert _map_cells(_cell_pid, cfg) == ([os.getpid()] * 3, 1)
+        assert fork_map(lambda x: os.getpid(), range(3)) == [me] * 3
         at_workers(2)
-        pids, workers = _map_cells(_cell_pid, cfg)
-        assert workers == 2
-        assert os.getpid() not in pids
+        pids = fork_map(lambda x: os.getpid(), range(5))
+        assert pids[::2] == [me] * 3
+        assert pids[1] == pids[3] != me
         at_workers(8)
-        assert _map_cells(_cell_pid, cfg)[1] == 3  # at most one per cell
+        pids = fork_map(lambda x: os.getpid(), range(3))
+        assert pids[0] == me and len(set(pids)) == 3  # at most one per item
 
-    def test_mc_reports_do_not_depend_on_workers(self, at_workers):
-        cfg = ExperimentConfig(cells=POOL_CELLS, n=200, replicates=40, seed=11)
-        csvs, payloads = [], []
-        for count in (1, 2):
-            at_workers(count)
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_results_keep_item_order(self, at_workers, count):
+        at_workers(count)
+        items = [3.5, -1.0, 7.25, 0.0, 2.0, 11.0, 5.5]
+        assert fork_map(lambda x: (x, x * x), items) == [(x, x * x) for x in items]
+        assert fork_map(lambda x: x, []) == []
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_mc_reports_do_not_depend_on_workers(self, at_workers, count):
+        cfg = ExperimentConfig(cells=POOL_CELLS, n=200, replicates=200, seed=11)
+        payloads = []
+        for processes in (1, count):
+            at_workers(processes)
             report = run_mc(cfg)
-            assert report.workers == count
-            csvs.append(report_to_csv(report))
+            assert report.workers == processes
             payload = json.loads(report_to_json(report))
-            assert payload["workers"] == count
+            assert payload["workers"] == processes
             for key in RUN_KEYS:
                 del payload[key]
-            payloads.append(payload)
-        assert csvs[0] == csvs[1]
+            payloads.append((report_to_csv(report), payload))
         assert payloads[0] == payloads[1]
 
     def test_rate_report_does_not_depend_on_workers(self, at_workers):
@@ -257,11 +262,21 @@ class TestCellPool:
             cells=POOL_CELLS, replicates=20, seed=3, n_grid=(50, 100, 200, 400)
         )
         texts = []
-        for count in (1, 2):
+        for count in (1, 2, 3):
             at_workers(count)
             texts.append(run_rate_experiment(cfg))
         assert len(texts[0].splitlines()) == 4
-        assert texts[0] == texts[1]
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_dzeta_mc_does_not_depend_on_workers(self, at_workers):
+        """Piece sums are added in piece order, whichever process made them;
+        2 * 10^6 + 5000 draws take two chunks, the second one short."""
+        kernel = parse_kernel("composite:M=4", 1.5)
+        results = []
+        for count in (1, 2, 3):
+            at_workers(count)
+            results.append(d_zeta_mc([0.1, 0.001], 1.5, 2 * 10**6 + 5000, 9, kernel))
+        assert results[0] == results[1] == results[2]
 
     def test_error_raised_in_a_worker_reaches_the_caller(self, at_workers, monkeypatch):
         """Forked workers run the monkeypatched estimates; what one raises is
@@ -276,6 +291,37 @@ class TestCellPool:
         cfg = ExperimentConfig(cells=POOL_CELLS, n=100, replicates=4)
         with pytest.raises(NumericalError, match="no estimate in this worker"):
             run_mc(cfg)
+
+    @pytest.mark.parametrize("failing_item", [0, 1, 5])
+    def test_exception_keeps_its_type(self, at_workers, failing_item):
+        """Item 0 fails in the caller, items 1 and 5 in the children."""
+
+        def fn(x):
+            if x == failing_item:
+                raise KeyError(f"item {x}")
+            return x
+
+        at_workers(3)
+        with pytest.raises(KeyError, match=f"item {failing_item}"):
+            fork_map(fn, range(6))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here"
+    )
+    def test_caller_affinity_is_restored(self, at_workers):
+        """Caller and workers end with the mask the caller started with."""
+        original = os.sched_getaffinity(0)
+        try:
+            # start from every CPU this process may be given, not from a
+            # mask that some earlier call may have narrowed
+            os.sched_setaffinity(0, range(os.cpu_count() or 1))
+            before = os.sched_getaffinity(0)
+            at_workers(2)
+            masks = fork_map(lambda x: os.sched_getaffinity(0), range(4))
+            assert os.sched_getaffinity(0) == before
+            assert masks == [before] * 4
+        finally:
+            os.sched_setaffinity(0, original)
 
 
 class TestEmitReport:
