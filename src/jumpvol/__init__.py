@@ -35,7 +35,7 @@ from .levy import (
     stable_scale,
     tail_constant,
 )
-from .stable import d_zeta_asymptotic, d_zeta_mc, d_zeta_quadrature, stable_density
+from .stable import d_zeta, d_zeta_asymptotic, d_zeta_quadrature, stable_density
 
 __version__ = "0.1.0"
 
@@ -54,8 +54,8 @@ __all__ = [
     "c_alpha",
     "c_tilde",
     "cancelling_kernel",
+    "d_zeta",
     "d_zeta_asymptotic",
-    "d_zeta_mc",
     "d_zeta_quadrature",
     "emit_report",
     "estimates",

@@ -21,8 +21,7 @@ from .harness import (
 )
 from .kernels import parse_kernel
 from .levy import JumpLaw, ModelSpec, simulate_path
-from .stable import d_zeta_asymptotic, d_zeta_mc, d_zeta_quadrature
-from .workers import fork_map
+from .stable import d_zeta, d_zeta_asymptotic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,10 +98,9 @@ def _cmd_dzeta(args) -> int:
     if not zetas:
         raise ParameterError("--zeta needs at least one value")
     seed = args.seed if args.seed is not None else 0
-    mcs = d_zeta_mc(zetas, args.alpha, args.draws, seed, kernel)
-    quads = fork_map(lambda z: d_zeta_quadrature(z, args.alpha, kernel), zetas)
+    rows = d_zeta(zetas, args.alpha, args.draws, seed, kernel)
     lines = ["zeta,alpha,mc,quadrature,asymptotic,stderr"]
-    for z, (mc, stderr), quad in zip(zetas, mcs, quads):
+    for z, (mc, stderr, quad) in zip(zetas, rows):
         asym = d_zeta_asymptotic(z, args.alpha, kernel)
         lines.append(f"{z!r},{args.alpha!r},{mc!r},{quad!r},{asym!r},{stderr!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)
@@ -172,10 +170,10 @@ def _retain_freed_memory() -> None:
     """Ask glibc's malloc to keep freed memory for reuse rather than return it.
 
     The commands free and allocate arrays of the same sizes over and over:
-    blocks of about 128 KB in mc-table and rate-check, 8 MB chunks of draws
-    in dzeta.  At glibc's default thresholds (128 KB, raised only as mmapped
-    blocks are freed) much of that memory goes back to the system and
-    faults in again: about 41 000 page faults in an mc-table run of
+    blocks of about 128 KB in mc-table and rate-check, pieces of 128 KB of
+    draws in dzeta.  At glibc's default thresholds (128 KB, raised only as
+    mmapped blocks are freed) much of that memory goes back to the system
+    and faults in again: about 41 000 page faults in an mc-table run of
     table_beta02.cfg, against a few hundred with these thresholds.  Where
     malloc is not glibc's, nothing changes.
     """

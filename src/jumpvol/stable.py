@@ -21,10 +21,11 @@ import numpy as np
 from .errors import NumericalError, ParameterError, check_alpha
 from .kernels import Kernel, kernel_moment, truncated_terms
 from .levy import (
-    BLOCK_INCREMENTS,
     stable_draws,
     stable_scale,
     stable_transform,
+    stream_generator,
+    stream_states,
     tail_constant,
     tanh_sinh,
 )
@@ -263,65 +264,85 @@ def _check_zeta(zeta: float) -> float:
     return abs(zeta)
 
 
+def _check_quadrature_range(zeta: float) -> None:
+    if not _QUAD_ZETA_MIN <= abs(zeta) <= _QUAD_ZETA_MAX:
+        raise NumericalError(
+            f"zeta={zeta} is outside the quadrature's range "
+            f"{_QUAD_ZETA_MIN:g} <= |zeta| <= {_QUAD_ZETA_MAX:g}"
+        )
+
+
 def _piece_sums(s: np.ndarray, zeta: float, kernel: Kernel) -> tuple[float, float]:
     """Sums of S^2 K(S*zeta) and of its square over one piece of draws."""
     (vals,) = truncated_terms(s, s * zeta, kernel)
     return float(vals.sum()), float((vals * vals).sum())
 
 
-def d_zeta_mc(
+# Draws per piece of the Monte Carlo in d_zeta, each from its own stream.
+# Its own constant, so that tuning the simulation blocks never moves d(zeta)'s
+# draws.
+MC_PIECE_DRAWS = 16_384
+
+
+def d_zeta(
     zeta: float | Sequence[float],
     alpha: float,
     n_draws: int,
-    seed,
+    seed: int,
     kernel: Kernel = Kernel("phi"),
-) -> tuple[float, float] | list[tuple[float, float]]:
-    """Monte Carlo value of E[S^2 K(S*zeta)] with a standard-error estimate.
+) -> tuple[float, float, float] | list[tuple[float, float, float]]:
+    """E[S^2 K(S*zeta)] by Monte Carlo, with its standard error, and by quadrature.
 
-    A float zeta gives (mean, stderr); a 1-D sequence gives one such pair
-    per zeta, all from the same n_draws draws, and entry i equals the
-    scalar call at zeta[i] with the same seed bit for bit.  `seed` is
-    anything `np.random.default_rng` accepts.
+    A float zeta gives (mc, stderr, quadrature); a 1-D sequence gives one
+    such triple per zeta, the Monte Carlo of every zeta from the same
+    n_draws draws, and entry i equals the scalar call at zeta[i] bit for
+    bit.  Every argument is checked, every zeta against the quadrature's
+    range too, before anything is drawn.
 
-    The draws come in chunks of 10^6: the uniforms, then the exponentials
-    of a chunk are drawn in the caller.  Pieces of BLOCK_INCREMENTS draws
-    are then transformed and summed for every zeta while they are in
-    cache, on `fork_map`'s processes; the piece sums are added in piece
-    order, so the result does not depend on the number of processes.
+    The draws come in pieces of MC_PIECE_DRAWS, the last one shorter; piece
+    i draws its uniforms, then its exponentials, from its own stream
+    SeedSequence((seed, i)), so `seed` must be a non-negative integer.  One
+    `fork_map` runs the quadrature of each zeta, then the pieces: each
+    piece is transformed into stable draws and summed for every zeta while
+    it is in cache.  The piece sums are added in piece order, so nothing
+    depends on the number of processes.
     """
     zetas = np.asarray(zeta, dtype=float)
     scalar = zetas.ndim == 0
     zetas = np.atleast_1d(zetas)
     if zetas.ndim != 1 or zetas.size == 0:
         raise ParameterError("zeta must be a float or a non-empty 1-D sequence")
+    zetas = [float(z) for z in zetas]
     for z in zetas:
         _check_zeta(z)
-    if n_draws < 1:
-        raise ParameterError("n_draws must be positive")
     check_alpha(alpha)
-    gen = np.random.default_rng(seed)
-    totals = np.zeros((zetas.size, 2))
-    chunk = 1_000_000
-    remaining = n_draws
-    while remaining > 0:
-        m = min(chunk, remaining)
-        (u,), (w,) = stable_draws([gen], m)
+    if not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
+        raise ParameterError(f"n_draws must be a positive integer, got {n_draws!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    for z in zetas:
+        _check_quadrature_range(z)
+    pieces = -(-n_draws // MC_PIECE_DRAWS)
+    states = stream_states((seed,), pieces)
 
-        def piece_sums(lo):
-            hi = lo + BLOCK_INCREMENTS
-            # transformed in a copy: writing to u would make a forked
-            # worker copy the caller's pages, one fault at a time
-            s = stable_transform(alpha, 1.0, u[lo:hi].copy(), w[lo:hi])
-            return [_piece_sums(s, float(z), kernel) for z in zetas]
+    def item(i):
+        if i < len(zetas):
+            return d_zeta_quadrature(zetas[i], alpha, kernel)
+        piece = i - len(zetas)
+        size = min(MC_PIECE_DRAWS, n_draws - piece * MC_PIECE_DRAWS)
+        (u,), (w,) = stable_draws([stream_generator(states[piece])], size)
+        s = stable_transform(alpha, 1.0, u, w)
+        return [_piece_sums(s, z, kernel) for z in zetas]
 
-        for sums in fork_map(piece_sums, range(0, m, BLOCK_INCREMENTS)):
-            totals += sums
-        remaining -= m
+    results = fork_map(item, range(len(zetas) + pieces))
+    totals = np.zeros((len(zetas), 2))
+    for sums in results[len(zetas) :]:
+        totals += sums
     out = []
-    for total, total_sq in totals:
+    for (total, total_sq), quad in zip(totals, results):
         mean = float(total / n_draws)
         var = max(float(total_sq / n_draws) - mean * mean, 0.0)
-        out.append((mean, float(np.sqrt(var / n_draws))))
+        out.append((mean, float(np.sqrt(var / n_draws)), quad))
     return out[0] if scalar else out
 
 
@@ -345,11 +366,7 @@ def d_zeta_quadrature(
     """
     az = _check_zeta(zeta)
     check_alpha(alpha)
-    if not _QUAD_ZETA_MIN <= az <= _QUAD_ZETA_MAX:
-        raise NumericalError(
-            f"zeta={zeta} is outside the quadrature's range "
-            f"{_QUAD_ZETA_MIN:g} <= |zeta| <= {_QUAD_ZETA_MAX:g}"
-        )
+    _check_quadrature_range(zeta)
     knee = min(az, 1.0)
     pieces = [tanh_sinh(0.0, knee)]
     edges = np.linspace(log(knee), 0.0, ceil(-log(knee) / _QUAD_ZETA_LOG_PIECE) + 1)

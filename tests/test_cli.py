@@ -455,13 +455,37 @@ class TestDzeta:
         assert "alpha must lie in (0, 2)" in err
         assert out == ""
 
-    def test_zeta_below_quadrature_range_exits_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "dzeta", "--alpha", "1.5", "--zeta", "1e-300", "--draws", "100"
-        )
+    def test_zeta_below_quadrature_range_exits_2(self, capsys, monkeypatch):
+        """The range is checked before any stream is seeded or drawn from,
+        however many draws are asked for."""
+        calls = []
+        for name in ("stream_states", "stable_draws"):
+            real = getattr(jumpvol.stable, name)
+            spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            monkeypatch.setattr(jumpvol.stable, name, spy)
+        args = ["--alpha", "1.5", "--zeta", "1e-300", "--draws", "100000000"]
+        code, out, err = run_cli(capsys, "dzeta", *args)
         assert code == 2
         assert "outside the quadrature's range" in err
         assert out == ""
+        assert calls == []
+
+    def test_one_fork_map_per_command(self, capsys, monkeypatch):
+        """The quadratures and the Monte Carlo pieces are items of one map."""
+        calls = []
+        fork_map = jumpvol.stable.fork_map
+
+        def counting(fn, items):
+            calls.append(items)
+            return fork_map(fn, items)
+
+        monkeypatch.setattr(jumpvol.stable, "fork_map", counting)
+        args = ["--alpha", "1.5", "--zeta", "0.1,0.01,0.001", "--draws", "100000"]
+        code, out, _ = run_cli(capsys, "dzeta", *args)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        assert len(calls) == 1
+        assert len(calls[0]) == 3 + 7  # three quadratures, then 7 pieces
 
 
 class TestNegativeSeed:

@@ -12,7 +12,8 @@ from jumpvol import (
     CellConfig,
     ExperimentConfig,
     ParameterError,
-    d_zeta_mc,
+    d_zeta,
+    d_zeta_quadrature,
     parse_config,
     parse_kernel,
     run_mc,
@@ -270,13 +271,17 @@ class TestCellPool:
 
     def test_dzeta_mc_does_not_depend_on_workers(self, at_workers):
         """Piece sums are added in piece order, whichever process made them;
-        2 * 10^6 + 5000 draws take two chunks, the second one short."""
+        2 * 10^6 + 5000 draws take 123 pieces, the last one short.  The
+        quadratures are items of the same map."""
         kernel = parse_kernel("composite:M=4", 1.5)
         results = []
         for count in (1, 2, 3):
             at_workers(count)
-            results.append(d_zeta_mc([0.1, 0.001], 1.5, 2 * 10**6 + 5000, 9, kernel))
+            results.append(d_zeta([0.1, 0.001], 1.5, 2 * 10**6 + 5000, 9, kernel))
         assert results[0] == results[1] == results[2]
+        assert [quad for *_, quad in results[0]] == [
+            d_zeta_quadrature(z, 1.5, kernel) for z in (0.1, 0.001)
+        ]
 
     def test_error_raised_in_a_worker_reaches_the_caller(self, at_workers, monkeypatch):
         """Forked workers run the monkeypatched estimates; what one raises is

@@ -13,8 +13,8 @@ from jumpvol import (
     NumericalError,
     ParameterError,
     c_alpha,
+    d_zeta,
     d_zeta_asymptotic,
-    d_zeta_mc,
     d_zeta_quadrature,
     kernel_moment,
     parse_kernel,
@@ -23,6 +23,7 @@ from jumpvol import (
 )
 from jumpvol.levy import sample_stable_increment, stable_scale
 from jumpvol.stable import (
+    MC_PIECE_DRAWS,
     _SERIES_RTOL,
     _inversion,
     _series_coefficients,
@@ -207,14 +208,14 @@ class TestDZeta:
         with pytest.raises(ParameterError):
             d_zeta_quadrature(0.0, 1.2)
         with pytest.raises(ParameterError):
-            d_zeta_mc(0.0, 1.2, 100, 0)
+            d_zeta(0.0, 1.2, 100, 0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ParameterError, match="finite"):
-            d_zeta_mc(bad, 1.2, 100, 0)
+            d_zeta(bad, 1.2, 100, 0)
         with pytest.raises(ParameterError, match="finite"):
-            d_zeta_mc([0.1, bad], 1.2, 100, 0)
+            d_zeta([0.1, bad], 1.2, 100, 0)
         with pytest.raises(ParameterError, match="finite"):
             d_zeta_quadrature(bad, 1.2)
         with pytest.raises(ParameterError, match="finite"):
@@ -265,16 +266,14 @@ class TestDZeta:
         )
 
     def test_mc_agrees_with_quadrature(self):
-        mc, se = d_zeta_mc(0.01, 0.5, 10**6, 123)
-        quad = d_zeta_quadrature(0.01, 0.5)
+        mc, se, quad = d_zeta(0.01, 0.5, 10**6, 123)
         assert abs(mc - quad) < 4 * se
 
     @pytest.mark.parametrize("zeta", [0.1, 0.01])
     def test_mc_agrees_with_quadrature_for_composite(self, zeta):
         """The composite kernel goes negative; its negative terms count in both."""
         kernel = parse_kernel("composite", 1.5)
-        mc, se = d_zeta_mc(zeta, 1.5, 10**6, 123, kernel)
-        quad = d_zeta_quadrature(zeta, 1.5, kernel)
+        mc, se, quad = d_zeta(zeta, 1.5, 10**6, 123, kernel)
         assert abs(mc - quad) < 4 * se
 
     def test_divergence_rate(self):
@@ -304,43 +303,82 @@ class TestDZeta:
 
 
 class TestDZetaMcSharedDraws:
-    """Every zeta of one d_zeta_mc call is evaluated on the same draws."""
+    """Every zeta of one d_zeta call is evaluated on the same draws."""
 
     ZETAS = [0.1, -0.01, 0.001]
 
     def test_sequence_equals_scalar_calls(self):
         kernel = parse_kernel("composite:M=4", 1.5)
-        many = d_zeta_mc(self.ZETAS, 1.5, 5000, 7, kernel)
-        assert many == [d_zeta_mc(z, 1.5, 5000, 7, kernel) for z in self.ZETAS]
+        many = d_zeta(self.ZETAS, 1.5, 5000, 7, kernel)
+        assert many == [d_zeta(z, 1.5, 5000, 7, kernel) for z in self.ZETAS]
 
-    def test_sequence_equals_scalar_calls_across_chunks(self):
-        """n_draws above the 10^6-draw chunk: sums carry over between chunks."""
+    def test_sequence_equals_scalar_calls_across_pieces(self):
+        """Piece i draws from the stream SeedSequence((seed, i)), and sums
+        carry over between pieces; the last piece here is short."""
         n = 1_000_000 + 3001
         zetas = np.array([0.05, 0.005])
-        many = d_zeta_mc(zetas, 0.5, n, 11)
-        assert many == [d_zeta_mc(float(z), 0.5, n, 11) for z in zetas]
-        gen = np.random.default_rng(11)
+        many = d_zeta(zetas, 0.5, n, 11)
+        assert many == [d_zeta(float(z), 0.5, n, 11) for z in zetas]
+        sizes = [min(MC_PIECE_DRAWS, n - lo) for lo in range(0, n, MC_PIECE_DRAWS)]
+        assert 0 < sizes[-1] < MC_PIECE_DRAWS
         s = np.concatenate(
             [
-                sample_stable_increment(0.5, 1.0, gen, 1_000_000),
-                sample_stable_increment(0.5, 1.0, gen, 3001),
+                sample_stable_increment(0.5, 1.0, np.random.SeedSequence((11, i)), m)
+                for i, m in enumerate(sizes)
             ]
         )
-        for z, (mean, stderr) in zip(zetas, many):
+        for z, (mean, stderr, _) in zip(zetas, many):
             weights = Kernel("phi")(s * z)
             vals = np.where(weights > 0.0, s * s * weights, 0.0)
             assert mean == pytest.approx(vals.mean(), rel=1e-12)
             assert stderr == pytest.approx(vals.std() / np.sqrt(n), rel=1e-9)
 
+    def test_frozen_mc(self):
+        """Frozen from this implementation (quadrature 51.4398): a change of
+        the streams or of how a piece is drawn moves them by far more."""
+        mc, stderr, _ = d_zeta(0.01, 1.5, 50_000, 5)
+        assert mc == pytest.approx(49.62160846559793, rel=1e-10)
+        assert stderr == pytest.approx(2.106096858084172, rel=1e-10)
+
     def test_result_shapes(self):
-        one = d_zeta_mc(0.1, 1.2, 100, 0)
-        assert isinstance(one, tuple) and all(type(v) is float for v in one)
-        assert d_zeta_mc([0.1], 1.2, 100, 0) == [one]
+        one = d_zeta(0.1, 1.2, 100, 0)
+        assert isinstance(one, tuple) and len(one) == 3
+        assert all(type(v) is float for v in one)
+        assert one[2] == d_zeta_quadrature(0.1, 1.2)
+        assert d_zeta([0.1], 1.2, 100, 0) == [one]
 
     @pytest.mark.parametrize("zeta", [[], [[0.1, 0.2]], [0.1, 0.0]])
     def test_rejects_bad_sequences(self, zeta):
         with pytest.raises(ParameterError):
-            d_zeta_mc(zeta, 1.2, 100, 0)
+            d_zeta(zeta, 1.2, 100, 0)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, 1.5, np.random.default_rng(0)],
+        ids=["negative", "float", "generator"],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        """The seed keys the pieces' streams, so only an integer will do."""
+        with pytest.raises(ParameterError, match="non-negative integer") as info:
+            d_zeta(0.1, 1.2, 100, seed)
+        assert repr(seed) in str(info.value)
+
+    @pytest.mark.parametrize("n_draws", [0, 100.0])
+    def test_n_draws_must_be_a_positive_integer(self, n_draws):
+        with pytest.raises(ParameterError, match="n_draws must be a positive integer"):
+            d_zeta(0.1, 1.2, n_draws, 0)
+
+    def test_every_zeta_is_checked_before_drawing(self, monkeypatch):
+        """The last zeta is outside the quadrature's range: no stream is
+        seeded or drawn from."""
+        calls = []
+        for name in ("stream_states", "stable_draws"):
+            real = getattr(jumpvol.stable, name)
+            spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            monkeypatch.setattr(jumpvol.stable, name, spy)
+        with pytest.raises(NumericalError, match="outside the quadrature's range"):
+            d_zeta([0.1, 1e101], 1.5, 10**8, 0)
+        assert calls == []
 
 
 def _mp_sigma(a):
