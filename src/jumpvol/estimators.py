@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -20,8 +21,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
             raise ParameterError(f"beta must lie in (0, 1/2), got {self.beta}")
-        if self.k <= 0.0:
-            raise ParameterError(f"k must be positive, got {self.k}")
+        if not 0.0 < self.k < inf:
+            raise ParameterError(f"k must be positive and finite, got {self.k}")
 
     def threshold(self, n: int) -> float:
         return self.k * n ** (-self.beta)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DiagnosticError, NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, rate_fit
-from .kernels import parse_kernel
+from .kernels import cancelling_kernel, parse_kernel
 from .levy import (
     JumpLaw,
     ModelSpec,
@@ -74,6 +74,7 @@ class ExperimentConfig:
         for cell in self.cells:
             cell.estimator_config()
             cell.model(self.sigma)
+            cancelling_kernel(cell.alpha, cell.M)  # Q_nc's, under every kernel
 
     def as_dict(self) -> dict:
         return {

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 import numpy as np
 
@@ -32,14 +33,19 @@ def phi(x):
     return float(out[0]) if scalar else out
 
 
+def _check_M(M: float) -> None:
+    """Raise ParameterError unless 3/2 < M < inf (so also for NaN)."""
+    if not 1.5 < M < inf:
+        raise ParameterError(f"M must be finite and exceed 3/2, got {M}")
+
+
 def psi(x, M: float):
     """Smooth bump supported on 1 < |x| < M, M > 3/2.
 
     Rises from 0 at |x| = 1 to exp(-5/21) at |x| = 3/2 and decays back to 0
     at |x| = M; both branch formulas agree at the junction |x| = 3/2.
     """
-    if M <= 1.5:
-        raise ParameterError(f"M must exceed 3/2, got {M}")
+    _check_M(M)
     ax = np.abs(np.asarray(x, dtype=float))
     scalar = ax.ndim == 0
     ax = np.atleast_1d(ax)
@@ -69,8 +75,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in (PHI, PSI, COMPOSITE):
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in (PSI, COMPOSITE) and self.M <= 1.5:
-            raise ParameterError(f"M must exceed 3/2, got {self.M}")
+        if self.kind in (PSI, COMPOSITE):
+            _check_M(self.M)
 
     @property
     def support_radius(self) -> float:
@@ -182,6 +188,7 @@ def _phi_moment(alpha: float) -> float:
 
 @lru_cache(maxsize=None)
 def _psi_moment(alpha: float, M: float) -> float:
+    _check_M(M)  # before the nodes on [3/2, M] are placed
     lo = _weighted_integral(lambda u: psi(u, M), 1.0, 1.5, alpha)
     hi = _weighted_integral(lambda u: psi(u, M), 1.5, M, alpha)
     return 2.0 * (lo + hi)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gamma, log, pi, sin
+from math import factorial, gamma, isfinite, log, pi, sin
 
 import numpy as np
 
@@ -55,6 +55,10 @@ class ModelSpec:
     jump_law: JumpLaw | None = None
 
     def __post_init__(self):
+        for name in ("drift", "sigma", "gamma"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
         if self.gamma != 0.0 and self.jump_law is None:

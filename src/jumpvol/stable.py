@@ -302,10 +302,11 @@ def d_zeta(
     The draws come in pieces of MC_PIECE_DRAWS, the last one shorter; piece
     i draws its uniforms, then its exponentials, from its own stream
     SeedSequence((seed, i)), so `seed` must be a non-negative integer.  One
-    `fork_map` runs the quadrature of each zeta, then the pieces: each
-    piece is transformed into stable draws and summed for every zeta while
-    it is in cache.  The piece sums are added in piece order, so nothing
-    depends on the number of processes.
+    `fork_map` holds the quadrature of each zeta, then the pieces; the
+    quadratures, the longest items, start first, and whichever process is
+    free takes the next item.  Each piece is transformed into stable draws
+    and summed for every zeta while it is in cache.  The piece sums are
+    added in piece order, so nothing depends on the number of processes.
     """
     zetas = np.asarray(zeta, dtype=float)
     scalar = zetas.ndim == 0

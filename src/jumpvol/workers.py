@@ -1,18 +1,21 @@
 """Map a function over items on forked processes, one per usable CPU.
 
-`fork_map(fn, items)` is `[fn(x) for x in items]`.  Item k belongs to share
-k % workers, where workers is one per CPU this process may use and never
-more than the items.  The caller computes share 0 itself; shares 1, 2, ...
-run in children made by `os.fork`, so `fn` and the items reach them by
-inheritance and may be closures.  A child sends its results back pickled
-through a pipe and leaves by `os._exit`, so it neither flushes the
-caller's buffered output nor runs its exit handlers.
+`fork_map(fn, items)` is `[fn(x) for x in items]` on `worker_count`
+processes: the caller and children made by `os.fork`, so `fn` and the items
+reach them by inheritance and may be closures.  The items are handed out on
+demand.  Before the first fork the caller puts every ticket, the index of
+the first item of a run of consecutive items, into one pipe; each process
+then takes the next ticket as soon as it is free, runs that run of items,
+and goes on until no ticket is left.  So the items start in item order, and
+a slow item holds back only the process that runs it.  A child sends its
+results back pickled through a pipe and leaves by `os._exit`, so it neither
+flushes the caller's buffered output nor runs its exit handlers.
 
 A forked child starts on its parent's CPU and can stay there for tens of
 milliseconds, long enough for short work to share one CPU while another
 idles.  So each process, the caller included, first moves itself onto a
-CPU of its own, share j onto the j-th CPU of its mask, and then gives the
-scheduler the whole mask back.  At one CPU, or where `fork` is missing,
+CPU of its own, process j onto the j-th CPU of its mask, and then gives
+the scheduler the whole mask back.  At one CPU, or where `fork` is missing,
 `fork_map` is a plain map in the caller.
 
 This module imports no other module of the package.
@@ -22,6 +25,11 @@ from __future__ import annotations
 
 import os
 import pickle
+
+TICKET_BYTES = 4
+# 1024 tickets of 4 bytes fill one page, the least a pipe holds and Linux's
+# PIPE_BUF, so the one write that puts them all in neither blocks nor splits.
+MAX_TICKETS = 1024
 
 
 def usable_cpus() -> int:
@@ -49,18 +57,39 @@ def _place(share: int) -> None:
         pass
 
 
-def _run_share(fn, items: list, share: int, pipe: int) -> None:
-    """In a forked child: send [fn(x) for x in items], or what it raised, and exit.
+def _pull(fn, items: list, run: int, tickets: int) -> tuple[list, tuple | None]:
+    """Run the items of each ticket read from `tickets` until none is left.
+
+    Returns the (index, fn(item)) pairs, and (index, exception) of the item
+    that raised, or None.  After a raise this process takes no further item
+    and empties the pipe, so every other process stops after the ticket it
+    holds.  Tickets are taken in item order, so every item below one that
+    raised has been taken and runs to its end.
+    """
+    done = []
+    # Every ticket was in the pipe before any process read, so a read of
+    # TICKET_BYTES takes exactly one ticket, and an empty read means none is left.
+    while ticket := os.read(tickets, TICKET_BYTES):
+        start = int.from_bytes(ticket, "little")
+        for i in range(start, min(start + run, len(items))):
+            try:
+                done.append((i, fn(items[i])))
+            except Exception as exc:
+                while os.read(tickets, MAX_TICKETS * TICKET_BYTES):
+                    pass
+                return done, (i, exc)
+    return done, None
+
+
+def _run_child(fn, items: list, run: int, tickets: int, cpu: int, pipe: int) -> None:
+    """In a forked child: pull tickets, send what `_pull` returned, and exit.
 
     The exit status is 0 only once everything was sent.
     """
     status = 1
     try:
-        _place(share)
-        try:
-            payload = (True, [fn(x) for x in items])
-        except Exception as exc:
-            payload = (False, exc)
+        _place(cpu)
+        payload = _pull(fn, items, run, tickets)
         with os.fdopen(pipe, "wb") as out:
             out.write(pickle.dumps(payload))
         status = 0
@@ -68,11 +97,11 @@ def _run_share(fn, items: list, share: int, pipe: int) -> None:
         os._exit(status)
 
 
-def _receive(pid: int, pipe: int) -> list:
-    """The results that child `pid` sent through `pipe`, once it has exited.
+def _receive(pid: int, pipe: int) -> tuple[list, tuple | None]:
+    """What child `pid` sent through `pipe`, once it has exited.
 
-    Raises what the child's `fn` raised, and ChildProcessError when the child
-    exited without sending its results, e.g. killed by a signal.
+    Raises ChildProcessError when the child exited without sending its
+    results, e.g. killed by a signal.
     """
     try:
         with os.fdopen(pipe, "rb") as src:
@@ -92,27 +121,33 @@ def _receive(pid: int, pipe: int) -> list:
         raise ChildProcessError(
             f"worker process {pid} {how} before sending its results"
         )
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
+    return pickle.loads(data)
 
 
 def fork_map(fn, items) -> list:
     """[fn(x) for x in items], in item order, on `worker_count` processes.
 
-    An exception raised by `fn` is raised again in the caller with its type:
-    the caller's own first, then each child's in share order.  When the
-    caller raises, the children are killed.
+    Each process takes the next ticket of ceil(len(items) / MAX_TICKETS)
+    items as soon as it is free.  When `fn` raises, the processes stop
+    after the ticket they hold, and the exception of the lowest item that
+    raised is raised again in the caller with its type: the one a plain map
+    raises, whatever the number of processes.
     """
     items = list(items)
     workers = worker_count(len(items))
     if workers == 1:
         return [fn(x) for x in items]
-    _place(0)
-    children = []  # (pid, read end of its pipe), share 1 first
+    run = -(-len(items) // MAX_TICKETS)
+    tickets, write = os.pipe()
     try:
-        for share in range(1, workers):
+        starts = range(0, len(items), run)
+        os.write(write, b"".join(s.to_bytes(TICKET_BYTES, "little") for s in starts))
+    finally:
+        os.close(write)  # so that a read of the emptied pipe returns at once
+    _place(0)
+    children = []  # (pid, read end of its pipe), in the order forked
+    try:
+        for cpu in range(1, workers):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -122,16 +157,23 @@ def fork_map(fn, items) -> list:
                 raise
             if pid == 0:
                 os.close(read)
-                _run_share(fn, items[share::workers], share, write)
+                _run_child(fn, items, run, tickets, cpu, write)
             os.close(write)
             children.append((pid, read))
+        outcomes = [_pull(fn, items, run, tickets)]
+        while children:
+            outcomes.append(_receive(*children.pop(0)))
+        failures = [failure for _, failure in outcomes if failure]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
         results = [None] * len(items)
-        results[::workers] = [fn(x) for x in items[::workers]]
-        for share in range(1, workers):
-            results[share::workers] = _receive(*children.pop(0))
+        for pairs, _ in outcomes:
+            for i, value in pairs:
+                results[i] = value
         return results
     finally:
-        if children:  # left when the caller's share or a receive raised
+        os.close(tickets)
+        if children:  # left when the caller's pull or a receive raised
             import signal
         for pid, read in children:
             os.kill(pid, signal.SIGKILL)

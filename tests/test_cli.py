@@ -315,11 +315,15 @@ class TestForkedWorkers:
         cfg = tmp_path / "exp.cfg"
         # two blocks of rows, so that one runs in a worker
         cfg.write_text(TestMcTable.CFG.replace("replicates = 6", "replicates = 200"))
+        # The caller lingers over its block, so that the worker, which takes
+        # items on demand, has time to take the other one.
         patch = (
+            "import time\n"
             "estimates = harness.estimates\n"
             "def killing(*args):\n"
             "    if os.getpid() != CALLER:\n"
             "        os.kill(os.getpid(), 9)\n"
+            "    time.sleep(0.3)\n"
             "    return estimates(*args)\n"
             "harness.estimates = killing\n"
         )
@@ -486,6 +490,74 @@ class TestDzeta:
         assert len(out.strip().splitlines()) == 4
         assert len(calls) == 1
         assert len(calls[0]) == 3 + 7  # three quadratures, then 7 pieces
+
+
+class TestNonFiniteParameters:
+    """nan and inf model and estimator parameters exit 1 with an error line."""
+
+    PATH_CSV = "i,t,x\n0,0.0,0.0\n1,0.5,0.01\n2,1.0,0.03\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--sigma", "nan"], "sigma must be finite, got nan"),
+            (["--gamma", "nan", "--alpha", "1.5"], "gamma must be finite, got nan"),
+            (["--drift", "inf"], "drift must be finite, got inf"),
+        ],
+    )
+    def test_simulate(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "simulate", "--n", "5", *args)
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--k", "nan"], "k must be positive and finite, got nan"),
+            (["--k", "inf"], "k must be positive and finite, got inf"),
+            (["--kernel", "composite", "--M", "nan"], "M must be finite and exceed"),
+            (["--kernel", "composite", "--M", "inf"], "M must be finite and exceed"),
+            (["--kernel", "psi", "--M", "inf"], "M must be finite and exceed"),
+        ],
+    )
+    def test_estimate(self, capsys, tmp_path, args, message):
+        p = tmp_path / "p.csv"
+        p.write_text(self.PATH_CSV)
+        base = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "1.5"]
+        code, out, err = run_cli(capsys, *base, "--gamma", "1", *args)
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("k = nan", "k must be positive and finite, got nan"),
+            # M serves the cancelled estimate under every estimator kernel
+            ("k = 2\nM = nan", "M must be finite and exceed 3/2, got nan"),
+        ],
+    )
+    def test_config_simulates_nothing(
+        self, capsys, tmp_path, monkeypatch, line, message
+    ):
+        """The config is refused as it loads, before any replicate is drawn."""
+        from jumpvol import harness, workers
+
+        calls = []
+        simulate = harness.simulate_increments
+        spy = lambda *args: calls.append(args) or simulate(*args)
+        monkeypatch.setattr(harness, "simulate_increments", spy)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TestMcTable.CFG.replace("k = 2", line))
+        out = tmp_path / "t.csv"
+        args = ["mc-table", "--config", str(cfg), "--out", str(out)]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert calls == []
+        assert not out.exists()
 
 
 class TestNegativeSeed:

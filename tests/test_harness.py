@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -224,17 +225,36 @@ class TestCellPool:
         return at
 
     def test_workers_are_other_processes(self, at_workers):
-        """The caller runs items 0, w, 2w, ...; every other share has its own child."""
+        """At one worker the caller runs every item; at w workers the items
+        run in at most min(w, items) processes."""
         me = os.getpid()
         at_workers(1)
         assert fork_map(lambda x: os.getpid(), range(3)) == [me] * 3
+        for count, items in ((2, 5), (3, 3), (8, 3), (3, 1)):
+            at_workers(count)
+            pids = fork_map(lambda x: os.getpid(), range(items))
+            assert len(pids) == items
+            assert len(set(pids)) <= min(count, items)
+
+    def test_slow_item_holds_back_no_other(self, at_workers):
+        """Items are handed out on demand: while one process sleeps on item
+        0, the other runs the rest."""
+
+        def fn(x):
+            if x == 0:
+                time.sleep(0.3)
+            return os.getpid()
+
         at_workers(2)
-        pids = fork_map(lambda x: os.getpid(), range(5))
-        assert pids[::2] == [me] * 3
-        assert pids[1] == pids[3] != me
-        at_workers(8)
-        pids = fork_map(lambda x: os.getpid(), range(3))
-        assert pids[0] == me and len(set(pids)) == 3  # at most one per item
+        pids = fork_map(fn, range(6))
+        assert pids[0] not in pids[1:]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_more_items_than_tickets(self, at_workers, count):
+        """5003 items take 1001 tickets of 5 items, the last one short."""
+        items = list(range(5003))
+        at_workers(count)
+        assert fork_map(lambda x: 3 * x + 1, items) == [3 * x + 1 for x in items]
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_results_keep_item_order(self, at_workers, count):
@@ -299,7 +319,8 @@ class TestCellPool:
 
     @pytest.mark.parametrize("failing_item", [0, 1, 5])
     def test_exception_keeps_its_type(self, at_workers, failing_item):
-        """Item 0 fails in the caller, items 1 and 5 in the children."""
+        """Whichever process runs the failing item, the caller raises its
+        exception with its type."""
 
         def fn(x):
             if x == failing_item:
@@ -309,6 +330,21 @@ class TestCellPool:
         at_workers(3)
         with pytest.raises(KeyError, match=f"item {failing_item}"):
             fork_map(fn, range(6))
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_lowest_failing_item_is_raised(self, at_workers, count):
+        """Of two failing items, the lower one's exception is raised, as a
+        plain map raises it, at any number of workers."""
+
+        def fn(x):
+            if x in (2, 4):
+                raise KeyError(f"item {x}")
+            return x
+
+        at_workers(count)
+        for _ in range(5):
+            with pytest.raises(KeyError, match="item 2"):
+                fork_map(fn, range(6))
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here"

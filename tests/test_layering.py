@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jumpvol
+from jumpvol.workers import usable_cpus
 
 PACKAGE = Path(jumpvol.__file__).parent
 
@@ -85,6 +88,49 @@ def test_cli_import_loads_no_multiprocessing():
     directly; no command pays for importing multiprocessing."""
     loaded = modules_loaded_by_cli_import()
     assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Prints whether `import jumpvol.cli` left os.environ as it found it, the
+# OpenBLAS thread variable it leaves, and the threads of the process.
+THREADS_AFTER_IMPORT = """
+import os
+before = dict(os.environ)
+import jumpvol.cli
+print(dict(os.environ) == before, os.environ.get("OPENBLAS_NUM_THREADS"),
+      len(os.listdir("/proc/self/task")))
+"""
+
+
+def import_in_fresh_interpreter(**variables) -> list[str]:
+    """THREADS_AFTER_IMPORT's output, run with none of THREAD_VARIABLES set
+    but `variables`."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-c", THREADS_AFTER_IMPORT]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+    return result.stdout.split()
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc to count threads in"
+)
+
+
+@needs_proc
+def test_cli_import_starts_no_thread():
+    """numpy is imported with a one-thread OpenBLAS, and the variable that
+    asks for it is gone again afterwards."""
+    assert import_in_fresh_interpreter() == ["True", "None", "1"]
+
+
+@needs_proc
+@pytest.mark.skipif(usable_cpus() < 2, reason="no second OpenBLAS thread on one CPU")
+def test_user_thread_count_is_kept():
+    """A thread count the user set is left alone: the pool starts."""
+    variables = {"OPENBLAS_NUM_THREADS": "2"}
+    assert import_in_fresh_interpreter(**variables) == ["True", "2", "2"]
 
 
 def referenced_names(node: ast.AST) -> set[str]:
