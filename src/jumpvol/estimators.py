@@ -150,10 +150,14 @@ def rate_fit(
 ) -> tuple[float, float]:
     """Empirical decay exponent of the mean bias of tqv over an n grid.
 
-    Simulates `replicates` paths per n with streams keyed by (seed, n, r),
-    averages Q_n - sigma^2, and fits log(mean bias) vs log(1/n).
+    Simulates `replicates` paths per n through `levy.replicate_blocks` with
+    key (seed, n): block b of `block_rows(n)` paths is drawn whole from the
+    stream (seed, n, b).  Averages Q_n - sigma^2 and fits log(mean bias) vs
+    log(1/n).  Every n must be at least 2.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
+    if n_grid and n_grid[0] < 2:
+        raise ParameterError(f"every n in n_grid must be at least 2, got {n_grid[0]}")
     if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
         raise DiagnosticError("n grid must have >= 4 values spanning a factor of 8")
     biases = []

@@ -14,15 +14,7 @@ import numpy as np
 from .errors import DiagnosticError, NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, rate_fit
 from .kernels import cancelling_kernel, parse_kernel
-from .levy import (
-    JumpLaw,
-    ModelSpec,
-    PathSample,
-    block_rows,
-    simulate_increments,
-    stream_generator,
-    stream_states,
-)
+from .levy import JumpLaw, ModelSpec, PathSample, block_rows, simulate_increments
 from .workers import fork_map, worker_count
 
 
@@ -233,12 +225,14 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     """(E1, E2, E3) of every replicate of every cell, and the processes used.
 
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
-    errors have shape (R, 3).  Replicate r of cell i is the path of stream
-    (seed, i, r).  The streams are seeded per cell up front; the paths are
-    then simulated and estimated in blocks of `block_rows(n)` rows, which
-    `fork_map` spreads over its processes.  A replicate's errors depend on
-    neither its block nor the process that ran it.  A cell's stage times
-    add up its blocks' times, in whichever process ran them.
+    errors have shape (R, 3).  A cell's replicates come in blocks of
+    `block_rows(n)` rows, the last one shorter, and the items of `fork_map`
+    are the (cell, first replicate) pairs of these blocks.  Block b of cell i,
+    replicates b*block_rows(n) onwards, is drawn whole from the stream
+    (seed, i, b), as `levy.replicate_blocks` draws them.  A replicate's
+    errors depend on neither the process that ran its block nor the number
+    of processes.  A cell's stage times add up its blocks' times, in
+    whichever process ran them.
     """
     step = block_rows(config.n)
     root_n = np.sqrt(config.n)
@@ -246,25 +240,22 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
         (cell, cell.model(config.sigma), cell.estimator_config())
         for cell in config.cells
     ]
-    blocks = []  # (cell index, first replicate, stream states of its rows)
-    for ci in range(len(cells)):
-        states = stream_states((config.seed, ci), config.replicates)
-        starts = range(0, config.replicates, step)
-        blocks += [(ci, lo, states[lo : lo + step]) for lo in starts]
+    starts = range(0, config.replicates, step)
+    blocks = [(ci, lo) for ci in range(len(cells)) for lo in starts]
 
     def block_errors(item):
-        ci, _, states = item
+        ci, lo = item
         cell, model, est_cfg = cells[ci]
         t0 = time.perf_counter()
-        gens = [stream_generator(state) for state in states]
-        block = simulate_increments(model, config.n, gens)
+        rows, key = min(step, config.replicates - lo), (config.seed, ci, lo // step)
+        block = simulate_increments(model, config.n, rows, key)
         t1 = time.perf_counter()
         est = estimates(block, est_cfg, cell.alpha, cell.gamma, cell.M)
         errors = (est - config.sigma**2) * root_n
         return errors, t1 - t0, time.perf_counter() - t1
 
     per_cell = [[np.empty((config.replicates, 3)), 0.0, 0.0] for _ in cells]
-    for (ci, lo, _), (errors, simulate_s, estimate_s) in zip(
+    for (ci, lo), (errors, simulate_s, estimate_s) in zip(
         blocks, fork_map(block_errors, blocks)
     ):
         out = per_cell[ci]

@@ -6,9 +6,10 @@ with sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du in closed form
 (`stable_scale`).  Its density tail coefficient is 2 * c_alpha * sigma_alpha,
 which is 1 (`tail_constant`).  All increments produced here are exact in law
 up to the Gaussian small-jump substitution used in the tempered case.  The
-block samplers draw one row per generator; `sample_stable_increment` takes
-a `size` and an `rng` that may be anything `np.random.default_rng` accepts
-(a Generator is used as it is).  The stable sampler's two steps,
+block samplers draw a whole block from one generator, each kind of draw in
+one call for all rows; `sample_stable_increment` takes a `size` and an
+`rng` that may be anything `default_rng` accepts (a Generator is used as it
+is).  The stable sampler's two steps,
 `stable_draws` and the elementwise `stable_transform`, are public, so that
 a caller can draw in one process and transform slices of the draws in
 others.
@@ -16,12 +17,16 @@ others.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gamma, isfinite, log, pi, sin
 
 import numpy as np
+
+# Imported with the module: numpy loads numpy.random (about 14 ms) on first
+# use of np.random, which would be inside a command, once in the caller and
+# again in each forked worker.
+from numpy.random import default_rng
 
 from .errors import ParameterError, check_alpha
 
@@ -196,19 +201,12 @@ def _chambers_mallows_stuck(alpha: float, u: np.ndarray, w: np.ndarray) -> None:
         np.multiply(a, c, out=up)
 
 
-def stable_draws(gens, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uniforms and exponentials of one row of stable draws per generator.
+def stable_draws(gen, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms, then the exponentials, of `shape` stable draws from `gen`.
 
-    Each row draws its uniforms, then its exponentials, from its own
-    generator; both arrays have shape (rows, size).  `stable_transform`
-    turns them into increments.
+    `stable_transform` turns them into increments.
     """
-    u = np.empty((len(gens), size))
-    w = np.empty((len(gens), size))
-    for row_u, row_w, gen in zip(u, w, gens):
-        gen.random(out=row_u)
-        gen.standard_exponential(out=row_w)
-    return u, w
+    return gen.random(shape), gen.standard_exponential(shape)
 
 
 def stable_transform(
@@ -231,9 +229,9 @@ def stable_transform(
     return u
 
 
-def _stable_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
-    """One row of stable increments over time delta per generator, (rows, size)."""
-    return stable_transform(alpha, delta, *stable_draws(gens, size))
+def _stable_block(alpha: float, delta: float, gen, shape) -> np.ndarray:
+    """Stable increments over time delta, of the given shape, drawn from gen."""
+    return stable_transform(alpha, delta, *stable_draws(gen, shape))
 
 
 def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
@@ -242,7 +240,7 @@ def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.nd
     Equal to (sigma_alpha * delta)^(1/alpha) times draws with characteristic
     function exp(-|t|^alpha).
     """
-    return _stable_block(alpha, delta, [np.random.default_rng(rng)], size)[0]
+    return _stable_block(alpha, delta, default_rng(rng), size)
 
 
 # Tanh-sinh rule on [-1, 1], the package's one fixed quadrature table: nodes
@@ -318,45 +316,42 @@ def _tempered_jump_sizes(
     return sizes
 
 
-def _tempered_block(alpha: float, delta: float, gens, size: int) -> np.ndarray:
-    """One row of tempered-stable increments per generator, as a (rows, size) block.
+def _tempered_block(alpha: float, delta: float, gen, shape) -> np.ndarray:
+    """Tempered-stable increments over time delta, of the given shape, from gen.
 
-    Each row draws, from its own generator, its Poisson jump counts, the
-    rejection rounds of its jump sizes, their signs and its small-jump
-    normals.  The jumps are then added into the whole block at once, in
-    row order, so every entry sums its jumps as a single row would.
+    One call each draws the Poisson jump counts of every entry, the
+    rejection rounds of all their jump sizes, the signs and the small-jump
+    normals.  The jumps are added in row-major entry order, so an entry sums
+    its jumps in the order they were drawn.
     """
     check_alpha(alpha)
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    out = np.zeros((len(gens), size))
-    rate = tempered_tail_intensity(alpha) * delta
-    counts = np.empty(out.shape, dtype=np.int64)
-    small = np.empty(out.shape)
-    jumps = []
-    for row_counts, row_small, gen in zip(counts, small, gens):
-        row_counts[:] = gen.poisson(rate, size)
-        total = int(row_counts.sum())
-        if total:
-            magnitudes = _tempered_jump_sizes(alpha, total, gen)
-            jumps.append((2.0 * gen.integers(0, 2, size=total) - 1.0) * magnitudes)
-        gen.standard_normal(out=row_small)
-    if jumps:
+    counts = gen.poisson(tempered_tail_intensity(alpha) * delta, shape)
+    out = np.zeros(counts.shape)
+    total = int(counts.sum())
+    if total:
+        magnitudes = _tempered_jump_sizes(alpha, total, gen)
+        jumps = (2.0 * gen.integers(0, 2, size=total) - 1.0) * magnitudes
         where = np.repeat(np.arange(out.size), counts.reshape(-1))
-        np.add.at(out.reshape(-1), where, np.concatenate(jumps))
+        np.add.at(out.reshape(-1), where, jumps)
+    small = gen.standard_normal(shape)
     out += np.sqrt(tempered_small_jump_variance(alpha) * delta) * small
     return out
 
 
-def _jump_block(law: JumpLaw, delta: float, gens, size: int) -> np.ndarray:
+def _jump_block(law: JumpLaw, delta: float, gen, shape) -> np.ndarray:
     if law.kind == STABLE:
-        return _stable_block(law.alpha, delta, gens, size)
-    return _tempered_block(law.alpha, delta, gens, size)
+        return _stable_block(law.alpha, delta, gen, shape)
+    return _tempered_block(law.alpha, delta, gen, shape)
 
 
-# Rows per block are chosen so a block holds about this many increments:
-# large enough to amortize numpy call overhead over many paths, small enough
-# that a whole Monte Carlo cell is never held in memory at once.  It also
+# A constant of the draw design: a Monte Carlo cell's replicates come in
+# blocks of `block_rows(n)` rows, about this many increments, and each block
+# is drawn whole from one stream.  So it fixes which paths share a stream,
+# and changing it is a new draw design that moves every Monte Carlo report.
+# Blocks are large enough to amortize numpy call overhead over many paths and
+# small enough that a whole cell is never held in memory at once.  It also
 # bounds the pieces the stable transform works through.
 BLOCK_INCREMENTS = 16_384
 
@@ -366,128 +361,39 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_INCREMENTS // n)
 
 
-def simulate_increments(model: ModelSpec, n: int, seeds) -> np.ndarray:
-    """Increments of one path per seed on the grid t_i = i/n, as a (rows, n) block.
+def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
+    """Increments of `rows` paths on the grid t_i = i/n, as a (rows, n) block.
 
-    Row r is b*delta + sigma*sqrt(delta)*Z + gamma*J drawn from its own
-    stream `seeds[r]` (an integer, SeedSequence or Generator): the Gaussian
-    draws first, then the jump draws.  Every step after the draws is
-    elementwise, so a row is bit-identical to the same seed's row in any
-    other block.
+    Each entry is b*delta + sigma*sqrt(delta)*Z + gamma*J.  The whole block
+    is drawn from the one stream `rng` (anything `default_rng` accepts): the
+    Gaussian draws of every row first, then the jump draws of every row.
     """
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
     delta = 1.0 / n
-    gens = [np.random.default_rng(seed) for seed in seeds]
-    block = np.full((len(gens), n), model.drift * delta)
+    gen = default_rng(rng)
+    block = np.full((rows, n), model.drift * delta)
     if model.sigma > 0:
-        normals = np.empty(block.shape)
-        for row, gen in zip(normals, gens):
-            gen.standard_normal(out=row)
-        block += model.sigma * np.sqrt(delta) * normals
+        block += model.sigma * np.sqrt(delta) * gen.standard_normal((rows, n))
     if model.gamma != 0.0:
-        block += model.gamma * _jump_block(model.jump_law, delta, gens, n)
+        block += model.gamma * _jump_block(model.jump_law, delta, gen, (rows, n))
     return block
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _seed_words(value) -> list[int]:
-    """The uint32 words, low first, that SeedSequence makes of one key entry."""
-    value = operator.index(value)
-    if value < 0:
-        raise ParameterError(f"seeds must be non-negative integers, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hashmix: each call advances one running hash constant."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> np.uint32(16))
-
-
-def stream_states(key: tuple, count: int) -> np.ndarray:
-    """SeedSequence((*key, r)).generate_state(4, np.uint64) for r < count, as rows.
-
-    One vectorized pass of numpy's SeedSequence hash over all replicate
-    indices r, each one uint32 word.  A row is what PCG64 is seeded with, so
-    `stream_generator(row)` is the generator `default_rng(SeedSequence((*key, r)))`.
-    """
-    if count > 2**32:
-        raise ParameterError(f"at most 2^32 replicates per key, got {count}")
-    entropy = [
-        np.full(count, word, dtype=np.uint32)
-        for entry in key
-        for word in _seed_words(entry)
-    ]
-    entropy.append(np.arange(count, dtype=np.uint32))
-    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return np.stack([out[2 * i] | out[2 * i + 1] << np.uint64(32) for i in range(4)], 1)
-
-
-class _PresetSeed(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 a state that `stream_states` computed ahead of time."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a preset seed holds exactly 4 uint64 words")
-        return self.state
-
-
-def stream_generator(state: np.ndarray) -> np.random.Generator:
-    """The PCG64 generator seeded with one row of `stream_states`."""
-    return np.random.Generator(np.random.PCG64(_PresetSeed(state)))
 
 
 def replicate_blocks(model: ModelSpec, n: int, key: tuple, count: int):
     """Yield (lo, block): the increments of replicates lo, lo+1, ... as rows.
 
-    Replicate r is drawn from the stream SeedSequence((*key, r)), and the
-    `count` replicates come in blocks of `block_rows(n)` rows, so a
-    replicate's path does not depend on which block it falls in.  The
-    streams of all `count` replicates are seeded in one pass.
+    The `count` replicates come in blocks of `block_rows(n)` rows, the last
+    one shorter; block b, replicates b*block_rows(n) onwards, is drawn whole
+    from the stream SeedSequence((*key, b)).  The key's entries must be
+    non-negative integers.
     """
-    states = stream_states(key, count)
+    if any(entry < 0 for entry in key):
+        raise ParameterError(f"seeds must be non-negative integers, got {key}")
     step = block_rows(n)
     for lo in range(0, count, step):
-        gens = [stream_generator(state) for state in states[lo : lo + step]]
-        yield lo, simulate_increments(model, n, gens)
+        rows = min(step, count - lo)
+        yield lo, simulate_increments(model, n, rows, (*key, lo // step))
 
 
 def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:
@@ -498,4 +404,4 @@ def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:
     same (model, n, seed) always yields a bit-identical path; `seed` may be
     an integer or a numpy SeedSequence.
     """
-    return PathSample(simulate_increments(model, n, [seed])[0])
+    return PathSample(simulate_increments(model, n, 1, seed)[0])

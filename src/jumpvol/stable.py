@@ -18,17 +18,14 @@ from math import ceil, cos, exp, inf, isfinite, lgamma, log, pi, sin
 
 import numpy as np
 
+# Imported with the module: numpy loads numpy.random (about 14 ms) on first
+# use of np.random, which would be inside a command, once in the caller and
+# again in each forked worker.
+from numpy.random import default_rng
+
 from .errors import NumericalError, ParameterError, check_alpha
 from .kernels import Kernel, kernel_moment, truncated_terms
-from .levy import (
-    stable_draws,
-    stable_scale,
-    stable_transform,
-    stream_generator,
-    stream_states,
-    tail_constant,
-    tanh_sinh,
-)
+from .levy import stable_draws, stable_scale, stable_transform, tail_constant, tanh_sinh
 from .workers import fork_map
 
 
@@ -301,7 +298,7 @@ def d_zeta(
 
     The draws come in pieces of MC_PIECE_DRAWS, the last one shorter; piece
     i draws its uniforms, then its exponentials, from its own stream
-    SeedSequence((seed, i)), so `seed` must be a non-negative integer.  One
+    default_rng((seed, i)), so `seed` must be a non-negative integer.  One
     `fork_map` holds the quadrature of each zeta, then the pieces; the
     quadratures, the longest items, start first, and whichever process is
     free takes the next item.  Each piece is transformed into stable draws
@@ -324,14 +321,13 @@ def d_zeta(
     for z in zetas:
         _check_quadrature_range(z)
     pieces = -(-n_draws // MC_PIECE_DRAWS)
-    states = stream_states((seed,), pieces)
 
     def item(i):
         if i < len(zetas):
             return d_zeta_quadrature(zetas[i], alpha, kernel)
         piece = i - len(zetas)
         size = min(MC_PIECE_DRAWS, n_draws - piece * MC_PIECE_DRAWS)
-        (u,), (w,) = stable_draws([stream_generator(states[piece])], size)
+        u, w = stable_draws(default_rng((seed, piece)), size)
         s = stable_transform(alpha, 1.0, u, w)
         return [_piece_sums(s, z, kernel) for z in zetas]
 

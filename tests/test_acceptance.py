@@ -26,7 +26,6 @@ from jumpvol import (
     rate_fit,
     richardson_paired,
     run_mc,
-    simulate_path,
     stable_density,
     tail_constant,
 )
@@ -339,11 +338,13 @@ class TestCriterion8:
 class TestCriterion9:
     def test_determinism_and_per_path_equality(self):
         """Identical reports on rerun, and every replicate's (E1, E2, E3) equal
-        bit for bit to the per-path route simulate_path -> estimates of its
-        increments -> (est - sigma^2) sqrt(n).  R = 64 at n = 300 is not a multiple of the 54
-        rows of a simulation block, so a partial block is covered too."""
+        bit for bit to the route simulate_increments -> estimates of its row
+        -> (est - sigma^2) sqrt(n), block b of cell i drawn from the stream
+        (seed, i, b).  R = 64 at n = 300 is not a multiple of the 54 rows of
+        a simulation block, so a partial block is covered too."""
         from jumpvol.estimators import estimates
         from jumpvol.harness import replicate_errors, report_to_csv
+        from jumpvol.levy import block_rows, simulate_increments
 
         cells = (
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
@@ -354,15 +355,17 @@ class TestCriterion9:
         rerun_ok = report_to_csv(first) == report_to_csv(run_mc(cfg))
         mismatches = 0
         per_cell, _ = replicate_errors(cfg)
+        step = block_rows(cfg.n)
         for ci, cell in enumerate(cells):
             errors, _, _ = per_cell[ci]
             est, model = cell.estimator_config(), cell.model(cfg.sigma)
-            for r in range(cfg.replicates):
-                seed = np.random.SeedSequence((cfg.seed, ci, r))
-                dx = simulate_path(model, cfg.n, seed).increments
-                row = estimates(dx, est, cell.alpha, cell.gamma, cell.M)
-                per_path = (row - cfg.sigma**2) * np.sqrt(cfg.n)
-                mismatches += not np.array_equal(errors[r], per_path)
+            for b, lo in enumerate(range(0, cfg.replicates, step)):
+                rows = min(step, cfg.replicates - lo)
+                block = simulate_increments(model, cfg.n, rows, (cfg.seed, ci, b))
+                for r, dx in enumerate(block, lo):
+                    row = estimates(dx, est, cell.alpha, cell.gamma, cell.M)
+                    per_path = (row - cfg.sigma**2) * np.sqrt(cfg.n)
+                    mismatches += not np.array_equal(errors[r], per_path)
             mismatches += first.results[ci].mean_e3 != float(errors[:, 2].mean())
         ok = rerun_ok and mismatches == 0
         assert report(9, ok, f"rerun {'bit-identical' if rerun_ok else 'differs'}; "

@@ -366,6 +366,25 @@ class TestRateCheck:
         assert err.startswith("error: line 2: bad value for n_grid")
         assert out == ""
 
+    def test_n_grid_below_2_exits_1(self, capsys, tmp_path, monkeypatch):
+        """An n below 2 is refused before any path is drawn."""
+        from jumpvol import estimators
+
+        calls = []
+        real = estimators.replicate_blocks
+        spy = lambda *a: calls.append(a) or real(*a)
+        monkeypatch.setattr(estimators, "replicate_blocks", spy)
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(
+            "replicates = 10\nn_grid = 0 100 200 1600\n"
+            "[cell]\nalpha = 0.5\ngamma = 1\nbeta = 0.2\nk = 3\n"
+        )
+        code, out, err = run_cli(capsys, "rate-check", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and "at least 2" in err
+        assert out == ""
+        assert calls == []
+
 
 class TestDzeta:
     def test_csv_schema(self, capsys):
@@ -463,7 +482,7 @@ class TestDzeta:
         """The range is checked before any stream is seeded or drawn from,
         however many draws are asked for."""
         calls = []
-        for name in ("stream_states", "stable_draws"):
+        for name in ("default_rng", "stable_draws"):
             real = getattr(jumpvol.stable, name)
             spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
             monkeypatch.setattr(jumpvol.stable, name, spy)

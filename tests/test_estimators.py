@@ -20,7 +20,7 @@ from jumpvol import (
 )
 from jumpvol.estimators import estimates, fit_power_law, rate_fit
 from jumpvol.kernels import cancelling_kernel, phi
-from jumpvol.levy import sample_stable_increment
+from jumpvol.levy import block_rows, sample_stable_increment, simulate_increments
 
 
 def make_path(values):
@@ -305,6 +305,9 @@ class TestRateFit:
             rate_fit(model, cfg, [100, 200], 5, 0)
         with pytest.raises(DiagnosticError):
             rate_fit(model, cfg, [100, 110, 120, 130], 5, 0)
+        for grid in ([0, 100, 200, 1600], [1, 100, 200, 1600], [-5, 10, 20, 40]):
+            with pytest.raises(ParameterError, match="at least 2"):
+                rate_fit(model, cfg, grid, 5, 0)
 
     def test_small_budget_run(self):
         """A cheap run recovers beta*(2-alpha) loosely; tight checks are in acceptance."""
@@ -315,16 +318,19 @@ class TestRateFit:
 
     @pytest.mark.parametrize("kind", ["stable", "tempered"])
     def test_equals_per_path_loop(self, kind):
-        """The block pass gives bit for bit what a per-path tqv loop gives,
-        with replicate counts that are not a multiple of the block's rows."""
+        """The block pass gives bit for bit what a per-path tqv loop over the
+        rows of each block gives, block b of n drawn from stream (seed, n, b);
+        the replicate counts are not a multiple of the block's rows."""
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw(kind, 0.7))
         cfg = EstimatorConfig(beta=0.2, k=3.0)
         grid, reps, seed = [50, 100, 200, 400], 100, 11
         biases = []
         for n in grid:
-            q = [
-                tqv(simulate_path(model, n, np.random.SeedSequence((seed, n, r))), cfg)
-                for r in range(reps)
-            ]
+            step, q = block_rows(n), []
+            for b, lo in enumerate(range(0, reps, step)):
+                rows = min(step, reps - lo)
+                block = simulate_increments(model, n, rows, (seed, n, b))
+                q += [tqv(PathSample(row), cfg) for row in block]
+            assert len(q) == reps and reps % step != 0
             biases.append(float(np.mean(q)) - 1.0)
         assert rate_fit(model, cfg, grid, reps, seed) == fit_power_law(grid, biases)

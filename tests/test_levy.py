@@ -17,8 +17,6 @@ from jumpvol.levy import (
     sample_stable_increment,
     simulate_increments,
     stable_scale,
-    stream_generator,
-    stream_states,
     tempered_small_jump_variance,
     tempered_tail_intensity,
 )
@@ -190,7 +188,7 @@ class TestTemperedSampler:
 
         alpha, delta = 0.9, 0.5
         rng = np.random.default_rng(21)
-        x = _tempered_block(alpha, delta, [rng], 300_000)[0]
+        x = _tempered_block(alpha, delta, rng, 300_000)
         for t in (1.0, 3.0):
             ex, _ = integrate.quad(
                 lambda z: (np.cos(t * z) - 1.0) * np.exp(-z) * z ** (-1 - alpha),
@@ -204,21 +202,21 @@ class TestTemperedSampler:
 
     def test_all_moments_finite_proxy(self):
         rng = np.random.default_rng(4)
-        x = _tempered_block(1.5, 0.01, [rng], 50_000)[0]
+        x = _tempered_block(1.5, 0.01, rng, 50_000)
         assert np.isfinite(np.mean(x**4))
 
     def test_dispatch(self):
-        def gens():
-            return [np.random.default_rng(s) for s in (1, 2)]
+        def gen():
+            return np.random.default_rng(1)
 
-        a = _jump_block(JumpLaw("stable", 1.1), 0.1, gens(), 100)
-        np.testing.assert_array_equal(a, _stable_block(1.1, 0.1, gens(), 100))
-        a = _jump_block(JumpLaw("tempered", 1.1), 0.1, gens(), 100)
-        np.testing.assert_array_equal(a, _tempered_block(1.1, 0.1, gens(), 100))
+        a = _jump_block(JumpLaw("stable", 1.1), 0.1, gen(), (2, 100))
+        np.testing.assert_array_equal(a, _stable_block(1.1, 0.1, gen(), (2, 100)))
+        a = _jump_block(JumpLaw("tempered", 1.1), 0.1, gen(), (2, 100))
+        np.testing.assert_array_equal(a, _tempered_block(1.1, 0.1, gen(), (2, 100)))
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ParameterError, match="delta must be positive"):
-            _tempered_block(0.9, 0.0, [np.random.default_rng(0)], 10)
+            _tempered_block(0.9, 0.0, np.random.default_rng(0), 10)
 
 
 class TestJumpLawValidation:
@@ -310,29 +308,29 @@ class TestPathSample:
 class TestSimulateIncrements:
     @pytest.mark.parametrize("kind", ["stable", "tempered"])
     def test_rows_equal_single_paths(self, kind):
+        """A single path is the one-row block of its stream, written out."""
         model = ModelSpec(
             drift=0.3, sigma=0.5, gamma=2.0, jump_law=JumpLaw(kind, alpha=1.1)
         )
-        seeds = [np.random.SeedSequence((3, 1, r)) for r in range(5)]
-        block = simulate_increments(model, 40, seeds)
-        assert block.shape == (5, 40)
-        for row, seed in zip(block, seeds):
+        for r in range(5):
+            seed = np.random.SeedSequence((3, 1, r))
+            ref = reference_block(model, 40, 1, np.random.default_rng(seed))
             np.testing.assert_array_equal(
-                row, simulate_path(model, 40, seed).increments
+                simulate_path(model, 40, seed).increments, ref[0]
             )
 
     def test_replicate_blocks(self):
-        """Row r of the blocks is the path of stream (*key, r), whatever its block."""
+        """Block b is drawn whole from stream (*key, b); the last is shorter."""
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", alpha=1.5))
         n, key = 1000, (7, 2)
-        count = 2 * block_rows(n) + 5
+        step = block_rows(n)
+        count = 2 * step + 5
         blocks = list(replicate_blocks(model, n, key, count))
-        assert [lo for lo, _ in blocks] == [0, block_rows(n), 2 * block_rows(n)]
-        rows = np.concatenate([block for _, block in blocks])
-        assert rows.shape == (count, n)
-        for r, row in enumerate(rows):
-            path = simulate_path(model, n, np.random.SeedSequence((*key, r)))
-            np.testing.assert_array_equal(row, path.increments)
+        assert [lo for lo, _ in blocks] == [0, step, 2 * step]
+        assert [len(block) for _, block in blocks] == [step, step, 5]
+        for b, (_, block) in enumerate(blocks):
+            expected = simulate_increments(model, n, len(block), (*key, b))
+            np.testing.assert_array_equal(block, expected)
 
     def test_block_rows(self):
         assert block_rows(700) * 700 <= BLOCK_INCREMENTS < (block_rows(700) + 1) * 700
@@ -383,23 +381,25 @@ def reference_tempered_jumps(gen, alpha, delta, n):
     return out + np.sqrt(tempered_small_jump_variance(alpha) * delta) * small, counts
 
 
-def reference_row(model, n, gen):
-    delta = 1.0 / n
-    row = np.full(n, model.drift * delta)
+def reference_block(model, n, rows, gen):
+    """A block of `rows` paths of n increments, written out: the normals of
+    every row, then the jump draws of every row, in row-major order."""
+    delta, size = 1.0 / n, rows * n
+    block = np.full(size, model.drift * delta)
     if model.sigma > 0:
-        row += model.sigma * np.sqrt(delta) * gen.standard_normal(n)
+        block += model.sigma * np.sqrt(delta) * gen.standard_normal(size)
     if model.gamma != 0.0:
         law = model.jump_law
         if law.kind == "stable":
-            jumps = reference_stable_jumps(gen, law.alpha, delta, n)
+            jumps = reference_stable_jumps(gen, law.alpha, delta, size)
         else:
-            jumps, _ = reference_tempered_jumps(gen, law.alpha, delta, n)
-        row += model.gamma * jumps
-    return row
+            jumps, _ = reference_tempered_jumps(gen, law.alpha, delta, size)
+        block += model.gamma * jumps
+    return block.reshape(rows, n)
 
 
 class TestBlockAgainstWrittenOutDraws:
-    """Every block row equals that row's draws taken one by one from its stream."""
+    """Every block equals its draws written out, taken in order from its stream."""
 
     MODELS = {
         "stable-1.0": ModelSpec(
@@ -419,20 +419,21 @@ class TestBlockAgainstWrittenOutDraws:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_replicate_blocks(self, name):
         model, n, key = self.MODELS[name], 1000, (11, 4)
-        count = block_rows(n) + 3
-        rows = np.concatenate([b for _, b in replicate_blocks(model, n, key, count)])
-        for r, row in enumerate(rows):
-            gen = np.random.default_rng(np.random.SeedSequence((*key, r)))
-            np.testing.assert_array_equal(row, reference_row(model, n, gen))
+        step = block_rows(n)
+        blocks = list(replicate_blocks(model, n, key, step + 3))
+        assert [len(block) for _, block in blocks] == [step, 3]
+        for b, (lo, block) in enumerate(blocks):
+            assert lo == b * step
+            ref = reference_block(model, n, len(block), np.random.default_rng((*key, b)))
+            np.testing.assert_array_equal(block, ref)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_simulate_increments_leaves_each_stream_where_the_draws_end(self, name):
         model, n = self.MODELS[name], 50
-        gens = [np.random.default_rng(s) for s in range(4)]
-        block = simulate_increments(model, n, gens)
-        for seed, gen, row in zip(range(4), gens, block):
-            ref_gen = np.random.default_rng(seed)
-            np.testing.assert_array_equal(row, reference_row(model, n, ref_gen))
+        for seed in range(4):
+            gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = simulate_increments(model, n, 3, gen)
+            np.testing.assert_array_equal(block, reference_block(model, n, 3, ref_gen))
             assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize("alpha", [0.1, 0.9])
@@ -440,44 +441,19 @@ class TestBlockAgainstWrittenOutDraws:
         """About one jump per row: the block mixes rows of 0, 1 and several jumps."""
         size, rows = 5, 40
         delta = 1.0 / (tempered_tail_intensity(alpha) * size)
-        block = _tempered_block(
-            alpha, delta, [np.random.default_rng(s) for s in range(rows)], size
+        block = _tempered_block(alpha, delta, np.random.default_rng(0), (rows, size))
+        ref, counts = reference_tempered_jumps(
+            np.random.default_rng(0), alpha, delta, rows * size
         )
-        totals, most_in_one_entry = set(), 0
-        for seed, row in enumerate(block):
-            ref, counts = reference_tempered_jumps(
-                np.random.default_rng(seed), alpha, delta, size
-            )
-            np.testing.assert_array_equal(row, ref)
-            totals.add(int(counts.sum()))
-            most_in_one_entry = max(most_in_one_entry, int(counts.max()))
-        assert {0, 1, 3} <= totals
-        assert most_in_one_entry >= 2
+        np.testing.assert_array_equal(block, ref.reshape(rows, size))
+        counts = counts.reshape(rows, size)
+        assert {0, 1, 3} <= set(counts.sum(axis=1).tolist())
+        assert counts.max() >= 2
 
 
 class TestStreamStates:
-    """The vectorized seeding reproduces numpy's SeedSequence word for word."""
-
-    @pytest.mark.parametrize(
-        "key", [(), (7,), (42, 3), (1, 2, 3), (2**32, 5), (2**40 + 3, 2**64 + 1, 0)]
-    )
-    def test_equal_seed_sequence_states(self, key):
-        """Entropy of 1 to 4 words and of more, with words >= 2^32 among them."""
-        states = stream_states(key, 70)
-        assert states.shape == (70, 4) and states.dtype == np.uint64
-        for r, state in enumerate(states):
-            expected = np.random.SeedSequence((*key, r)).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(state, expected)
-
-    def test_generator_equals_default_rng(self):
-        state = stream_states((3, 1), 18)[17]
-        gen = stream_generator(state)
-        ref = np.random.default_rng(np.random.SeedSequence((3, 1, 17)))
-        assert gen.bit_generator.state == ref.bit_generator.state
-        np.testing.assert_array_equal(gen.standard_normal(8), ref.standard_normal(8))
+    """A block's stream is keyed by non-negative integers."""
 
     def test_rejects_negative_key(self):
-        with pytest.raises(ParameterError, match="non-negative"):
-            stream_states((-1, 0), 1)
         with pytest.raises(ParameterError, match="non-negative"):
             next(replicate_blocks(ModelSpec(), 10, (-1, 0), 2))

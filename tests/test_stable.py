@@ -372,7 +372,7 @@ class TestDZetaMcSharedDraws:
         """The last zeta is outside the quadrature's range: no stream is
         seeded or drawn from."""
         calls = []
-        for name in ("stream_states", "stable_draws"):
+        for name in ("default_rng", "stable_draws"):
             real = getattr(jumpvol.stable, name)
             spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
             monkeypatch.setattr(jumpvol.stable, name, spy)
