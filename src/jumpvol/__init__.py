@@ -52,7 +52,6 @@ from .kernels import Kernel, c_tilde, cancelling_kernel, kernel_moment, parse_ke
 from .levy import (
     JumpLaw,
     ModelSpec,
-    PathSample,
     c_alpha,
     simulate_path,
     stable_scale,
@@ -73,7 +72,6 @@ __all__ = [
     "ModelSpec",
     "NumericalError",
     "ParameterError",
-    "PathSample",
     "c_alpha",
     "c_tilde",
     "cancelling_kernel",

@@ -53,10 +53,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     with open(getattr(args, "in"), encoding="utf-8") as fh:
-        path = path_from_csv(fh.read())
+        increments = path_from_csv(fh.read())
     kernel = parse_kernel(args.kernel, args.alpha, args.M)
     config = EstimatorConfig(beta=args.beta, k=args.k, kernel=kernel)
-    row = estimates(path.increments, config, args.alpha, args.gamma, args.M)
+    row = estimates(increments, config, args.alpha, args.gamma, args.M)
     q_n, q_c, q_nc = row.tolist()
     text = f"q_n = {q_n!r}\nq_n_corrected = {q_c!r}\nq_n_cancelled = {q_nc!r}\n"
     _write_or_print(text, args.out)

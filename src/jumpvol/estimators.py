@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DiagnosticError, ParameterError, check_alpha
 from .kernels import Kernel, cancelling_kernel, kernel_moment, truncated_terms
-from .levy import ModelSpec, PathSample, replicate_blocks, simulate_path, tail_constant
+from .levy import ModelSpec, block_rows, replicate_block, simulate_path, tail_constant
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,15 @@ def truncated_sums(
     return tuple(t.sum(axis=-1) for t in terms)
 
 
-def tqv(path: PathSample, config: EstimatorConfig) -> float:
-    """Truncated quadratic variation sum (Delta X_i)^2 K(Delta X_i / (k n^-beta))."""
-    (q,) = truncated_sums(path.increments, config.threshold(path.n), config.kernel)
+def tqv(increments: np.ndarray, config: EstimatorConfig) -> float:
+    """Truncated quadratic variation sum (Delta X_i)^2 K(Delta X_i / (k n^-beta))
+    of one path's increments, a non-empty vector."""
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 1 or increments.size == 0:
+        raise ParameterError(
+            f"increments must be a non-empty vector, got shape {increments.shape}"
+        )
+    (q,) = truncated_sums(increments, config.threshold(increments.size), config.kernel)
     return float(q)
 
 
@@ -93,8 +99,7 @@ def richardson_paired(
     Returns (q_n, q_2n, extrapolated).
     """
     fine = simulate_path(model, 2 * n, seed)
-    coarse = PathSample(fine.increments[0::2] + fine.increments[1::2])
-    q_n = tqv(coarse, config)
+    q_n = tqv(fine[0::2] + fine[1::2], config)
     q_2n = tqv(fine, config)
     return q_n, q_2n, richardson(q_n, q_2n, alpha, config.beta)
 
@@ -133,6 +138,10 @@ def estimates(
     estimator kernel and the cancelling composite share one sparse pass of
     `kernels.truncated_terms`.
     """
+    if increments.size == 0:
+        raise ParameterError(
+            f"increments must be non-empty, got shape {increments.shape}"
+        )
     n = increments.shape[-1]
     bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
     q, q_c = truncated_sums(
@@ -150,10 +159,9 @@ def rate_fit(
 ) -> tuple[float, float]:
     """Empirical decay exponent of the mean bias of tqv over an n grid.
 
-    Simulates `replicates` paths per n through `levy.replicate_blocks` with
-    key (seed, n): block b of `block_rows(n)` paths is drawn whole from the
-    stream (seed, n, b).  Averages Q_n - sigma^2 and fits log(mean bias) vs
-    log(1/n).  Every n must be at least 2.
+    Simulates `replicates` paths per n, block by block through
+    `levy.replicate_block` with key (seed, n).  Averages Q_n - sigma^2 and
+    fits log(mean bias) vs log(1/n).  Every n must be at least 2.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if n_grid and n_grid[0] < 2:
@@ -163,7 +171,8 @@ def rate_fit(
     biases = []
     for n in n_grid:
         acc = np.empty(replicates)
-        for lo, block in replicate_blocks(model, n, (seed, n), replicates):
+        for lo in range(0, replicates, block_rows(n)):
+            block = replicate_block(model, n, (seed, n), lo, replicates)
             (q,) = truncated_sums(block, config.threshold(n), config.kernel)
             acc[lo : lo + len(block)] = q
         biases.append(float(acc.mean()) - model.sigma**2)

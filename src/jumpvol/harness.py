@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DiagnosticError, NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, rate_fit
 from .kernels import cancelling_kernel, parse_kernel
-from .levy import JumpLaw, ModelSpec, PathSample, block_rows, simulate_increments
+from .levy import JumpLaw, ModelSpec, block_rows, replicate_block
 from .workers import fork_map, worker_count
 
 
@@ -227,28 +227,26 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
     errors have shape (R, 3).  A cell's replicates come in blocks of
     `block_rows(n)` rows, the last one shorter, and the items of `fork_map`
-    are the (cell, first replicate) pairs of these blocks.  Block b of cell i,
-    replicates b*block_rows(n) onwards, is drawn whole from the stream
-    (seed, i, b), as `levy.replicate_blocks` draws them.  A replicate's
+    are the (cell, first replicate) pairs of these blocks.  Cell i's blocks
+    are drawn by `levy.replicate_block` with key (seed, i).  A replicate's
     errors depend on neither the process that ran its block nor the number
     of processes.  A cell's stage times add up its blocks' times, in
     whichever process ran them.
     """
-    step = block_rows(config.n)
     root_n = np.sqrt(config.n)
     cells = [
         (cell, cell.model(config.sigma), cell.estimator_config())
         for cell in config.cells
     ]
-    starts = range(0, config.replicates, step)
+    starts = range(0, config.replicates, block_rows(config.n))
     blocks = [(ci, lo) for ci in range(len(cells)) for lo in starts]
 
     def block_errors(item):
         ci, lo = item
         cell, model, est_cfg = cells[ci]
+        key = (config.seed, ci)
         t0 = time.perf_counter()
-        rows, key = min(step, config.replicates - lo), (config.seed, ci, lo // step)
-        block = simulate_increments(model, config.n, rows, key)
+        block = replicate_block(model, config.n, key, lo, config.replicates)
         t1 = time.perf_counter()
         est = estimates(block, est_cfg, cell.alpha, cell.gamma, cell.M)
         errors = (est - config.sigma**2) * root_n
@@ -379,19 +377,21 @@ def run_rate_experiment(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def path_to_csv(path_sample) -> str:
+def path_to_csv(increments: np.ndarray) -> str:
+    """The path of these increments, observed at t = i/n from X_0 = 0, as CSV."""
+    delta = 1.0 / len(increments)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["i", "t", "x"])
-    observations = np.concatenate(([0.0], np.cumsum(path_sample.increments)))
+    observations = np.concatenate(([0.0], np.cumsum(increments)))
     for i, x in enumerate(observations):
-        writer.writerow([i, _format(i * path_sample.delta), _format(float(x))])
+        writer.writerow([i, _format(i * delta), _format(float(x))])
     return buf.getvalue()
 
 
-def path_from_csv(text: str) -> PathSample:
-    """The path of a CSV with header i,t,x, whose rows are i = 0, 1, ..., n
-    in order with t within 1e-9 of i/n and a finite x."""
+def path_from_csv(text: str) -> np.ndarray:
+    """The increments of the path of a CSV with header i,t,x, whose rows are
+    i = 0, 1, ..., n in order with t within 1e-9 of i/n and a finite x."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "t", "x"]:
@@ -417,4 +417,4 @@ def path_from_csv(text: str) -> PathSample:
             )
         if not math.isfinite(x):
             raise ParameterError(f"path CSV line {line}: x must be finite, got {x!r}")
-    return PathSample.from_observations([x for *_, x in rows])
+    return np.diff([x for *_, x in rows])

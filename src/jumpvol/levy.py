@@ -5,14 +5,13 @@ which corresponds to the characteristic function exp(-sigma_alpha |t|^alpha)
 with sigma_alpha = 2 * int_0^inf (1 - cos u) u^(-1-alpha) du in closed form
 (`stable_scale`).  Its density tail coefficient is 2 * c_alpha * sigma_alpha,
 which is 1 (`tail_constant`).  All increments produced here are exact in law
-up to the Gaussian small-jump substitution used in the tempered case.  The
-block samplers draw a whole block from one generator, each kind of draw in
-one call for all rows; `sample_stable_increment` takes a `size` and an
-`rng` that may be anything `default_rng` accepts (a Generator is used as it
-is).  The stable sampler's two steps,
-`stable_draws` and the elementwise `stable_transform`, are public, so that
-a caller can draw in one process and transform slices of the draws in
-others.
+up to the Gaussian small-jump substitution used in the tempered case.  A
+path is its 1-D array of increments Delta X_1..n on [0, 1], observed with
+delta = 1/n; a block of paths is a (rows, n) array.  The samplers draw a
+whole block from one generator, each kind of draw in one call for all rows;
+`sample_stable_increment` is the one public sampler, and `replicate_block`
+is the one place that says which stream each block of a Monte Carlo cell
+is drawn from.
 """
 
 from __future__ import annotations
@@ -68,42 +67,6 @@ class ModelSpec:
             raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
         if self.gamma != 0.0 and self.jump_law is None:
             raise ParameterError("gamma != 0 requires a jump_law")
-
-
-@dataclass(frozen=True, eq=False)
-class PathSample:
-    """Increments Delta X_1..n of a path on [0, 1] observed with delta = 1/n.
-
-    The increments are the path's data; the observed values, from X_0 = 0,
-    are their cumulative sum.  Paths compare and hash by identity, as their
-    arrays have no single truth value.
-    """
-
-    increments: np.ndarray
-
-    def __post_init__(self):
-        dx = np.asarray(self.increments, dtype=float)
-        if dx.ndim != 1 or dx.size < 1:
-            raise ParameterError(
-                f"increments must be a non-empty vector, got shape {dx.shape}"
-            )
-        object.__setattr__(self, "increments", dx)
-
-    @property
-    def n(self) -> int:
-        return self.increments.size
-
-    @property
-    def delta(self) -> float:
-        return 1.0 / self.n
-
-    @classmethod
-    def from_observations(cls, observations) -> "PathSample":
-        """The path whose increments are the differences of observed values."""
-        obs = np.asarray(observations, dtype=float)
-        if obs.ndim != 1 or obs.size < 2:
-            raise ParameterError(f"need at least 2 observations, got shape {obs.shape}")
-        return cls(np.diff(obs))
 
 
 def stable_scale(alpha: float) -> float:
@@ -201,46 +164,25 @@ def _chambers_mallows_stuck(alpha: float, u: np.ndarray, w: np.ndarray) -> None:
         np.multiply(a, c, out=up)
 
 
-def stable_draws(gen, shape) -> tuple[np.ndarray, np.ndarray]:
-    """The uniforms, then the exponentials, of `shape` stable draws from `gen`.
+def sample_stable_increment(alpha: float, delta: float, rng, shape) -> np.ndarray:
+    """Increments L_delta of the Levy-measure-normalized stable process, delta > 0.
 
-    `stable_transform` turns them into increments.
-    """
-    return gen.random(shape), gen.standard_exponential(shape)
-
-
-def stable_transform(
-    alpha: float, delta: float, u: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Overwrite the uniforms u of `stable_draws` with stable increments over
-    time delta and return u; w holds the matching exponentials.
-
-    The Chambers-Mallows-Stuck transform and the scaling are elementwise,
-    so any slice of the draws transforms to the same slice of increments.
+    Equal to (sigma_alpha * delta)^(1/alpha) times draws with characteristic
+    function exp(-|t|^alpha), of the given shape.  `rng` may be anything
+    `default_rng` accepts (a Generator is used as it is); it gives the
+    uniforms of every draw, then their exponentials.
     """
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
+    gen = default_rng(rng)
+    u, w = gen.random(shape), gen.standard_exponential(shape)
     # uniform(-pi/2, pi/2) bit for bit: it too is -pi/2 + pi * random()
     u *= np.pi
     u += -np.pi / 2
     _chambers_mallows_stuck(alpha, u, w)
     u *= scale
     return u
-
-
-def _stable_block(alpha: float, delta: float, gen, shape) -> np.ndarray:
-    """Stable increments over time delta, of the given shape, drawn from gen."""
-    return stable_transform(alpha, delta, *stable_draws(gen, shape))
-
-
-def sample_stable_increment(alpha: float, delta: float, rng, size: int) -> np.ndarray:
-    """Increments L_delta of the Levy-measure-normalized stable process, delta > 0.
-
-    Equal to (sigma_alpha * delta)^(1/alpha) times draws with characteristic
-    function exp(-|t|^alpha).
-    """
-    return _stable_block(alpha, delta, default_rng(rng), size)
 
 
 # Tanh-sinh rule on [-1, 1], the package's one fixed quadrature table: nodes
@@ -342,7 +284,7 @@ def _tempered_block(alpha: float, delta: float, gen, shape) -> np.ndarray:
 
 def _jump_block(law: JumpLaw, delta: float, gen, shape) -> np.ndarray:
     if law.kind == STABLE:
-        return _stable_block(law.alpha, delta, gen, shape)
+        return sample_stable_increment(law.alpha, delta, gen, shape)
     return _tempered_block(law.alpha, delta, gen, shape)
 
 
@@ -365,11 +307,15 @@ def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
     """Increments of `rows` paths on the grid t_i = i/n, as a (rows, n) block.
 
     Each entry is b*delta + sigma*sqrt(delta)*Z + gamma*J.  The whole block
-    is drawn from the one stream `rng` (anything `default_rng` accepts): the
-    Gaussian draws of every row first, then the jump draws of every row.
+    is drawn from the one stream `rng` (anything `default_rng` accepts; an
+    integer seed or a key tuple must not be negative): the Gaussian draws of
+    every row first, then the jump draws of every row.
     """
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
+    seeds = rng if isinstance(rng, (int, np.integer, tuple)) else ()
+    if min(np.atleast_1d(seeds), default=0) < 0:
+        raise ParameterError(f"seeds must be non-negative integers, got {rng}")
     delta = 1.0 / n
     gen = default_rng(rng)
     block = np.full((rows, n), model.drift * delta)
@@ -380,28 +326,27 @@ def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
     return block
 
 
-def replicate_blocks(model: ModelSpec, n: int, key: tuple, count: int):
-    """Yield (lo, block): the increments of replicates lo, lo+1, ... as rows.
+def replicate_block(
+    model: ModelSpec, n: int, key: tuple, lo: int, count: int
+) -> np.ndarray:
+    """The increments of the block of replicates that starts at replicate lo.
 
-    The `count` replicates come in blocks of `block_rows(n)` rows, the last
-    one shorter; block b, replicates b*block_rows(n) onwards, is drawn whole
-    from the stream SeedSequence((*key, b)).  The key's entries must be
-    non-negative integers.
+    A Monte Carlo cell's `count` replicates come in blocks of
+    `block_rows(n)` rows, the last one shorter; the block of replicates
+    lo, lo+1, ... (lo a multiple of `block_rows(n)`) is drawn whole from
+    the stream (*key, lo // block_rows(n)).
     """
-    if any(entry < 0 for entry in key):
-        raise ParameterError(f"seeds must be non-negative integers, got {key}")
     step = block_rows(n)
-    for lo in range(0, count, step):
-        rows = min(step, count - lo)
-        yield lo, simulate_increments(model, n, rows, (*key, lo // step))
+    return simulate_increments(model, n, min(step, count - lo), (*key, lo // step))
 
 
-def simulate_path(model: ModelSpec, n: int, seed) -> PathSample:
-    """Simulate X on the grid t_i = i/n, exact in law for constant coefficients.
+def simulate_path(model: ModelSpec, n: int, seed) -> np.ndarray:
+    """Simulate the increments of X on the grid t_i = i/n, exact in law for
+    constant coefficients.
 
     The one-row case of `simulate_increments`: X_0 = 0 and
     X_{t_{i+1}} - X_{t_i} = b*delta + sigma*sqrt(delta)*Z_i + gamma*J_i.  The
-    same (model, n, seed) always yields a bit-identical path; `seed` may be
-    an integer or a numpy SeedSequence.
+    same (model, n, seed) always yields bit-identical increments; `seed` may
+    be a non-negative integer or a numpy SeedSequence.
     """
-    return PathSample(simulate_increments(model, n, 1, seed)[0])
+    return simulate_increments(model, n, 1, seed)[0]

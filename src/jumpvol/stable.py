@@ -18,14 +18,9 @@ from math import ceil, cos, exp, inf, isfinite, lgamma, log, pi, sin
 
 import numpy as np
 
-# Imported with the module: numpy loads numpy.random (about 14 ms) on first
-# use of np.random, which would be inside a command, once in the caller and
-# again in each forked worker.
-from numpy.random import default_rng
-
 from .errors import NumericalError, ParameterError, check_alpha
 from .kernels import Kernel, kernel_moment, truncated_terms
-from .levy import stable_draws, stable_scale, stable_transform, tail_constant, tanh_sinh
+from .levy import sample_stable_increment, stable_scale, tail_constant, tanh_sinh
 from .workers import fork_map
 
 
@@ -297,13 +292,13 @@ def d_zeta(
     range too, before anything is drawn.
 
     The draws come in pieces of MC_PIECE_DRAWS, the last one shorter; piece
-    i draws its uniforms, then its exponentials, from its own stream
-    default_rng((seed, i)), so `seed` must be a non-negative integer.  One
-    `fork_map` holds the quadrature of each zeta, then the pieces; the
-    quadratures, the longest items, start first, and whichever process is
-    free takes the next item.  Each piece is transformed into stable draws
-    and summed for every zeta while it is in cache.  The piece sums are
-    added in piece order, so nothing depends on the number of processes.
+    i is drawn by `levy.sample_stable_increment` from its own stream
+    (seed, i), so `seed` must be a non-negative integer.  One `fork_map`
+    holds the quadrature of each zeta, then the pieces; the quadratures,
+    the longest items, start first, and whichever process is free takes the
+    next item.  Each piece is summed for every zeta while it is in cache.
+    The piece sums are added in piece order, so nothing depends on the
+    number of processes.
     """
     zetas = np.asarray(zeta, dtype=float)
     scalar = zetas.ndim == 0
@@ -327,8 +322,7 @@ def d_zeta(
             return d_zeta_quadrature(zetas[i], alpha, kernel)
         piece = i - len(zetas)
         size = min(MC_PIECE_DRAWS, n_draws - piece * MC_PIECE_DRAWS)
-        u, w = stable_draws(default_rng((seed, piece)), size)
-        s = stable_transform(alpha, 1.0, u, w)
+        s = sample_stable_increment(alpha, 1.0, (seed, piece), size)
         return [_piece_sums(s, z, kernel) for z in zetas]
 
     results = fork_map(item, range(len(zetas) + pieces))

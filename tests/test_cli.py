@@ -111,7 +111,7 @@ class TestEstimate:
         out = tmp_path / "p.csv"
         simulate = "simulate --n 100 --gamma 1 --alpha 1.5 --seed 3 --out".split()
         assert run_cli(capsys, *simulate, str(out))[0] == 0
-        dx = path_from_csv(out.read_text()).increments
+        dx = path_from_csv(out.read_text())
         u = EstimatorConfig(beta=0.2, k=2.0).threshold(len(dx))
         for spec, M in (("phi", 4.0), ("psi:M=3", 3.0), ("composite:M=2.5", 2.5)):
             args = ["estimate", "--in", str(out), "--beta", "0.2", "--k", "2"]
@@ -371,9 +371,9 @@ class TestRateCheck:
         from jumpvol import estimators
 
         calls = []
-        real = estimators.replicate_blocks
+        real = estimators.replicate_block
         spy = lambda *a: calls.append(a) or real(*a)
-        monkeypatch.setattr(estimators, "replicate_blocks", spy)
+        monkeypatch.setattr(estimators, "replicate_block", spy)
         cfg = tmp_path / "rate.cfg"
         cfg.write_text(
             "replicates = 10\nn_grid = 0 100 200 1600\n"
@@ -482,10 +482,9 @@ class TestDzeta:
         """The range is checked before any stream is seeded or drawn from,
         however many draws are asked for."""
         calls = []
-        for name in ("default_rng", "stable_draws"):
-            real = getattr(jumpvol.stable, name)
-            spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
-            monkeypatch.setattr(jumpvol.stable, name, spy)
+        real = jumpvol.stable.sample_stable_increment
+        spy = lambda *a: calls.append(a) or real(*a)
+        monkeypatch.setattr(jumpvol.stable, "sample_stable_increment", spy)
         args = ["--alpha", "1.5", "--zeta", "1e-300", "--draws", "100000000"]
         code, out, err = run_cli(capsys, "dzeta", *args)
         assert code == 2
@@ -564,9 +563,9 @@ class TestNonFiniteParameters:
         from jumpvol import harness, workers
 
         calls = []
-        simulate = harness.simulate_increments
-        spy = lambda *args: calls.append(args) or simulate(*args)
-        monkeypatch.setattr(harness, "simulate_increments", spy)
+        real = harness.replicate_block
+        spy = lambda *args: calls.append(args) or real(*args)
+        monkeypatch.setattr(harness, "replicate_block", spy)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TestMcTable.CFG.replace("k = 2", line))

@@ -10,7 +10,6 @@ from jumpvol import (
     Kernel,
     ModelSpec,
     ParameterError,
-    PathSample,
     jump_bias,
     kernel_moment,
     richardson,
@@ -24,7 +23,8 @@ from jumpvol.levy import block_rows, sample_stable_increment, simulate_increment
 
 
 def make_path(values):
-    return PathSample.from_observations(values)
+    """The increments of a path observed at these values."""
+    return np.diff(values)
 
 
 class TestEstimatorConfig:
@@ -56,20 +56,20 @@ class TestTqv:
         rng = np.random.default_rng(0)
         obs = np.cumsum(np.r_[0.0, rng.uniform(-thr / 4, thr / 4, 10)])
         p = make_path(obs)
-        assert tqv(p, cfg) == np.sum(p.increments**2)
+        assert tqv(p, cfg) == np.sum(p**2)
 
     def test_dominated_by_rv(self):
         cfg = EstimatorConfig(beta=0.3, k=1.0)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
         for s in range(5):
             p = simulate_path(model, 300, s)
-            assert 0.0 <= tqv(p, cfg) <= np.sum(p.increments**2)
+            assert 0.0 <= tqv(p, cfg) <= np.sum(p**2)
 
     def test_sign_flip_invariance(self):
         cfg = EstimatorConfig(beta=0.2, k=2.0)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.2))
         p = simulate_path(model, 300, 3)
-        flipped = make_path(np.r_[0.0, np.cumsum(-p.increments)])
+        flipped = make_path(np.r_[0.0, np.cumsum(-p)])
         assert tqv(flipped, cfg) == pytest.approx(tqv(p, cfg), rel=1e-12)
 
     def test_monotone_in_k(self):
@@ -91,8 +91,7 @@ class TestTqv:
         cfg = EstimatorConfig(beta=0.2, k=1.0)
         dx = np.full(10, 0.01)
         dx[4] = np.inf
-        path = PathSample(dx)
-        assert tqv(path, cfg) == pytest.approx(9 * 0.01**2, rel=1e-12)
+        assert tqv(dx, cfg) == pytest.approx(9 * 0.01**2, rel=1e-12)
 
     def test_sees_simulated_increments_after_huge_jumps(self):
         """At alpha = 0.1 one jump can exceed the Brownian increments by many
@@ -104,7 +103,7 @@ class TestTqv:
         for seed in range(20):
             gen = np.random.default_rng(seed)
             brownian = np.sqrt(1.0 / n) * gen.standard_normal(n)
-            dx = brownian + sample_stable_increment(alpha, 1.0 / n, gen, size=n)
+            dx = brownian + sample_stable_increment(alpha, 1.0 / n, gen, n)
             kv = phi(dx / cfg.threshold(n))
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = float(np.sum(np.where(kv != 0.0, dx * dx * kv, 0.0)))
@@ -169,7 +168,7 @@ class TestEstimates:
         expected = np.stack((q_n, q_n - bias, q_nc), axis=-1)
         np.testing.assert_array_equal(values, expected)
         for row, got in zip(block, values):
-            assert tqv(PathSample(row), config) == got[0]
+            assert tqv(row, config) == got[0]
             one_row = estimates(row, config, self.ALPHA, self.GAMMA, M)
             np.testing.assert_array_equal(one_row, got)
         assert np.isfinite(values).all()
@@ -177,12 +176,28 @@ class TestEstimates:
     def test_increment_near_largest_double_warns_nothing(self):
         """Dividing such an increment by u_n overflows to inf, outside every
         kernel's support; the suite turns a leaked RuntimeWarning into an error."""
-        path = PathSample(np.array([0.01, 1.7e308, 0.02]))
+        path = np.array([0.01, 1.7e308, 0.02])
         config = EstimatorConfig(beta=0.2)
         expected = 0.01**2 + 0.02**2
         assert tqv(path, config) == expected
-        values = estimates(path.increments, config, self.ALPHA, self.GAMMA, 4.0)
+        values = estimates(path, config, self.ALPHA, self.GAMMA, 4.0)
         assert values[0] == values[2] == expected
+
+
+class TestEmptyIncrements:
+    """An empty increments array is refused where it enters, whatever gamma."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
+    def test_estimates(self, gamma, shape):
+        config = EstimatorConfig(beta=0.2)
+        with pytest.raises(ParameterError, match="non-empty"):
+            estimates(np.zeros(shape), config, 1.5, gamma, 4.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 2), ()])
+    def test_tqv_takes_one_non_empty_vector(self, shape):
+        with pytest.raises(ParameterError, match="non-empty vector"):
+            tqv(np.zeros(shape), EstimatorConfig(beta=0.2))
 
 
 class TestJumpBias:
@@ -214,14 +229,14 @@ class TestCorrectedTqv:
     def test_gamma_zero_identity(self):
         cfg = EstimatorConfig(beta=0.2, k=2.0)
         p = simulate_path(ModelSpec(sigma=1.0), 200, 5)
-        q_n, q_corrected, _ = estimates(p.increments, cfg, 1.5, 0.0, 4.0)
+        q_n, q_corrected, _ = estimates(p, cfg, 1.5, 0.0, 4.0)
         assert q_corrected == q_n == tqv(p, cfg)
 
     def test_exact_decomposition(self):
         cfg = EstimatorConfig(beta=0.2, k=2.0)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.2))
         p = simulate_path(model, 300, 7)
-        q_n, q_corrected, _ = estimates(p.increments, cfg, 1.2, 1.0, 4.0)
+        q_n, q_corrected, _ = estimates(p, cfg, 1.2, 1.0, 4.0)
         assert q_corrected == q_n - jump_bias(1.2, 0.2, 1.0, 2.0, 300)
 
 
@@ -234,8 +249,8 @@ class TestCancelledKernelTqv:
         rng = np.random.default_rng(1)
         obs = np.cumsum(np.r_[0.0, rng.uniform(-thr / 4, thr / 4, 10)])
         p = make_path(obs)
-        q_nc = estimates(p.increments, cfg, 1.2, 1.0, 4.0)[2]
-        assert q_nc == np.sum(p.increments**2)
+        q_nc = estimates(p, cfg, 1.2, 1.0, 4.0)[2]
+        assert q_nc == np.sum(p**2)
 
     def test_decomposition_vs_psi_sum(self):
         """Q_nc - Q_n = c_tilde * sum (dX)^2 psi(dX / thr)."""
@@ -246,9 +261,9 @@ class TestCancelledKernelTqv:
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
         p = simulate_path(model, 300, 9)
         alpha, M = 1.5, 4.0
-        q_n, _, q_nc = estimates(p.increments, cfg, alpha, 1.0, M)
-        thr = cfg.threshold(p.n)
-        psi_sum = float(np.sum(p.increments**2 * psi(p.increments / thr, M)))
+        q_n, _, q_nc = estimates(p, cfg, alpha, 1.0, M)
+        thr = cfg.threshold(p.size)
+        psi_sum = float(np.sum(p**2 * psi(p / thr, M)))
         assert q_nc - q_n == pytest.approx(c_tilde(alpha, M) * psi_sum, rel=1e-10)
 
 
@@ -330,7 +345,7 @@ class TestRateFit:
             for b, lo in enumerate(range(0, reps, step)):
                 rows = min(step, reps - lo)
                 block = simulate_increments(model, n, rows, (seed, n, b))
-                q += [tqv(PathSample(row), cfg) for row in block]
+                q += [tqv(row, cfg) for row in block]
             assert len(q) == reps and reps % step != 0
             biases.append(float(np.mean(q)) - 1.0)
         assert rate_fit(model, cfg, grid, reps, seed) == fit_power_law(grid, biases)

@@ -83,6 +83,12 @@ def test_workers_imports_no_package_module():
     assert package_imports("workers") == set()
 
 
+def test_cli_import_loads_numpy_random():
+    """numpy.random loads with the package, once, before any command forks;
+    `levy`'s import of `default_rng` is what loads it."""
+    assert "numpy.random" in modules_loaded_by_cli_import()
+
+
 def test_cli_import_loads_no_multiprocessing():
     """Work is spread over processes by `workers.fork_map`, which forks
     directly; no command pays for importing multiprocessing."""
@@ -175,9 +181,6 @@ KEPT_UNREFERENCED = {
     # the public scalar density: criterion 6, tests/test_stable.py and the
     # perfbench tracer call it
     "stable.stable_density",
-    # the one-stream stable sampler that criterion 6 and the sampler tests
-    # draw from; the package draws by `stable_draws` and `stable_transform`
-    "levy.sample_stable_increment",
 }
 
 

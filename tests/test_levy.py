@@ -4,16 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from jumpvol import JumpLaw, ModelSpec, ParameterError, PathSample, simulate_path
+from jumpvol import JumpLaw, ModelSpec, ParameterError, simulate_path
 from jumpvol.levy import (
     BLOCK_INCREMENTS,
     SMALL_JUMP_CUTOFF,
     _chambers_mallows_stuck,
     _jump_block,
-    _stable_block,
     _tempered_block,
     block_rows,
-    replicate_blocks,
+    replicate_block,
     sample_stable_increment,
     simulate_increments,
     stable_scale,
@@ -210,7 +209,8 @@ class TestTemperedSampler:
             return np.random.default_rng(1)
 
         a = _jump_block(JumpLaw("stable", 1.1), 0.1, gen(), (2, 100))
-        np.testing.assert_array_equal(a, _stable_block(1.1, 0.1, gen(), (2, 100)))
+        b = sample_stable_increment(1.1, 0.1, gen(), (2, 100))
+        np.testing.assert_array_equal(a, b)
         a = _jump_block(JumpLaw("tempered", 1.1), 0.1, gen(), (2, 100))
         np.testing.assert_array_equal(a, _tempered_block(1.1, 0.1, gen(), (2, 100)))
 
@@ -245,31 +245,29 @@ class TestSimulatePath:
     def test_shape_and_start(self):
         model = ModelSpec(sigma=1.0)
         path = simulate_path(model, 50, 0)
-        assert path.n == 50
-        assert path.delta == pytest.approx(1 / 50)
-        assert len(path.increments) == 50
+        assert path.shape == (50,) and path.dtype == float
 
     def test_deterministic(self):
         model = ModelSpec(sigma=0.5, gamma=1.0, jump_law=JumpLaw("stable", 1.3))
         a = simulate_path(model, 200, 99)
         b = simulate_path(model, 200, 99)
-        np.testing.assert_array_equal(a.increments, b.increments)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_sensitivity(self):
         model = ModelSpec(sigma=1.0)
         a = simulate_path(model, 100, 1)
         b = simulate_path(model, 100, 2)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     def test_drift_only(self):
         model = ModelSpec(drift=2.0, sigma=0.0)
         path = simulate_path(model, 10, 0)
-        ends = np.cumsum(path.increments)
+        ends = np.cumsum(path)
         np.testing.assert_allclose(ends, 2.0 * np.linspace(0, 1, 11)[1:])
 
     def test_brownian_terminal_variance(self):
         model = ModelSpec(sigma=1.5)
-        ends = [simulate_path(model, 64, s).increments.sum() for s in range(3000)]
+        ends = [simulate_path(model, 64, s).sum() for s in range(3000)]
         assert np.var(ends) == pytest.approx(1.5**2, rel=0.1)
 
     def test_rejects_tiny_n(self):
@@ -281,28 +279,7 @@ class TestSimulatePath:
         ss = np.random.SeedSequence((42, 0, 0))
         a = simulate_path(model, 20, ss)
         b = simulate_path(model, 20, np.random.SeedSequence((42, 0, 0)))
-        np.testing.assert_array_equal(a.increments, b.increments)
-
-
-class TestPathSample:
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ParameterError):
-            PathSample(np.zeros((2, 2)))
-        with pytest.raises(ParameterError):
-            PathSample(np.zeros(0))
-        with pytest.raises(ParameterError):
-            PathSample.from_observations([1.0])
-
-    def test_increments(self):
-        p = PathSample.from_observations(np.array([0.0, 1.0, 1.0]))
-        np.testing.assert_array_equal(p.increments, [1.0, 0.0])
-        assert p.n == 2 and p.delta == 0.5
-
-    def test_compare_and_hash_by_identity(self):
-        p, q = PathSample(np.zeros(2)), PathSample(np.zeros(2))
-        assert p == p and p != q
-        assert hash(p) == hash(p)
-        assert len({p, q}) == 2
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSimulateIncrements:
@@ -315,9 +292,7 @@ class TestSimulateIncrements:
         for r in range(5):
             seed = np.random.SeedSequence((3, 1, r))
             ref = reference_block(model, 40, 1, np.random.default_rng(seed))
-            np.testing.assert_array_equal(
-                simulate_path(model, 40, seed).increments, ref[0]
-            )
+            np.testing.assert_array_equal(simulate_path(model, 40, seed), ref[0])
 
     def test_replicate_blocks(self):
         """Block b is drawn whole from stream (*key, b); the last is shorter."""
@@ -325,10 +300,10 @@ class TestSimulateIncrements:
         n, key = 1000, (7, 2)
         step = block_rows(n)
         count = 2 * step + 5
-        blocks = list(replicate_blocks(model, n, key, count))
-        assert [lo for lo, _ in blocks] == [0, step, 2 * step]
-        assert [len(block) for _, block in blocks] == [step, step, 5]
-        for b, (_, block) in enumerate(blocks):
+        starts = (0, step, 2 * step)
+        blocks = [replicate_block(model, n, key, lo, count) for lo in starts]
+        assert [len(block) for block in blocks] == [step, step, 5]
+        for b, block in enumerate(blocks):
             expected = simulate_increments(model, n, len(block), (*key, b))
             np.testing.assert_array_equal(block, expected)
 
@@ -420,10 +395,9 @@ class TestBlockAgainstWrittenOutDraws:
     def test_replicate_blocks(self, name):
         model, n, key = self.MODELS[name], 1000, (11, 4)
         step = block_rows(n)
-        blocks = list(replicate_blocks(model, n, key, step + 3))
-        assert [len(block) for _, block in blocks] == [step, 3]
-        for b, (lo, block) in enumerate(blocks):
-            assert lo == b * step
+        blocks = [replicate_block(model, n, key, lo, step + 3) for lo in (0, step)]
+        assert [len(block) for block in blocks] == [step, 3]
+        for b, block in enumerate(blocks):
             ref = reference_block(model, n, len(block), np.random.default_rng((*key, b)))
             np.testing.assert_array_equal(block, ref)
 
@@ -456,4 +430,16 @@ class TestStreamStates:
 
     def test_rejects_negative_key(self):
         with pytest.raises(ParameterError, match="non-negative"):
-            next(replicate_blocks(ModelSpec(), 10, (-1, 0), 2))
+            replicate_block(ModelSpec(), 10, (-1, 0), 0, 2)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
+    def test_rejects_negative_seed(self, seed):
+        """simulate_increments refuses it for an integer or a key tuple."""
+        with pytest.raises(ParameterError, match="non-negative"):
+            simulate_increments(ModelSpec(), 10, 2, seed)
+        with pytest.raises(ParameterError, match="non-negative"):
+            simulate_path(ModelSpec(), 10, seed)
+
+    def test_accepts_seeds_beyond_int64(self):
+        assert simulate_increments(ModelSpec(), 10, 2, (2**70, 1)).shape == (2, 10)
+        assert simulate_path(ModelSpec(), 10, 2**70).shape == (10,)

@@ -372,10 +372,9 @@ class TestDZetaMcSharedDraws:
         """The last zeta is outside the quadrature's range: no stream is
         seeded or drawn from."""
         calls = []
-        for name in ("default_rng", "stable_draws"):
-            real = getattr(jumpvol.stable, name)
-            spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
-            monkeypatch.setattr(jumpvol.stable, name, spy)
+        real = jumpvol.stable.sample_stable_increment
+        spy = lambda *a: calls.append(a) or real(*a)
+        monkeypatch.setattr(jumpvol.stable, "sample_stable_increment", spy)
         with pytest.raises(NumericalError, match="outside the quadrature's range"):
             d_zeta([0.1, 1e101], 1.5, 10**8, 0)
         assert calls == []
