@@ -90,7 +90,7 @@ def _cmd_rate_check(args) -> int:
 
 
 def _cmd_dzeta(args) -> int:
-    kernel = parse_kernel(args.kernel, args.alpha)
+    kernel = parse_kernel(args.kernel, args.alpha, args.M)
     try:
         zetas = [float(z) for z in args.zeta.replace(",", " ").split()]
     except ValueError:
@@ -153,6 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--zeta", required=True, help="one or more values, comma separated")
     p.add_argument("--kernel", default="phi")
+    p.add_argument("--M", type=float, default=4.0)
     p.add_argument("--draws", type=int, default=10**6)
     p.set_defaults(func=_cmd_dzeta)
     return parser

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DiagnosticError, ParameterError, check_alpha
 from .kernels import Kernel, cancelling_kernel, kernel_moment, truncated_terms
 from .levy import ModelSpec, block_rows, replicate_block, simulate_path, tail_constant
+from .workers import fork_map
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,12 @@ def truncated_sums(
 
 def tqv(increments: np.ndarray, config: EstimatorConfig) -> float:
     """Truncated quadratic variation sum (Delta X_i)^2 K(Delta X_i / (k n^-beta))
-    of one path's increments, a non-empty vector."""
+    of one path's increments, a vector of at least 2 entries."""
     increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 1 or increments.size == 0:
+    if increments.ndim != 1 or increments.size < 2:
         raise ParameterError(
-            f"increments must be a non-empty vector, got shape {increments.shape}"
+            "increments must be a vector of at least 2 entries,"
+            f" got shape {increments.shape}"
         )
     (q,) = truncated_sums(increments, config.threshold(increments.size), config.kernel)
     return float(q)
@@ -138,11 +140,12 @@ def estimates(
     estimator kernel and the cancelling composite share one sparse pass of
     `kernels.truncated_terms`.
     """
-    if increments.size == 0:
-        raise ParameterError(
-            f"increments must be non-empty, got shape {increments.shape}"
-        )
     n = increments.shape[-1]
+    if increments.size == 0 or n < 2:
+        raise ParameterError(
+            "increments must hold one or more paths of at least 2 entries,"
+            f" got shape {increments.shape}"
+        )
     bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
     q, q_c = truncated_sums(
         increments, config.threshold(n), config.kernel, cancelling_kernel(alpha, M)
@@ -159,21 +162,30 @@ def rate_fit(
 ) -> tuple[float, float]:
     """Empirical decay exponent of the mean bias of tqv over an n grid.
 
-    Simulates `replicates` paths per n, block by block through
-    `levy.replicate_block` with key (seed, n).  Averages Q_n - sigma^2 and
-    fits log(mean bias) vs log(1/n).  Every n must be at least 2.
+    Simulates `replicates` paths per n in blocks of `block_rows(n)` rows,
+    the last one shorter; block b of n is drawn by `levy.replicate_block`
+    from stream (seed, n, b).  The (n, first replicate) pairs of the blocks
+    are the items of `workers.fork_map`, and each n's mean of Q_n - sigma^2
+    is taken over its replicates in replicate order, so the fit does not
+    depend on the number of processes.  Fits log(mean bias) vs log(1/n).
+    Every n must be at least 2.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     if n_grid and n_grid[0] < 2:
         raise ParameterError(f"every n in n_grid must be at least 2, got {n_grid[0]}")
     if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
         raise DiagnosticError("n grid must have >= 4 values spanning a factor of 8")
+    blocks = [(n, lo) for n in n_grid for lo in range(0, replicates, block_rows(n))]
+
+    def block_sums(item):
+        n, lo = item
+        block = replicate_block(model, n, (seed, n), lo, replicates)
+        (q,) = truncated_sums(block, config.threshold(n), config.kernel)
+        return q
+
+    sums = fork_map(block_sums, blocks)
     biases = []
     for n in n_grid:
-        acc = np.empty(replicates)
-        for lo in range(0, replicates, block_rows(n)):
-            block = replicate_block(model, n, (seed, n), lo, replicates)
-            (q,) = truncated_sums(block, config.threshold(n), config.kernel)
-            acc[lo : lo + len(block)] = q
-        biases.append(float(acc.mean()) - model.sigma**2)
+        q_n = np.concatenate([s for (m, _), s in zip(blocks, sums) if m == n])
+        biases.append(float(q_n.mean()) - model.sigma**2)
     return fit_power_law(n_grid, biases)

@@ -356,18 +356,17 @@ RATE_HEADER = "alpha,beta,expected_slope,fitted_slope,stderr"
 def run_rate_experiment(config: ExperimentConfig) -> str:
     """Fit the bias decay exponent per cell; returns the rate-report CSV text.
 
-    The cells run on `fork_map`'s processes, one cell per item.
+    The cells are fitted in turn, each by `rate_fit`, whose blocks run on
+    `fork_map`'s processes.
     """
     if len(config.n_grid) < 4:
         raise DiagnosticError("rate experiment requires an n_grid of >= 4 values")
-
-    def cell_fit(cell):
-        model, est_cfg = cell.model(config.sigma), cell.estimator_config()
-        return rate_fit(model, est_cfg, config.n_grid, config.replicates, config.seed)
-
     lines = [RATE_HEADER]
-    fits = fork_map(cell_fit, config.cells)
-    for cell, (slope, stderr) in zip(config.cells, fits):
+    for cell in config.cells:
+        model, est_cfg = cell.model(config.sigma), cell.estimator_config()
+        slope, stderr = rate_fit(
+            model, est_cfg, config.n_grid, config.replicates, config.seed
+        )
         expected = cell.beta * (2.0 - cell.alpha)
         lines.append(
             ",".join(

@@ -59,14 +59,12 @@ def psi(x, M: float):
     return float(out[0]) if scalar else out
 
 
-def composite(x, c: float, M: float):
-    """phi(x) + c * psi(x, M): equals 1 on |x| <= 1 and 0 on |x| >= max(2, M)."""
-    return phi(x) + c * psi(x, M)
-
-
 @dataclass(frozen=True)
 class Kernel:
-    """Immutable kernel descriptor; `c` is only meaningful for composites."""
+    """Immutable kernel descriptor; `c` is only meaningful for composites.
+
+    A composite is phi + c * psi(., M): 1 on |x| <= 1 and 0 on |x| >= max(2, M).
+    """
 
     kind: str
     M: float = 4.0
@@ -91,7 +89,7 @@ class Kernel:
             return phi(x)
         if self.kind == PSI:
             return psi(x, self.M)
-        return composite(x, self.c, self.M)
+        return phi(x) + self.c * psi(x, self.M)
 
 
 def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
@@ -133,33 +131,21 @@ def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def parse_kernel(
-    spec: str, alpha: float | None = None, M: float | None = None
-) -> Kernel:
-    """Parse `phi`, `psi:M=<real>` or `composite:M=<real>`.
+def parse_kernel(name: str, alpha: float | None = None, M: float = 4.0) -> Kernel:
+    """The kernel named `phi`, `psi` or `composite`, with parameter M.
 
-    `M=` is the only parameter, and only `psi` and `composite` take it.  A
-    bare `psi` or `composite` takes `M` (4 when it is None); a spec whose
-    `M=` differs from a given `M` is refused.  Composite kernels get
-    c = c_tilde(alpha, M), which requires alpha.
+    M is checked for every name, and M is the only place it is set: a name
+    carries no parameter.  `composite` is `cancelling_kernel(alpha, M)`,
+    which requires alpha.
     """
-    name, _, rest = spec.strip().partition(":")
     if name not in (PHI, PSI, COMPOSITE):
-        raise ParameterError(f"unknown kernel spec {spec!r}")
-    spec_M = None
-    for item in filter(None, rest.split(",")):
-        key, _, value = item.partition("=")
-        if name == PHI or key.strip() != "M":
-            raise ParameterError(f"unknown kernel parameter {item!r} in {spec!r}")
-        try:
-            spec_M = float(value)
-        except ValueError:
-            raise ParameterError(f"bad kernel parameter {item!r} in {spec!r}") from None
+        raise ParameterError(
+            f"unknown kernel {name!r}: expected phi, psi or composite"
+            " (M is set by `M =` in a config or by --M)"
+        )
+    _check_M(M)
     if name == PHI:
         return Kernel(PHI)
-    if M is not None and spec_M not in (None, M):
-        raise ParameterError(f"kernel {spec!r} disagrees with M = {M:g}")
-    M = spec_M if spec_M is not None else (4.0 if M is None else M)
     if name == PSI:
         return Kernel(PSI, M=M)
     if alpha is None:

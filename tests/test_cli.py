@@ -113,20 +113,20 @@ class TestEstimate:
         assert run_cli(capsys, *simulate, str(out))[0] == 0
         dx = path_from_csv(out.read_text())
         u = EstimatorConfig(beta=0.2, k=2.0).threshold(len(dx))
-        for spec, M in (("phi", 4.0), ("psi:M=3", 3.0), ("composite:M=2.5", 2.5)):
+        for name, M in (("phi", 4.0), ("psi", 3.0), ("composite", 2.5)):
             args = ["estimate", "--in", str(out), "--beta", "0.2", "--k", "2"]
-            args += ["--alpha", "1.5", "--gamma", "1", "--kernel", spec, "--M", str(M)]
+            args += ["--alpha", "1.5", "--gamma", "1", "--kernel", name, "--M", str(M)]
             code, text, _ = run_cli(capsys, *args)
             assert code == 0
             printed = [float(line.split("=")[1]) for line in text.splitlines()]
-            kernel = parse_kernel(spec, 1.5, M)
+            kernel = parse_kernel(name, 1.5, M)
             with np.errstate(over="ignore", invalid="ignore"):
                 q_n, q_nc = [
                     float(np.where(kv != 0.0, dx * dx * kv, 0.0).sum())
                     for kv in (kernel(dx / u), cancelling_kernel(1.5, M)(dx / u))
                 ]
             q_corrected = q_n - jump_bias(1.5, 0.2, 1.0, 2.0, len(dx), kernel)
-            assert printed == [q_n, q_corrected, q_nc], spec
+            assert printed == [q_n, q_corrected, q_nc], name
 
     def test_one_kernel_pass(self, capsys, tmp_path, monkeypatch):
         """The three estimates come from one truncated_terms pass over the
@@ -182,14 +182,18 @@ class TestEstimate:
         assert err.startswith(f"error: path CSV line {line}: expected i = {line - 2}")
 
     def test_kernel_m_disagreeing_with_m_rejected(self, capsys, tmp_path):
+        """M is set by --M alone: a `:M=` suffix is refused, agreeing
+        with --M or not, and the bare name takes --M."""
         p = tmp_path / "p.csv"
         p.write_text("i,t,x\n0,0.0,0.0\n1,0.5,0.01\n2,1.0,0.03\n")
         args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "0.5"]
-        args += ["--gamma", "3", "--kernel", "psi:M=6"]
-        code, _, err = run_cli(capsys, *args)
-        assert code == 1
-        assert "disagrees with M" in err
-        code, _, _ = run_cli(capsys, *args, "--M", "6")
+        args += ["--gamma", "3", "--kernel"]
+        for extra in ([], ["--M", "6"]):
+            code, out, err = run_cli(capsys, *args, "psi:M=6", *extra)
+            assert code == 1
+            assert err.startswith("error:") and "M is set by" in err
+            assert out == ""
+        code, _, _ = run_cli(capsys, *args, "psi", "--M", "6")
         assert code == 0
 
     def test_prints_three_estimates(self, capsys, tmp_path):
@@ -257,6 +261,18 @@ k = 2
     def test_missing_config(self, capsys):
         code, _, _ = run_cli(capsys, "mc-table", "--config", "/no/such.cfg")
         assert code == 1
+
+    @pytest.mark.parametrize("kernel", ["psi:M=4", "composite:M=6"])
+    def test_kernel_suffix_exits_1(self, capsys, tmp_path, kernel):
+        """A config sets M by its `M` key alone; a `:M=` suffix is refused."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG.replace("k = 2", f"k = 2\nkernel = {kernel}"))
+        out = tmp_path / "t.csv"
+        args = ["mc-table", "--config", str(cfg), "--out", str(out)]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err.startswith("error: unknown kernel") and "M is set by `M =`" in err
+        assert not out.exists()
 
     def test_every_replicate_failed_in_a_worker_exits_2(
         self, capsys, tmp_path, monkeypatch
@@ -459,13 +475,42 @@ class TestDzeta:
         assert err.startswith("error:") and "--zeta must be numbers" in err
         assert out == ""
 
-    @pytest.mark.parametrize("kernel", ["phi:Q=3", "composite:c=3,M=4"])
+    @pytest.mark.parametrize(
+        "kernel", ["phi:Q=3", "composite:c=3,M=4", "composite:M=2.5", "psi:M=4"]
+    )
     def test_unknown_kernel_parameter_exits_1(self, capsys, kernel):
+        """A kernel name carries no parameter; M is set by --M."""
         code, out, err = run_cli(
             capsys, "dzeta", "--alpha", "1.5", "--zeta", "0.1", "--kernel", kernel
         )
         assert code == 1
-        assert "unknown kernel parameter" in err
+        assert err.startswith("error: unknown kernel") and "M is set by" in err
+        assert out == ""
+
+    def test_composite_takes_m(self, capsys):
+        """--M sets the composite's M: the rows are d_zeta's in process with
+        cancelling_kernel(alpha, M)."""
+        zetas, alpha, draws, seed = [0.1, 0.01], 1.2, 50000, 3
+        args = ["--alpha", repr(alpha), "--zeta", "0.1,0.01", "--kernel", "composite"]
+        args += ["--M", "2.5", "--draws", str(draws), "--seed", str(seed)]
+        code, out, _ = run_cli(capsys, "dzeta", *args)
+        assert code == 0
+        kernel = cancelling_kernel(alpha, 2.5)
+        rows = jumpvol.d_zeta(zetas, alpha, draws, seed, kernel)
+        expected = [
+            f"{z!r},{alpha!r},{mc!r},{quad!r},"
+            f"{jumpvol.d_zeta_asymptotic(z, alpha, kernel)!r},{stderr!r}"
+            for z, (mc, stderr, quad) in zip(zetas, rows)
+        ]
+        assert out.strip().splitlines()[1:] == expected
+
+    @pytest.mark.parametrize("M", ["nan", "inf", "1.5"])
+    def test_bad_m_exits_1_under_phi(self, capsys, M):
+        """M is checked whatever the kernel, as estimate does."""
+        args = ["--alpha", "1.5", "--zeta", "0.1", "--kernel", "phi", "--M", M]
+        code, out, err = run_cli(capsys, "dzeta", *args, "--draws", "100")
+        assert code == 1
+        assert err.startswith("error:") and "M must be finite and exceed 3/2" in err
         assert out == ""
 
     @pytest.mark.parametrize("kernel", ["phi", "composite"])

@@ -185,19 +185,33 @@ class TestEstimates:
 
 
 class TestEmptyIncrements:
-    """An empty increments array is refused where it enters, whatever gamma."""
+    """An empty increments array, or paths of one increment, are refused
+    where they enter, whatever gamma."""
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
     def test_estimates(self, gamma, shape):
         config = EstimatorConfig(beta=0.2)
-        with pytest.raises(ParameterError, match="non-empty"):
+        with pytest.raises(ParameterError, match="paths of at least 2 entries"):
             estimates(np.zeros(shape), config, 1.5, gamma, 4.0)
 
     @pytest.mark.parametrize("shape", [(0,), (2, 2), ()])
     def test_tqv_takes_one_non_empty_vector(self, shape):
-        with pytest.raises(ParameterError, match="non-empty vector"):
+        with pytest.raises(ParameterError, match="a vector of at least 2 entries"):
             tqv(np.zeros(shape), EstimatorConfig(beta=0.2))
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(1,), (4, 1)])
+    def test_estimates_refuses_one_increment_paths(self, gamma, shape):
+        """Refused where the increments enter, at gamma 0 too, where no
+        jump bias is computed."""
+        config = EstimatorConfig(beta=0.2)
+        with pytest.raises(ParameterError, match="paths of at least 2 entries"):
+            estimates(np.full(shape, 0.3), config, 1.5, gamma, 4.0)
+
+    def test_tqv_refuses_one_increment(self):
+        with pytest.raises(ParameterError, match="a vector of at least 2 entries"):
+            tqv(np.array([0.3]), EstimatorConfig(beta=0.2))
 
 
 class TestJumpBias:
@@ -349,3 +363,22 @@ class TestRateFit:
             assert len(q) == reps and reps % step != 0
             biases.append(float(np.mean(q)) - 1.0)
         assert rate_fit(model, cfg, grid, reps, seed) == fit_power_law(grid, biases)
+
+    def test_maps_one_item_per_block(self, monkeypatch):
+        """The items of rate_fit's one fork_map are the (n, first replicate)
+        pairs of the blocks of every n, in n order."""
+        from jumpvol import estimators
+
+        calls = []
+        real = estimators.fork_map
+
+        def spy(fn, items):
+            calls.append(list(items))
+            return real(fn, items)
+
+        monkeypatch.setattr(estimators, "fork_map", spy)
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 0.7))
+        grid, reps = [50, 100, 200, 400], 100
+        rate_fit(model, EstimatorConfig(beta=0.2, k=3.0), grid, reps, 11)
+        blocks = [(n, lo) for n in grid for lo in range(0, reps, block_rows(n))]
+        assert calls == [blocks] and len(blocks) > len(grid)

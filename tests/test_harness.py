@@ -116,13 +116,16 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("kind", ["psi", "composite"])
     def test_kernel_takes_cell_m(self, kind):
-        """A bare psi/composite spec gets the M that the E3 kernel uses."""
+        """A psi/composite estimator kernel gets the M that the E3 kernel
+        uses, a global M or the cell's own."""
         text = SAMPLE_CFG.replace("kernel = phi\nM = 4", f"kernel = {kind}\nM = 6")
         for cell in parse_config(text).cells:
             assert cell.M == 6.0
             assert cell.estimator_config().kernel.M == 6.0
-        text = SAMPLE_CFG.replace("kernel = phi", f"kernel = {kind}:M=4")
-        assert parse_config(text).cells[0].estimator_config().kernel.M == 4.0
+        text = SAMPLE_CFG.replace("kernel = phi", f"kernel = {kind}")
+        text = text.replace("k = 2\n", "k = 2\nM = 5\n")
+        cells = parse_config(text).cells
+        assert [cell.estimator_config().kernel.M for cell in cells] == [5.0, 4.0]
 
     @pytest.mark.parametrize(
         "edit",
@@ -130,10 +133,13 @@ class TestParseConfig:
             ("kernel = phi\nM = 4", "kernel = composite:M=4\nM = 6"),
             ("kernel = phi\nM = 4", "kernel = psi:M=6"),
             ("k = 2\n", "k = 2\nkernel = composite:M=5\n"),
+            ("kernel = phi\nM = 4", "kernel = psi:M=4\nM = 4"),
         ],
     )
     def test_kernel_m_disagreeing_with_cell_m_rejected(self, edit):
-        with pytest.raises(ParameterError, match="disagrees with M"):
+        """A kernel name carries no M, so a `:M=` suffix is refused,
+        agreeing with M or not; M is set by the `M` key alone."""
+        with pytest.raises(ParameterError, match="M is set by `M =`"):
             parse_config(SAMPLE_CFG.replace(*edit))
 
 
@@ -293,7 +299,7 @@ class TestCellPool:
         """Piece sums are added in piece order, whichever process made them;
         2 * 10^6 + 5000 draws take 123 pieces, the last one short.  The
         quadratures are items of the same map."""
-        kernel = parse_kernel("composite:M=4", 1.5)
+        kernel = parse_kernel("composite", 1.5, M=4.0)
         results = []
         for count in (1, 2, 3):
             at_workers(count)

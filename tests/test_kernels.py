@@ -9,7 +9,6 @@ from jumpvol import Kernel, ParameterError, c_tilde, cancelling_kernel, kernel_m
 from jumpvol.kernels import (
     _phi_moment,
     _psi_moment,
-    composite,
     parse_kernel,
     phi,
     psi,
@@ -78,13 +77,13 @@ class TestPsi:
 class TestComposite:
     def test_equals_phi_inside(self):
         x = np.linspace(-1.0, 1.0, 21)
-        np.testing.assert_array_equal(composite(x, -0.8, 4.0), phi(x))
+        np.testing.assert_array_equal(Kernel("composite", M=4.0, c=-0.8)(x), phi(x))
 
     def test_linear_combination(self):
         x = np.linspace(0.0, 5.0, 101)
         c = -0.7
-        np.testing.assert_allclose(
-            composite(x, c, 4.0), phi(x) + c * psi(x, 4.0), rtol=1e-14
+        np.testing.assert_array_equal(
+            Kernel("composite", M=4.0, c=c)(x), phi(x) + c * psi(x, 4.0)
         )
 
 
@@ -109,32 +108,32 @@ class TestParseKernel:
         assert k.kind == "phi"
 
     def test_psi_with_m(self):
-        k = parse_kernel("psi:M=6", 1.0)
+        k = parse_kernel("psi", 1.0, M=6.0)
         assert k.kind == "psi" and k.M == 6.0
 
     def test_composite_computes_c(self):
-        k = parse_kernel("composite:M=4", 1.0)
+        k = parse_kernel("composite", 1.0, M=4.0)
         assert k.c == pytest.approx(c_tilde(1.0, 4.0))
 
     def test_bare_spec_takes_given_m(self):
         assert parse_kernel("psi", 1.0).M == 4.0
         assert parse_kernel("psi", 1.0, M=6.0).M == 6.0
         k = parse_kernel("composite", 1.0, M=6.0)
-        assert k.M == 6.0 and k.c == c_tilde(1.0, 6.0)
-        assert parse_kernel("composite:M=6", 1.0, M=6.0) == k
+        assert k == cancelling_kernel(1.0, 6.0) and k.c == c_tilde(1.0, 6.0)
 
     def test_rejects_spec_m_disagreeing_with_given_m(self):
-        with pytest.raises(ParameterError, match="disagrees with M"):
-            parse_kernel("psi:M=6", 1.0, M=4.0)
-        with pytest.raises(ParameterError, match="disagrees with M"):
-            parse_kernel("composite:M=4", 1.0, M=6.0)
+        """M is set only by the M argument; a name carries none, whether it
+        agrees with M or not."""
+        for spec, M in (("psi:M=6", 4.0), ("composite:M=4", 6.0), ("psi:M=4", 4.0)):
+            with pytest.raises(ParameterError, match="M is set by"):
+                parse_kernel(spec, 1.0, M=M)
 
     @pytest.mark.parametrize(
         "spec",
         ["phi:Q=3", "phi:M=4", "psi:Q=3", "composite:c=3,M=4", "composite:M=4,m=5"],
     )
     def test_rejects_unknown_parameters(self, spec):
-        with pytest.raises(ParameterError, match="unknown kernel parameter"):
+        with pytest.raises(ParameterError, match="unknown kernel .*M is set by"):
             parse_kernel(spec, 1.0)
 
     def test_rejects_garbage(self):
@@ -142,6 +141,12 @@ class TestParseKernel:
             parse_kernel("phi:M=4:extra", 1.0)
         with pytest.raises(ParameterError):
             parse_kernel("triangle", 1.0)
+
+    @pytest.mark.parametrize("name", ["phi", "psi", "composite"])
+    @pytest.mark.parametrize("M", [float("nan"), float("inf"), 1.5])
+    def test_checks_m_for_every_name(self, name, M):
+        with pytest.raises(ParameterError, match="M must be finite"):
+            parse_kernel(name, 1.0, M=M)
 
 
 class TestKernelMoment:

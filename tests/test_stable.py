@@ -308,7 +308,7 @@ class TestDZetaMcSharedDraws:
     ZETAS = [0.1, -0.01, 0.001]
 
     def test_sequence_equals_scalar_calls(self):
-        kernel = parse_kernel("composite:M=4", 1.5)
+        kernel = parse_kernel("composite", 1.5, M=4.0)
         many = d_zeta(self.ZETAS, 1.5, 5000, 7, kernel)
         assert many == [d_zeta(z, 1.5, 5000, 7, kernel) for z in self.ZETAS]
 
