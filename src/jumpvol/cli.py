@@ -54,8 +54,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     with open(getattr(args, "in"), encoding="utf-8") as fh:
         increments = path_from_csv(fh.read())
-    kernel = parse_kernel(args.kernel, args.alpha, args.M)
-    config = EstimatorConfig(beta=args.beta, k=args.k, kernel=kernel)
+    config = EstimatorConfig(beta=args.beta, k=args.k)
     row = estimates(increments, config, args.alpha, args.gamma, args.M)
     q_n, q_c, q_nc = row.tolist()
     text = f"q_n = {q_n!r}\nq_n_corrected = {q_c!r}\nq_n_cancelled = {q_nc!r}\n"
@@ -134,8 +133,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--kernel", default="phi")
-    p.add_argument("--M", type=float, default=4.0)
+    p.add_argument("--M", type=float, default=4.0, help="M of Q_nc's kernel")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("mc-table", help="run a Monte Carlo experiment from a config")

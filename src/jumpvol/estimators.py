@@ -12,12 +12,16 @@ from .kernels import Kernel, cancelling_kernel, kernel_moment, truncated_terms
 from .levy import ModelSpec, block_rows, replicate_block, simulate_path, tail_constant
 from .workers import fork_map
 
+# The kernel that smooths Q_n's threshold.
+_PHI = Kernel("phi")
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Threshold u_n = k n^(-beta) of Q_n, whose kernel is always phi."""
+
     beta: float
     k: float = 1.0
-    kernel: Kernel = Kernel("phi")
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
@@ -45,7 +49,7 @@ def truncated_sums(
 
 
 def tqv(increments: np.ndarray, config: EstimatorConfig) -> float:
-    """Truncated quadratic variation sum (Delta X_i)^2 K(Delta X_i / (k n^-beta))
+    """Truncated quadratic variation sum (Delta X_i)^2 phi(Delta X_i / (k n^-beta))
     of one path's increments, a vector of at least 2 entries."""
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 1 or increments.size < 2:
@@ -53,21 +57,14 @@ def tqv(increments: np.ndarray, config: EstimatorConfig) -> float:
             "increments must be a vector of at least 2 entries,"
             f" got shape {increments.shape}"
         )
-    (q,) = truncated_sums(increments, config.threshold(increments.size), config.kernel)
+    (q,) = truncated_sums(increments, config.threshold(increments.size), _PHI)
     return float(q)
 
 
-def jump_bias(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    k: float,
-    n: int,
-    kernel: Kernel = Kernel("phi"),
-) -> float:
+def jump_bias(alpha: float, beta: float, gamma: float, k: float, n: int) -> float:
     """First-order jump bias of the truncated quadratic variation.
 
-    n^(-beta(2-alpha)) * C * |gamma|^alpha * k^(2-alpha) * int K(u)|u|^(1-alpha) du,
+    n^(-beta(2-alpha)) * C * |gamma|^alpha * k^(2-alpha) * int phi(u)|u|^(1-alpha) du,
     where C is the density tail coefficient of the simulated stable law
     (tail_constant, identically 1 in this normalization).
     """
@@ -81,7 +78,7 @@ def jump_bias(
         * tail_constant(alpha)
         * abs(gamma) ** alpha
         * k ** (2.0 - alpha)
-        * kernel_moment(kernel, alpha)
+        * kernel_moment(_PHI, alpha)
     )
 
 
@@ -136,9 +133,9 @@ def estimates(
 ) -> np.ndarray:
     """(Q_n, Q_n - jump bias, Q_nc) per row of increments, shape (..., 3).
 
-    For one path (a vector) or a block of paths (one per row); the
-    estimator kernel and the cancelling composite share one sparse pass of
-    `kernels.truncated_terms`.
+    For one path (a vector) or a block of paths (one per row).  Q_n sums
+    over phi, and Q_nc over the cancelling composite phi + c~ psi_M; the two
+    share one sparse pass of `kernels.truncated_terms`.
     """
     n = increments.shape[-1]
     if increments.size == 0 or n < 2:
@@ -146,9 +143,9 @@ def estimates(
             "increments must hold one or more paths of at least 2 entries,"
             f" got shape {increments.shape}"
         )
-    bias = jump_bias(alpha, config.beta, gamma, config.k, n, config.kernel)
+    bias = jump_bias(alpha, config.beta, gamma, config.k, n)
     q, q_c = truncated_sums(
-        increments, config.threshold(n), config.kernel, cancelling_kernel(alpha, M)
+        increments, config.threshold(n), _PHI, cancelling_kernel(alpha, M)
     )
     return np.stack((q, q - bias, q_c), axis=-1)
 
@@ -168,8 +165,10 @@ def rate_fit(
     are the items of `workers.fork_map`, and each n's mean of Q_n - sigma^2
     is taken over its replicates in replicate order, so the fit does not
     depend on the number of processes.  Fits log(mean bias) vs log(1/n).
-    Every n must be at least 2.
+    Every n must be at least 2, and `replicates` at least 1.
     """
+    if replicates < 1:
+        raise ParameterError(f"replicates must be >= 1, got {replicates}")
     n_grid = sorted(set(int(n) for n in n_grid))
     if n_grid and n_grid[0] < 2:
         raise ParameterError(f"every n in n_grid must be at least 2, got {n_grid[0]}")
@@ -180,7 +179,7 @@ def rate_fit(
     def block_sums(item):
         n, lo = item
         block = replicate_block(model, n, (seed, n), lo, replicates)
-        (q,) = truncated_sums(block, config.threshold(n), config.kernel)
+        (q,) = truncated_sums(block, config.threshold(n), _PHI)
         return q
 
     sums = fork_map(block_sums, blocks)

@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, rate_fit
-from .kernels import cancelling_kernel, parse_kernel
+from .kernels import cancelling_kernel
 from .levy import JumpLaw, ModelSpec, block_rows, replicate_block
 from .workers import fork_map, worker_count
 
@@ -24,13 +24,11 @@ class CellConfig:
     gamma: float
     beta: float
     k: float
-    kernel: str = "phi"
     M: float = 4.0
     jumps: str = "stable"
 
     def estimator_config(self) -> EstimatorConfig:
-        kernel = parse_kernel(self.kernel, self.alpha, self.M)
-        return EstimatorConfig(beta=self.beta, k=self.k, kernel=kernel)
+        return EstimatorConfig(beta=self.beta, k=self.k)
 
     def model(self, sigma: float) -> ModelSpec:
         return ModelSpec(
@@ -62,11 +60,13 @@ class ExperimentConfig:
             raise ParameterError(f"n must be >= 2, got {self.n}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        if not self.cells:
+            raise ParameterError("config has no [cell] section")
         # Validate every cell up front so no simulation starts on a bad config.
         for cell in self.cells:
             cell.estimator_config()
             cell.model(self.sigma)
-            cancelling_kernel(cell.alpha, cell.M)  # Q_nc's, under every kernel
+            cancelling_kernel(cell.alpha, cell.M)  # Q_nc's
 
     def as_dict(self) -> dict:
         return {
@@ -93,7 +93,6 @@ _GLOBAL_KEYS = {
     "json": str,
     "n_grid": _int_list,
     "jumps": str,
-    "kernel": str,
     "M": float,
 }
 # Global keys whose ExperimentConfig field has another name.
@@ -103,7 +102,6 @@ _CELL_KEYS = {
     "gamma": float,
     "beta": float,
     "k": float,
-    "kernel": str,
     "M": float,
     "jumps": str,
 }
@@ -113,8 +111,10 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key-value config format with [cell] sections.
 
     Global keys appear before the first section; each [cell] section
-    describes one experiment cell and inherits global kernel/M/jumps defaults.
-    A key set twice in one [cell] is an error.  A global key set again
+    describes one experiment cell and inherits the global M and jumps, which
+    it may set again for itself.  M is the one of Q_nc's composite kernel;
+    Q_n's kernel is always phi.  A config needs at least one [cell], and a
+    key set twice in one [cell] is an error.  A global key set again
     replaces the earlier value: perfbench's `with_globals` appends its
     overrides after a config's own globals.
     """
@@ -152,9 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParameterError(f"line {lineno}: bad value for {key}: {exc}") from exc
         (current if current is not None else globals_)[key] = parsed
 
-    defaults = {
-        k: globals_.pop(k) for k in ("kernel", "M", "jumps") if k in globals_
-    }
+    defaults = {k: globals_.pop(k) for k in ("M", "jumps") if k in globals_}
     cell_objs = []
     for i, cd in enumerate(cells):
         merged = {**defaults, **cd}
@@ -359,8 +357,6 @@ def run_rate_experiment(config: ExperimentConfig) -> str:
     The cells are fitted in turn, each by `rate_fit`, whose blocks run on
     `fork_map`'s processes.
     """
-    if len(config.n_grid) < 4:
-        raise DiagnosticError("rate experiment requires an n_grid of >= 4 values")
     lines = [RATE_HEADER]
     for cell in config.cells:
         model, est_cfg = cell.model(config.sigma), cell.estimator_config()

@@ -131,25 +131,22 @@ def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def parse_kernel(name: str, alpha: float | None = None, M: float = 4.0) -> Kernel:
+def parse_kernel(name: str, alpha: float, M: float = 4.0) -> Kernel:
     """The kernel named `phi`, `psi` or `composite`, with parameter M.
 
     M is checked for every name, and M is the only place it is set: a name
-    carries no parameter.  `composite` is `cancelling_kernel(alpha, M)`,
-    which requires alpha.
+    carries no parameter.  `composite` is `cancelling_kernel(alpha, M)`.
     """
     if name not in (PHI, PSI, COMPOSITE):
         raise ParameterError(
             f"unknown kernel {name!r}: expected phi, psi or composite"
-            " (M is set by `M =` in a config or by --M)"
+            " (M is set by --M)"
         )
     _check_M(M)
     if name == PHI:
         return Kernel(PHI)
     if name == PSI:
         return Kernel(PSI, M=M)
-    if alpha is None:
-        raise ParameterError("composite kernels need alpha to determine c")
     return cancelling_kernel(alpha, M)
 
 

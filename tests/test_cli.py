@@ -12,10 +12,10 @@ import pytest
 import jumpvol
 import numpy as np
 
-from jumpvol import EstimatorConfig, cancelling_kernel, jump_bias, parse_kernel
+from jumpvol import EstimatorConfig, cancelling_kernel, jump_bias
 from jumpvol.cli import cli
 from jumpvol.harness import path_from_csv
-from jumpvol.kernels import truncated_terms
+from jumpvol.kernels import phi, truncated_terms
 
 
 def run_cli(capsys, *argv):
@@ -106,31 +106,30 @@ class TestSimulate:
 class TestEstimate:
     def test_round_trip_matches_in_process(self, capsys, tmp_path):
         """simulate | estimate prints Q_n, Q_n minus the jump bias and Q_nc of
-        the loaded path bit-exactly, for each kind of estimator kernel, against
+        the loaded path bit-exactly, with Q_nc's composite at each --M, against
         dense sums dx * dx * K(dx / u_n) over the terms where K != 0."""
         out = tmp_path / "p.csv"
         simulate = "simulate --n 100 --gamma 1 --alpha 1.5 --seed 3 --out".split()
         assert run_cli(capsys, *simulate, str(out))[0] == 0
         dx = path_from_csv(out.read_text())
         u = EstimatorConfig(beta=0.2, k=2.0).threshold(len(dx))
-        for name, M in (("phi", 4.0), ("psi", 3.0), ("composite", 2.5)):
+        for M in (4.0, 2.5):
             args = ["estimate", "--in", str(out), "--beta", "0.2", "--k", "2"]
-            args += ["--alpha", "1.5", "--gamma", "1", "--kernel", name, "--M", str(M)]
+            args += ["--alpha", "1.5", "--gamma", "1", "--M", str(M)]
             code, text, _ = run_cli(capsys, *args)
             assert code == 0
             printed = [float(line.split("=")[1]) for line in text.splitlines()]
-            kernel = parse_kernel(name, 1.5, M)
             with np.errstate(over="ignore", invalid="ignore"):
                 q_n, q_nc = [
                     float(np.where(kv != 0.0, dx * dx * kv, 0.0).sum())
-                    for kv in (kernel(dx / u), cancelling_kernel(1.5, M)(dx / u))
+                    for kv in (phi(dx / u), cancelling_kernel(1.5, M)(dx / u))
                 ]
-            q_corrected = q_n - jump_bias(1.5, 0.2, 1.0, 2.0, len(dx), kernel)
-            assert printed == [q_n, q_corrected, q_nc], name
+            q_corrected = q_n - jump_bias(1.5, 0.2, 1.0, 2.0, len(dx))
+            assert printed == [q_n, q_corrected, q_nc], M
 
     def test_one_kernel_pass(self, capsys, tmp_path, monkeypatch):
-        """The three estimates come from one truncated_terms pass over the
-        estimator kernel and the composite; each call records its kernels."""
+        """The three estimates come from one truncated_terms pass over phi
+        and the composite; each call records its kernels."""
         from jumpvol import estimators
 
         calls = []
@@ -182,19 +181,18 @@ class TestEstimate:
         assert err.startswith(f"error: path CSV line {line}: expected i = {line - 2}")
 
     def test_kernel_m_disagreeing_with_m_rejected(self, capsys, tmp_path):
-        """M is set by --M alone: a `:M=` suffix is refused, agreeing
-        with --M or not, and the bare name takes --M."""
+        """estimate takes no --kernel: Q_n's kernel is always phi, and --M is
+        the M of Q_nc's composite.  A kernel name is refused, with a `:M=`
+        suffix agreeing with --M or not, or bare."""
         p = tmp_path / "p.csv"
         p.write_text("i,t,x\n0,0.0,0.0\n1,0.5,0.01\n2,1.0,0.03\n")
         args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "0.5"]
         args += ["--gamma", "3", "--kernel"]
-        for extra in ([], ["--M", "6"]):
-            code, out, err = run_cli(capsys, *args, "psi:M=6", *extra)
+        for kernel, extra in (("psi:M=6", []), ("psi:M=6", ["--M", "6"]), ("phi", [])):
+            code, out, err = run_cli(capsys, *args, kernel, *extra)
             assert code == 1
-            assert err.startswith("error:") and "M is set by" in err
+            assert err.startswith("error: unrecognized arguments: --kernel")
             assert out == ""
-        code, _, _ = run_cli(capsys, *args, "psi", "--M", "6")
-        assert code == 0
 
     def test_prints_three_estimates(self, capsys, tmp_path):
         p = tmp_path / "p.csv"
@@ -264,14 +262,43 @@ k = 2
 
     @pytest.mark.parametrize("kernel", ["psi:M=4", "composite:M=6"])
     def test_kernel_suffix_exits_1(self, capsys, tmp_path, kernel):
-        """A config sets M by its `M` key alone; a `:M=` suffix is refused."""
+        """A config sets M by its `M` key alone and names no kernel."""
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CFG.replace("k = 2", f"k = 2\nkernel = {kernel}"))
         out = tmp_path / "t.csv"
         args = ["mc-table", "--config", str(cfg), "--out", str(out)]
         code, _, err = run_cli(capsys, *args)
         assert code == 1
-        assert err.startswith("error: unknown kernel") and "M is set by `M =`" in err
+        assert err == "error: line 11: unknown cell key 'kernel'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "anchor, message",
+        [
+            ("seed = 5", "line 5: unknown global key 'kernel'"),
+            ("k = 2", "line 11: unknown cell key 'kernel'"),
+        ],
+    )
+    def test_kernel_key_exits_1(self, capsys, tmp_path, anchor, message):
+        """Q_n's kernel is always phi, so even `kernel = phi` is refused."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG.replace(anchor, f"{anchor}\nkernel = phi"))
+        out = tmp_path / "t.csv"
+        args = ["mc-table", "--config", str(cfg), "--out", str(out)]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_no_cell_exits_1(self, capsys, tmp_path):
+        """A config without a [cell] is refused, not run to a header-only CSV."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG.split("[cell]")[0])
+        out = tmp_path / "t.csv"
+        args = ["mc-table", "--config", str(cfg), "--out", str(out)]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err == "error: config has no [cell] section\n"
         assert not out.exists()
 
     def test_every_replicate_failed_in_a_worker_exits_2(
@@ -380,6 +407,15 @@ class TestRateCheck:
         code, out, err = run_cli(capsys, "rate-check", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error: line 2: bad value for n_grid")
+        assert out == ""
+
+    def test_no_cell_exits_1(self, capsys, tmp_path):
+        """A config without a [cell] is refused, not answered by a bare header."""
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text("replicates = 10\nseed = 2\nn_grid = 50 100 200 400\n")
+        code, out, err = run_cli(capsys, "rate-check", "--config", str(cfg))
+        assert code == 1
+        assert err == "error: config has no [cell] section\n"
         assert out == ""
 
     def test_n_grid_below_2_exits_1(self, capsys, tmp_path, monkeypatch):
@@ -579,9 +615,9 @@ class TestNonFiniteParameters:
         [
             (["--k", "nan"], "k must be positive and finite, got nan"),
             (["--k", "inf"], "k must be positive and finite, got inf"),
-            (["--kernel", "composite", "--M", "nan"], "M must be finite and exceed"),
-            (["--kernel", "composite", "--M", "inf"], "M must be finite and exceed"),
-            (["--kernel", "psi", "--M", "inf"], "M must be finite and exceed"),
+            (["--M", "nan"], "M must be finite and exceed"),
+            (["--M", "inf"], "M must be finite and exceed"),
+            (["--M", "1.5"], "M must be finite and exceed"),
         ],
     )
     def test_estimate(self, capsys, tmp_path, args, message):
@@ -597,7 +633,7 @@ class TestNonFiniteParameters:
         "line, message",
         [
             ("k = nan", "k must be positive and finite, got nan"),
-            # M serves the cancelled estimate under every estimator kernel
+            # M is the one of the cancelled estimate's composite kernel
             ("k = 2\nM = nan", "M must be finite and exceed 3/2, got nan"),
         ],
     )

@@ -1,5 +1,7 @@
 """Tests for the truncated quadratic variation and its corrections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,12 @@ class TestEstimatorConfig:
     def test_threshold(self):
         cfg = EstimatorConfig(beta=0.25, k=2.0)
         assert cfg.threshold(16) == pytest.approx(1.0)
+
+    def test_sets_no_kernel(self):
+        """Q_n's kernel is always phi; the config holds its threshold only."""
+        assert [f.name for f in dataclasses.fields(EstimatorConfig)] == ["beta", "k"]
+        with pytest.raises(TypeError):
+            EstimatorConfig(beta=0.2, kernel=Kernel("psi"))
 
 
 class TestTqv:
@@ -149,21 +157,16 @@ class TestEstimates:
             dx[3, i] = -dx[2, i]
         return dx
 
-    @pytest.mark.parametrize(
-        "kind, M", [("phi", 4.0), ("psi", 4.0), ("composite", 4.0), ("composite", 1.8)]
-    )
-    def test_rows_equal_per_path_estimators(self, kind, M):
-        kernel = (
-            cancelling_kernel(self.ALPHA, M) if kind == "composite" else Kernel(kind, M=M)
-        )
-        config = EstimatorConfig(beta=0.25, k=1.0, kernel=kernel)
+    @pytest.mark.parametrize("M", [4.0, 1.8])
+    def test_rows_equal_per_path_estimators(self, M):
+        config = EstimatorConfig(beta=0.25, k=1.0)
         block = self.block(config, M)
         values = estimates(block, config, self.ALPHA, self.GAMMA, M)
         assert values.shape == (len(block), 3)
         n = block.shape[1]
         u = config.threshold(n)
-        bias = jump_bias(self.ALPHA, config.beta, self.GAMMA, config.k, n, kernel)
-        q_n = dense_sums(block, kernel, u)
+        bias = jump_bias(self.ALPHA, config.beta, self.GAMMA, config.k, n)
+        q_n = dense_sums(block, phi, u)
         q_nc = dense_sums(block, cancelling_kernel(self.ALPHA, M), u)
         expected = np.stack((q_n, q_n - bias, q_nc), axis=-1)
         np.testing.assert_array_equal(values, expected)
@@ -337,6 +340,17 @@ class TestRateFit:
         for grid in ([0, 100, 200, 1600], [1, 100, 200, 1600], [-5, 10, 20, 40]):
             with pytest.raises(ParameterError, match="at least 2"):
                 rate_fit(model, cfg, grid, 5, 0)
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_rejects_replicates_below_1(self, replicates):
+        with pytest.raises(ParameterError, match="replicates must be >= 1"):
+            rate_fit(
+                ModelSpec(sigma=1.0),
+                EstimatorConfig(beta=0.2),
+                [100, 200, 400, 800],
+                replicates,
+                0,
+            )
 
     def test_small_budget_run(self):
         """A cheap run recovers beta*(2-alpha) loosely; tight checks are in acceptance."""

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from jumpvol import (
     ParameterError,
     d_zeta,
     d_zeta_quadrature,
+    load_config,
     parse_config,
     parse_kernel,
     run_mc,
@@ -38,7 +40,6 @@ n = 300
 replicates = 10
 sigma = 1.0
 seed = 42
-kernel = phi
 M = 4
 jumps = stable
 
@@ -71,7 +72,6 @@ class TestParseConfig:
 
     def test_global_defaults_inherited(self):
         cfg = parse_config(SAMPLE_CFG)
-        assert cfg.cells[0].kernel == "phi"
         assert cfg.cells[0].M == 4.0
 
     def test_unknown_key(self):
@@ -100,7 +100,8 @@ class TestParseConfig:
             parse_config(SAMPLE_CFG.replace("seed = 42", "seed = -1"))
 
     def test_n_grid(self):
-        cfg = parse_config("n_grid = 100 200 400 800\n")
+        cell = "[cell]\nalpha = 1.5\ngamma = 1\nbeta = 0.2\nk = 2\n"
+        cfg = parse_config("n_grid = 100 200 400 800\n" + cell)
         assert cfg.n_grid == (100, 200, 400, 800)
 
     def test_repeated_global_key_last_wins(self):
@@ -111,36 +112,48 @@ class TestParseConfig:
     def test_repeated_cell_key_rejected(self):
         """Within one [cell]; a cell key may still override a global default."""
         text = SAMPLE_CFG.replace("alpha = 1.5\n", "alpha = 1.5\nalpha = 0.5\n")
-        with pytest.raises(ParameterError, match="line 12: alpha already set on line 11"):
+        with pytest.raises(ParameterError, match="line 11: alpha already set on line 10"):
             parse_config(text)
 
-    @pytest.mark.parametrize("kind", ["psi", "composite"])
-    def test_kernel_takes_cell_m(self, kind):
-        """A psi/composite estimator kernel gets the M that the E3 kernel
-        uses, a global M or the cell's own."""
-        text = SAMPLE_CFG.replace("kernel = phi\nM = 4", f"kernel = {kind}\nM = 6")
-        for cell in parse_config(text).cells:
-            assert cell.M == 6.0
-            assert cell.estimator_config().kernel.M == 6.0
-        text = SAMPLE_CFG.replace("kernel = phi", f"kernel = {kind}")
-        text = text.replace("k = 2\n", "k = 2\nM = 5\n")
-        cells = parse_config(text).cells
-        assert [cell.estimator_config().kernel.M for cell in cells] == [5.0, 4.0]
+    def test_cell_m_overrides_global_m(self):
+        """E3's composite kernel takes a global M or the cell's own."""
+        text = SAMPLE_CFG.replace("M = 4", "M = 6")
+        assert [cell.M for cell in parse_config(text).cells] == [6.0, 6.0]
+        text = SAMPLE_CFG.replace("k = 2\n", "k = 2\nM = 5\n")
+        assert [cell.M for cell in parse_config(text).cells] == [5.0, 4.0]
 
     @pytest.mark.parametrize(
         "edit",
         [
-            ("kernel = phi\nM = 4", "kernel = composite:M=4\nM = 6"),
-            ("kernel = phi\nM = 4", "kernel = psi:M=6"),
-            ("k = 2\n", "k = 2\nkernel = composite:M=5\n"),
-            ("kernel = phi\nM = 4", "kernel = psi:M=4\nM = 4"),
+            ("M = 4", "kernel = composite:M=4\nM = 6", "line 6: unknown global"),
+            ("M = 4", "kernel = psi:M=6", "line 6: unknown global"),
+            ("k = 2\n", "k = 2\nkernel = composite:M=5\n", "line 14: unknown cell"),
+            ("M = 4", "kernel = psi:M=4\nM = 4", "line 6: unknown global"),
         ],
     )
     def test_kernel_m_disagreeing_with_cell_m_rejected(self, edit):
-        """A kernel name carries no M, so a `:M=` suffix is refused,
-        agreeing with M or not; M is set by the `M` key alone."""
-        with pytest.raises(ParameterError, match="M is set by `M =`"):
-            parse_config(SAMPLE_CFG.replace(*edit))
+        """M is set by the `M` key alone: a kernel line naming an M, agreeing
+        with the `M` key or not, is refused like any other kernel line."""
+        old, new, message = edit
+        with pytest.raises(ParameterError, match=f"{message} key 'kernel'"):
+            parse_config(SAMPLE_CFG.replace(old, new))
+
+
+COMMITTED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+
+
+def test_configs_found():
+    assert [p.name for p in COMMITTED_CONFIGS] == [
+        "rate_check.cfg",
+        "table_beta02.cfg",
+        "table_beta049.cfg",
+    ]
+
+
+@pytest.mark.parametrize("path", COMMITTED_CONFIGS, ids=lambda p: p.name)
+def test_committed_config_loads(path):
+    """Every key of a committed config is known and every cell valid."""
+    assert load_config(path).cells
 
 
 class TestRunMc:
