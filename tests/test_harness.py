@@ -115,12 +115,17 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="line 11: alpha already set on line 10"):
             parse_config(text)
 
-    def test_cell_m_overrides_global_m(self):
-        """E3's composite kernel takes a global M or the cell's own."""
+    @pytest.mark.parametrize("kind", ["psi", "composite"])
+    def test_kernel_takes_cell_m(self, kind):
+        """A psi or composite kernel built for a cell, as E3's composite is,
+        gets a global M or the cell's own."""
         text = SAMPLE_CFG.replace("M = 4", "M = 6")
-        assert [cell.M for cell in parse_config(text).cells] == [6.0, 6.0]
+        for cell in parse_config(text).cells:
+            assert cell.M == 6.0
+            assert parse_kernel(kind, cell.alpha, cell.M).M == 6.0
         text = SAMPLE_CFG.replace("k = 2\n", "k = 2\nM = 5\n")
-        assert [cell.M for cell in parse_config(text).cells] == [5.0, 4.0]
+        cells = parse_config(text).cells
+        assert [parse_kernel(kind, c.alpha, c.M).M for c in cells] == [5.0, 4.0]
 
     @pytest.mark.parametrize(
         "edit",
