@@ -48,7 +48,7 @@ from .harness import (
     run_mc,
     run_rate_experiment,
 )
-from .kernels import Kernel, c_tilde, cancelling_kernel, kernel_moment, parse_kernel
+from .kernels import Kernel, c_tilde, cancelling_kernel, kernel_moment
 from .levy import (
     JumpLaw,
     ModelSpec,
@@ -84,7 +84,6 @@ __all__ = [
     "kernel_moment",
     "load_config",
     "parse_config",
-    "parse_kernel",
     "rate_fit",
     "richardson",
     "richardson_paired",

@@ -16,10 +16,11 @@ from .harness import (
     load_config,
     path_from_csv,
     path_to_csv,
+    read_text,
     run_mc,
     run_rate_experiment,
 )
-from .kernels import parse_kernel
+from .kernels import Kernel, cancelling_kernel
 from .levy import JumpLaw, ModelSpec, simulate_path
 from .stable import d_zeta, d_zeta_asymptotic
 
@@ -52,8 +53,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    with open(getattr(args, "in"), encoding="utf-8") as fh:
-        increments = path_from_csv(fh.read())
+    increments = path_from_csv(read_text(getattr(args, "in")))
     config = EstimatorConfig(beta=args.beta, k=args.k)
     row = estimates(increments, config, args.alpha, args.gamma, args.M)
     q_n, q_c, q_nc = row.tolist()
@@ -89,7 +89,10 @@ def _cmd_rate_check(args) -> int:
 
 
 def _cmd_dzeta(args) -> int:
-    kernel = parse_kernel(args.kernel, args.alpha, args.M)
+    if args.kernel == "phi":
+        kernel = Kernel(M=args.M)
+    else:
+        kernel = cancelling_kernel(args.alpha, args.M)
     try:
         zetas = [float(z) for z in args.zeta.replace(",", " ").split()]
     except ValueError:
@@ -150,7 +153,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--zeta", required=True, help="one or more values, comma separated")
-    p.add_argument("--kernel", default="phi")
+    p.add_argument("--kernel", choices=["phi", "composite"], default="phi")
     p.add_argument("--M", type=float, default=4.0)
     p.add_argument("--draws", type=int, default=10**6)
     p.set_defaults(func=_cmd_dzeta)

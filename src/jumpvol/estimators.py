@@ -13,7 +13,7 @@ from .levy import ModelSpec, block_rows, replicate_block, simulate_path, tail_co
 from .workers import fork_map
 
 # The kernel that smooths Q_n's threshold.
-_PHI = Kernel("phi")
+_PHI = Kernel()
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def rate_fit(
     if n_grid and n_grid[0] < 2:
         raise ParameterError(f"every n in n_grid must be at least 2, got {n_grid[0]}")
     if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
-        raise DiagnosticError("n grid must have >= 4 values spanning a factor of 8")
+        raise ParameterError("n grid must have >= 4 values spanning a factor of 8")
     blocks = [(n, lo) for n in n_grid for lo in range(0, replicates, block_rows(n))]
 
     def block_sums(item):

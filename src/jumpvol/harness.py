@@ -165,9 +165,17 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(cells=tuple(cell_objs), **settings)
 
 
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path`, or a ParameterError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Smooth truncation kernels and their singular-weight moments.
 
 `phi` is a smooth version of the indicator of [-1, 1] supported on [-2, 2].
-`psi` is a smooth bump vanishing on |x| <= 1 and |x| >= M, used to build
-composite kernels phi + c*psi whose weighted moment can be made zero.
+`psi` is a smooth bump vanishing on |x| <= 1 and |x| >= M.  Every kernel is
+phi + c*psi(., M): phi itself at c = 0, and at c = c_tilde(alpha, M) the
+composite whose weighted moment is zero.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ import numpy as np
 
 from .errors import ParameterError, check_alpha
 from .levy import tanh_sinh
-
-PHI = "phi"
-PSI = "psi"
-COMPOSITE = "composite"
-
 
 def phi(x):
     """Smooth indicator: 1 on |x| < 1, exp(1/3 + 1/(x^2 - 4)) on [1, 2), 0 beyond."""
@@ -34,9 +30,14 @@ def phi(x):
 
 
 def _check_M(M: float) -> None:
-    """Raise ParameterError unless 3/2 < M < inf (so also for NaN)."""
+    """Raise ParameterError unless 3/2 < M < inf (so also for NaN) and psi's
+    4 M^2 is finite: above M of about 6.7e153 c_tilde would be NaN."""
     if not 1.5 < M < inf:
         raise ParameterError(f"M must be finite and exceed 3/2, got {M}")
+    if not 4.0 * M * M < inf:
+        raise ParameterError(
+            f"M must be finite and exceed 3/2, with 4 M^2 finite; got {M}"
+        )
 
 
 def psi(x, M: float):
@@ -61,47 +62,36 @@ def psi(x, M: float):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Immutable kernel descriptor; `c` is only meaningful for composites.
+    """The kernel phi + c * psi(., M): phi at the default c = 0.
 
-    A composite is phi + c * psi(., M): 1 on |x| <= 1 and 0 on |x| >= max(2, M).
+    It is 1 on |x| <= 1 and 0 on |x| >= 2, or on |x| >= max(2, M) when c
+    is not 0.  M is checked whatever c is.
     """
 
-    kind: str
-    M: float = 4.0
     c: float = 0.0
+    M: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in (PHI, PSI, COMPOSITE):
-            raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in (PSI, COMPOSITE):
-            _check_M(self.M)
+        _check_M(self.M)
 
     @property
     def support_radius(self) -> float:
-        if self.kind == PHI:
-            return 2.0
-        if self.kind == PSI:
-            return self.M
-        return max(2.0, self.M)
+        return max(2.0, self.M) if self.c else 2.0
 
     def __call__(self, x):
-        if self.kind == PHI:
-            return phi(x)
-        if self.kind == PSI:
-            return psi(x, self.M)
-        return phi(x) + self.c * psi(x, self.M)
+        return phi(x) + self.c * psi(x, self.M) if self.c else phi(x)
 
 
 def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     """Terms dx^2 K(x) of a truncated sum, one array per kernel.
 
     One sparse pass serves every kernel.  |x| and the interior |x| < 1, where
-    phi and composites are 1 and psi is 0, are found once; each kernel is
-    then evaluated only on the band 1 <= |x| < widest support radius, which
-    holds few entries.  A term is zero wherever its kernel is, even where
-    dx^2 overflows or x is not finite; kernels that go negative (composites)
-    keep their negative terms.  Every term equals the dense dx * dx * K(x)
-    where K(x) != 0, so sums over the terms are the dense sums bit for bit.
+    every kernel is 1, are found once; each kernel is then evaluated only on
+    the band 1 <= |x| < widest support radius, which holds few entries.  A
+    term is zero wherever its kernel is, even where dx^2 overflows or x is
+    not finite; kernels that go negative (composites) keep their negative
+    terms.  Every term equals the dense dx * dx * K(x) where K(x) != 0, so
+    sums over the terms are the dense sums bit for bit.
     """
     dx = np.asarray(dx, dtype=float)
     # One full-size buffer holds |x|, then the terms of the interior.
@@ -115,39 +105,14 @@ def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     squares.put(outside, 0.0)
     band_squares = dx.take(band)
     band_squares *= band_squares
-    # The last kernel that is 1 on the interior takes `squares` itself; any
-    # before it take copies made before that one writes its band.
-    last = max(
-        (i for i, kernel in enumerate(kernels) if kernel.kind != PSI), default=-1
-    )
+    # The last kernel takes `squares` itself; the others take copies made
+    # before it writes its band.
     out = []
     for i, kernel in enumerate(kernels):
-        if kernel.kind == PSI:
-            terms = np.zeros(dx.shape)
-        else:
-            terms = squares if i == last else squares.copy()
+        terms = squares if i == len(kernels) - 1 else squares.copy()
         terms.put(band, band_squares * kernel(ax_band))
         out.append(terms)
     return tuple(out)
-
-
-def parse_kernel(name: str, alpha: float, M: float = 4.0) -> Kernel:
-    """The kernel named `phi`, `psi` or `composite`, with parameter M.
-
-    M is checked for every name, and M is the only place it is set: a name
-    carries no parameter.  `composite` is `cancelling_kernel(alpha, M)`.
-    """
-    if name not in (PHI, PSI, COMPOSITE):
-        raise ParameterError(
-            f"unknown kernel {name!r}: expected phi, psi or composite"
-            " (M is set by --M)"
-        )
-    _check_M(M)
-    if name == PHI:
-        return Kernel(PHI)
-    if name == PSI:
-        return Kernel(PSI, M=M)
-    return cancelling_kernel(alpha, M)
 
 
 def _weighted_integral(f, lo: float, hi: float, alpha: float) -> float:
@@ -180,10 +145,8 @@ def _psi_moment(alpha: float, M: float) -> float:
 def kernel_moment(kernel: Kernel, alpha: float) -> float:
     """int_R kernel(u) |u|^(1-alpha) du, split at the kernel breakpoints."""
     check_alpha(alpha)
-    if kernel.kind == PHI:
+    if not kernel.c:
         return _phi_moment(alpha)
-    if kernel.kind == PSI:
-        return _psi_moment(alpha, kernel.M)
     return _phi_moment(alpha) + kernel.c * _psi_moment(alpha, kernel.M)
 
 
@@ -198,4 +161,4 @@ def c_tilde(alpha: float, M: float) -> float:
 
 def cancelling_kernel(alpha: float, M: float) -> Kernel:
     """Composite kernel with the moment-annihilating coefficient built in."""
-    return Kernel(COMPOSITE, M=M, c=c_tilde(alpha, M))
+    return Kernel(c=c_tilde(alpha, M), M=M)

@@ -281,7 +281,7 @@ def d_zeta(
     alpha: float,
     n_draws: int,
     seed: int,
-    kernel: Kernel = Kernel("phi"),
+    kernel: Kernel = Kernel(),
 ) -> tuple[float, float, float] | list[tuple[float, float, float]]:
     """E[S^2 K(S*zeta)] by Monte Carlo, with its standard error, and by quadrature.
 
@@ -338,7 +338,7 @@ def d_zeta(
 
 
 def d_zeta_quadrature(
-    zeta: float, alpha: float, kernel: Kernel = Kernel("phi")
+    zeta: float, alpha: float, kernel: Kernel = Kernel()
 ) -> float:
     """int z^2 K(z*zeta) f_alpha(z) dz over the kernel support |z| <= radius/|zeta|.
 
@@ -388,7 +388,7 @@ def d_zeta_quadrature(
 
 
 def d_zeta_asymptotic(
-    zeta: float, alpha: float, kernel: Kernel = Kernel("phi")
+    zeta: float, alpha: float, kernel: Kernel = Kernel()
 ) -> float:
     """Leading small-zeta term |zeta|^(alpha-2) * tail_constant * int K(u)|u|^(1-alpha) du."""
     az = _check_zeta(zeta)

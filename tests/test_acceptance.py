@@ -185,7 +185,7 @@ class TestCriterion5:
         for alpha in (0.5, 1.2):
             z = 1e-4
             lhs = z ** (2.0 - alpha) * d_zeta_quadrature(z, alpha)
-            rhs = tail_constant(alpha) * kernel_moment(Kernel("phi"), alpha)
+            rhs = tail_constant(alpha) * kernel_moment(Kernel(), alpha)
             part_ok = abs(lhs - rhs) <= 0.10 * rhs
             ok &= part_ok
             parts.append(

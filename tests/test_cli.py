@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import jumpvol
 import numpy as np
 
 from jumpvol import EstimatorConfig, cancelling_kernel, jump_bias
-from jumpvol.cli import cli
+from jumpvol.cli import build_parser, cli
 from jumpvol.harness import path_from_csv
 from jumpvol.kernels import phi, truncated_terms
 
@@ -437,6 +438,20 @@ class TestRateCheck:
         assert out == ""
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "grid", ["", "n_grid = 100 800\n", "n_grid = 50 60 70 80\n"]
+    )
+    def test_unusable_n_grid_exits_1(self, capsys, tmp_path, grid):
+        """A grid with fewer than 4 values, or spanning less than a factor of
+        8, is a fault of the config, as in table_beta049.cfg, which has none."""
+        cfg = tmp_path / "rate.cfg"
+        cell = "[cell]\nalpha = 0.5\ngamma = 1\nbeta = 0.2\nk = 3\n"
+        cfg.write_text(f"replicates = 10\n{grid}{cell}")
+        code, out, err = run_cli(capsys, "rate-check", "--config", str(cfg))
+        assert code == 1
+        assert err == "error: n grid must have >= 4 values spanning a factor of 8\n"
+        assert out == ""
+
 
 class TestDzeta:
     def test_csv_schema(self, capsys):
@@ -512,15 +527,17 @@ class TestDzeta:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "kernel", ["phi:Q=3", "composite:c=3,M=4", "composite:M=2.5", "psi:M=4"]
+        "kernel",
+        ["phi:Q=3", "composite:c=3,M=4", "composite:M=2.5", "psi:M=4", "psi"],
     )
     def test_unknown_kernel_parameter_exits_1(self, capsys, kernel):
-        """A kernel name carries no parameter; M is set by --M."""
+        """--kernel is phi or composite and carries no parameter; M is set by
+        --M."""
         code, out, err = run_cli(
             capsys, "dzeta", "--alpha", "1.5", "--zeta", "0.1", "--kernel", kernel
         )
         assert code == 1
-        assert err.startswith("error: unknown kernel") and "M is set by" in err
+        assert err.startswith("error: argument --kernel: invalid choice")
         assert out == ""
 
     def test_composite_takes_m(self, capsys):
@@ -540,7 +557,7 @@ class TestDzeta:
         ]
         assert out.strip().splitlines()[1:] == expected
 
-    @pytest.mark.parametrize("M", ["nan", "inf", "1.5"])
+    @pytest.mark.parametrize("M", ["nan", "inf", "1.5", "1e200"])
     def test_bad_m_exits_1_under_phi(self, capsys, M):
         """M is checked whatever the kernel, as estimate does."""
         args = ["--alpha", "1.5", "--zeta", "0.1", "--kernel", "phi", "--M", M]
@@ -548,6 +565,20 @@ class TestDzeta:
         assert code == 1
         assert err.startswith("error:") and "M must be finite and exceed 3/2" in err
         assert out == ""
+
+    def test_m_too_large_for_psi_exits_1(self, capsys, monkeypatch):
+        """At M = 1e200 psi's 4 M^2 overflows and c~ would be NaN: the
+        composite is refused before anything is drawn, with no warning."""
+        calls = []
+        real = jumpvol.stable.sample_stable_increment
+        spy = lambda *a: calls.append(a) or real(*a)
+        monkeypatch.setattr(jumpvol.stable, "sample_stable_increment", spy)
+        args = ["--alpha", "1.5", "--zeta", "0.1", "--kernel", "composite"]
+        code, out, err = run_cli(capsys, "dzeta", *args, "--M", "1e200")
+        assert code == 1
+        assert err.startswith("error: M must be finite and exceed 3/2")
+        assert out == ""
+        assert calls == []
 
     @pytest.mark.parametrize("kernel", ["phi", "composite"])
     @pytest.mark.parametrize("alpha", ["0", "2", "nan"])
@@ -618,6 +649,7 @@ class TestNonFiniteParameters:
             (["--M", "nan"], "M must be finite and exceed"),
             (["--M", "inf"], "M must be finite and exceed"),
             (["--M", "1.5"], "M must be finite and exceed"),
+            (["--M", "1e200"], "M must be finite and exceed 3/2, with 4 M^2 finite"),
         ],
     )
     def test_estimate(self, capsys, tmp_path, args, message):
@@ -635,6 +667,7 @@ class TestNonFiniteParameters:
             ("k = nan", "k must be positive and finite, got nan"),
             # M is the one of the cancelled estimate's composite kernel
             ("k = 2\nM = nan", "M must be finite and exceed 3/2, got nan"),
+            ("k = 2\nM = 1e200", "M must be finite and exceed 3/2, with 4 M^2"),
         ],
     )
     def test_config_simulates_nothing(
@@ -710,3 +743,44 @@ class TestModuleEntryPoints:
         )
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+
+class TestNotUtf8:
+    """A config or path CSV that is not UTF-8 exits 1 with an error line that
+    names the file, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["mc-table", "rate-check", "estimate"])
+    def test_exits_1(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"n = 300\n\xff\x8f\xc3(\n[cell]\n")
+        args = {
+            "mc-table": ["--config", str(bad), "--out", str(tmp_path / "t.csv")],
+            "rate-check": ["--config", str(bad)],
+            "estimate": ["--in", str(bad), "--beta", "0.2", "--alpha", "1.5"],
+        }[command]
+        if command == "estimate":
+            args += ["--gamma", "1"]
+        code, out, err = run_cli(capsys, command, *args)
+        assert code == 1
+        assert err == f"error: {bad} is not UTF-8 text: invalid start byte\n"
+        assert out == ""
+        assert not (tmp_path / "t.csv").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples() -> list[str]:
+    """The `jumpvol ...` lines of the first code block under README's `## CLI`."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("jumpvol ")]
+
+
+def test_readme_cli_examples_parse():
+    """Every example parses with the CLI's own parser; none is run."""
+    examples = readme_cli_examples()
+    assert len(examples) >= 6
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])

@@ -47,7 +47,7 @@ class TestEstimatorConfig:
         """Q_n's kernel is always phi; the config holds its threshold only."""
         assert [f.name for f in dataclasses.fields(EstimatorConfig)] == ["beta", "k"]
         with pytest.raises(TypeError):
-            EstimatorConfig(beta=0.2, kernel=Kernel("psi"))
+            EstimatorConfig(beta=0.2, kernel=Kernel(c=-0.5))
 
 
 class TestTqv:
@@ -230,7 +230,7 @@ class TestJumpBias:
         # n^(-beta(2-alpha)) * C * |gamma|^alpha * k^(2-alpha) * moment, with
         # C = 1 for the simulated law's normalization
         val = jump_bias(1.0, 0.2, 1.0, 1.0, 700)
-        expected = 700 ** (-0.2) * kernel_moment(Kernel("phi"), 1.0)
+        expected = 700 ** (-0.2) * kernel_moment(Kernel(), 1.0)
         assert val == pytest.approx(expected, rel=1e-10)
 
     def test_rejects_bad_inputs(self):
@@ -333,10 +333,9 @@ class TestRateFit:
     def test_grid_validation(self):
         model = ModelSpec(sigma=1.0)
         cfg = EstimatorConfig(beta=0.2)
-        with pytest.raises(DiagnosticError):
-            rate_fit(model, cfg, [100, 200], 5, 0)
-        with pytest.raises(DiagnosticError):
-            rate_fit(model, cfg, [100, 110, 120, 130], 5, 0)
+        for grid in ([100, 200], [100, 110, 120, 130]):
+            with pytest.raises(ParameterError, match="n grid must have"):
+                rate_fit(model, cfg, grid, 5, 0)
         for grid in ([0, 100, 200, 1600], [1, 100, 200, 1600], [-5, 10, 20, 40]):
             with pytest.raises(ParameterError, match="at least 2"):
                 rate_fit(model, cfg, grid, 5, 0)

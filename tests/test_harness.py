@@ -14,11 +14,11 @@ from jumpvol import (
     CellConfig,
     ExperimentConfig,
     ParameterError,
+    cancelling_kernel,
     d_zeta,
     d_zeta_quadrature,
     load_config,
     parse_config,
-    parse_kernel,
     run_mc,
     run_rate_experiment,
 )
@@ -115,17 +115,15 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="line 11: alpha already set on line 10"):
             parse_config(text)
 
-    @pytest.mark.parametrize("kind", ["psi", "composite"])
-    def test_kernel_takes_cell_m(self, kind):
-        """A psi or composite kernel built for a cell, as E3's composite is,
-        gets a global M or the cell's own."""
+    def test_kernel_takes_cell_m(self):
+        """E3's composite, built for a cell, gets a global M or the cell's own."""
         text = SAMPLE_CFG.replace("M = 4", "M = 6")
         for cell in parse_config(text).cells:
             assert cell.M == 6.0
-            assert parse_kernel(kind, cell.alpha, cell.M).M == 6.0
+            assert cancelling_kernel(cell.alpha, cell.M).M == 6.0
         text = SAMPLE_CFG.replace("k = 2\n", "k = 2\nM = 5\n")
         cells = parse_config(text).cells
-        assert [parse_kernel(kind, c.alpha, c.M).M for c in cells] == [5.0, 4.0]
+        assert [cancelling_kernel(c.alpha, c.M).M for c in cells] == [5.0, 4.0]
 
     @pytest.mark.parametrize(
         "edit",
@@ -317,7 +315,7 @@ class TestCellPool:
         """Piece sums are added in piece order, whichever process made them;
         2 * 10^6 + 5000 draws take 123 pieces, the last one short.  The
         quadratures are items of the same map."""
-        kernel = parse_kernel("composite", 1.5, M=4.0)
+        kernel = cancelling_kernel(1.5, 4.0)
         results = []
         for count in (1, 2, 3):
             at_workers(count)
@@ -440,11 +438,9 @@ class TestEmitReport:
 
 class TestRateExperiment:
     def test_requires_grid(self):
-        from jumpvol import DiagnosticError
-
         cells = (CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),)
         cfg = ExperimentConfig(cells=cells, replicates=5)
-        with pytest.raises(DiagnosticError):
+        with pytest.raises(ParameterError, match="n grid must have"):
             run_rate_experiment(cfg)
 
     def test_emits_schema(self):

@@ -1,19 +1,14 @@
 """Tests for the smooth truncation kernels and the cancellation constant."""
 
+import dataclasses
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from jumpvol import Kernel, ParameterError, c_tilde, cancelling_kernel, kernel_moment
-from jumpvol.kernels import (
-    _phi_moment,
-    _psi_moment,
-    parse_kernel,
-    phi,
-    psi,
-    truncated_terms,
-)
+from jumpvol.cli import build_parser
+from jumpvol.kernels import _phi_moment, _psi_moment, phi, psi, truncated_terms
 
 E_M5_21 = float(np.exp(-5.0 / 21.0))  # shared value of phi and psi at |x| = 3/2
 
@@ -77,76 +72,106 @@ class TestPsi:
 class TestComposite:
     def test_equals_phi_inside(self):
         x = np.linspace(-1.0, 1.0, 21)
-        np.testing.assert_array_equal(Kernel("composite", M=4.0, c=-0.8)(x), phi(x))
+        np.testing.assert_array_equal(Kernel(c=-0.8, M=4.0)(x), phi(x))
 
     def test_linear_combination(self):
         x = np.linspace(0.0, 5.0, 101)
         c = -0.7
         np.testing.assert_array_equal(
-            Kernel("composite", M=4.0, c=c)(x), phi(x) + c * psi(x, 4.0)
+            Kernel(c=c, M=4.0)(x), phi(x) + c * psi(x, 4.0)
         )
 
 
 class TestKernelDataclass:
     def test_call_dispatch(self):
-        assert Kernel("phi")(0.5) == 1.0
-        assert Kernel("psi", M=4.0)(0.5) == 0.0
+        """c = 0 is phi itself; any other c adds c * psi."""
+        x = np.linspace(0.0, 7.0, 141)
+        np.testing.assert_array_equal(Kernel()(x), phi(x))
+        np.testing.assert_array_equal(Kernel(M=6.0)(x), phi(x))
+        assert Kernel(c=-0.5)(0.5) == 1.0
+        assert Kernel(c=-0.5)(1.2) == phi(1.2) - 0.5 * psi(1.2, 4.0)
 
     def test_support_radius(self):
-        assert Kernel("phi").support_radius == 2.0
-        assert Kernel("psi", M=6.0).support_radius == 6.0
-        assert Kernel("composite", M=5.0, c=-0.5).support_radius == 5.0
+        assert Kernel().support_radius == 2.0
+        assert Kernel(M=6.0).support_radius == 2.0
+        assert Kernel(c=-0.5, M=5.0).support_radius == 5.0
+        assert Kernel(c=2.0, M=1.8).support_radius == 2.0
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            Kernel("box")
+        """A kernel is phi + c psi_M: its fields are c and M, and no kind."""
+        assert [f.name for f in dataclasses.fields(Kernel)] == ["c", "M"]
+        with pytest.raises(TypeError):
+            Kernel(kind="phi")
+
+
+def dzeta_kernel_name(spec: str, M: str = "4") -> str:
+    """The `--kernel` of `dzeta --kernel spec --M M` as parsed."""
+    argv = ["dzeta", "--alpha", "1", "--zeta", "0.1", "--kernel", spec, "--M", M]
+    return build_parser().parse_args(argv).kernel
 
 
 class TestParseKernel:
+    """`dzeta --kernel NAME --M M` names phi, `Kernel(M=M)`, or the composite
+    `cancelling_kernel(alpha, M)`; every other name is refused, and M is
+    checked for every kernel."""
+
     def test_phi(self):
-        k = parse_kernel("phi", 1.0)
-        assert k.kind == "phi"
+        assert dzeta_kernel_name("phi") == "phi"
+        k = Kernel(M=6.0)
+        assert k.c == 0.0 and k == Kernel(0.0, 6.0)
+        assert kernel_moment(k, 1.0) == kernel_moment(Kernel(), 1.0)
 
     def test_psi_with_m(self):
-        k = parse_kernel("psi", 1.0, M=6.0)
-        assert k.kind == "psi" and k.M == 6.0
+        """psi, the part a composite adds, ends at the kernel's M."""
+        k = Kernel(c=1.0, M=6.0)
+        x = np.array([1.2, 3.0, 5.9, 6.0, 7.0])
+        np.testing.assert_array_equal(k(x), phi(x) + psi(x, 6.0))
+        assert psi(5.9, 6.0) > 0.0 and psi(6.0, 6.0) == 0.0
 
     def test_composite_computes_c(self):
-        k = parse_kernel("composite", 1.0, M=4.0)
+        assert dzeta_kernel_name("composite") == "composite"
+        k = cancelling_kernel(1.0, 4.0)
         assert k.c == pytest.approx(c_tilde(1.0, 4.0))
 
     def test_bare_spec_takes_given_m(self):
-        assert parse_kernel("psi", 1.0).M == 4.0
-        assert parse_kernel("psi", 1.0, M=6.0).M == 6.0
-        k = parse_kernel("composite", 1.0, M=6.0)
-        assert k == cancelling_kernel(1.0, 6.0) and k.c == c_tilde(1.0, 6.0)
+        assert Kernel().M == 4.0
+        assert Kernel(M=6.0).M == 6.0
+        k = cancelling_kernel(1.0, 6.0)
+        assert k == Kernel(c=c_tilde(1.0, 6.0), M=6.0) and k.M == 6.0
 
     def test_rejects_spec_m_disagreeing_with_given_m(self):
-        """M is set only by the M argument; a name carries none, whether it
-        agrees with M or not."""
-        for spec, M in (("psi:M=6", 4.0), ("composite:M=4", 6.0), ("psi:M=4", 4.0)):
-            with pytest.raises(ParameterError, match="M is set by"):
-                parse_kernel(spec, 1.0, M=M)
+        """M is set only by --M; a name carries none, whether it agrees with
+        M or not."""
+        for spec, M in (("psi:M=6", "4"), ("composite:M=4", "6"), ("psi:M=4", "4")):
+            with pytest.raises(ParameterError, match="invalid choice"):
+                dzeta_kernel_name(spec, M)
 
     @pytest.mark.parametrize(
         "spec",
         ["phi:Q=3", "phi:M=4", "psi:Q=3", "composite:c=3,M=4", "composite:M=4,m=5"],
     )
     def test_rejects_unknown_parameters(self, spec):
-        with pytest.raises(ParameterError, match="unknown kernel .*M is set by"):
-            parse_kernel(spec, 1.0)
+        with pytest.raises(ParameterError, match="invalid choice"):
+            dzeta_kernel_name(spec)
 
     def test_rejects_garbage(self):
-        with pytest.raises(ParameterError):
-            parse_kernel("phi:M=4:extra", 1.0)
-        with pytest.raises(ParameterError):
-            parse_kernel("triangle", 1.0)
+        for spec in ("phi:M=4:extra", "triangle", "psi"):
+            with pytest.raises(ParameterError, match="invalid choice"):
+                dzeta_kernel_name(spec)
 
-    @pytest.mark.parametrize("name", ["phi", "psi", "composite"])
-    @pytest.mark.parametrize("M", [float("nan"), float("inf"), 1.5])
-    def test_checks_m_for_every_name(self, name, M):
-        with pytest.raises(ParameterError, match="M must be finite"):
-            parse_kernel(name, 1.0, M=M)
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("phi", lambda M: Kernel(M=M)),
+            ("psi", lambda M: psi(1.2, M)),
+            ("composite", lambda M: cancelling_kernel(1.0, M)),
+        ],
+        ids=["phi", "psi", "composite"],
+    )
+    @pytest.mark.parametrize("M", [float("nan"), float("inf"), 1.5, 1e200])
+    def test_checks_m_for_every_name(self, name, build, M):
+        with pytest.raises(ParameterError, match="M must be finite and exceed 3/2"):
+            build(M)
 
 
 class TestKernelMoment:
@@ -157,7 +182,7 @@ class TestKernelMoment:
         direct, _ = integrate.quad(
             lambda u: phi(u) * u ** (1 - alpha), 0, 2, points=[1.0], limit=200
         )
-        assert kernel_moment(Kernel("phi"), alpha) == pytest.approx(
+        assert kernel_moment(Kernel(), alpha) == pytest.approx(
             2 * direct, rel=1e-8
         )
 
@@ -165,7 +190,7 @@ class TestKernelMoment:
         # for alpha > 1 the integrand is singular at 0; the inner cell is
         # handled analytically, so the value is still finite and accurate
         alpha = 1.9
-        val = kernel_moment(Kernel("phi"), alpha)
+        val = kernel_moment(Kernel(), alpha)
         inner = 2.0 / (2.0 - alpha)
         assert val > inner  # transition band adds a positive amount
 
@@ -265,9 +290,10 @@ class TestTruncatedTerms:
     """The sparse pass gives the dense terms bit for bit."""
 
     KERNELS = {
-        "phi": Kernel("phi"),
-        "psi": Kernel("psi", M=4.0),
-        "psi-narrow": Kernel("psi", M=1.8),
+        "phi": Kernel(),
+        # above 1 where psi is large; at M = 1.8 psi ends inside phi's band
+        "composite-c3": Kernel(c=3.0, M=4.0),
+        "composite-c3-narrow": Kernel(c=3.0, M=1.8),
         "composite": cancelling_kernel(1.5, 4.0),
         "composite-wide": cancelling_kernel(0.7, 6.0),
         "composite-narrow": cancelling_kernel(1.2, 1.8),

@@ -13,11 +13,11 @@ from jumpvol import (
     NumericalError,
     ParameterError,
     c_alpha,
+    cancelling_kernel,
     d_zeta,
     d_zeta_asymptotic,
     d_zeta_quadrature,
     kernel_moment,
-    parse_kernel,
     stable_density,
     tail_constant,
 )
@@ -272,7 +272,7 @@ class TestDZeta:
     @pytest.mark.parametrize("zeta", [0.1, 0.01])
     def test_mc_agrees_with_quadrature_for_composite(self, zeta):
         """The composite kernel goes negative; its negative terms count in both."""
-        kernel = parse_kernel("composite", 1.5)
+        kernel = cancelling_kernel(1.5, 4.0)
         mc, se, quad = d_zeta(zeta, 1.5, 10**6, 123, kernel)
         assert abs(mc - quad) < 4 * se
 
@@ -290,7 +290,7 @@ class TestDZeta:
         z = 1e-4
         asym = d_zeta_asymptotic(z, alpha)
         target = z ** (alpha - 2.0) * tail_constant(alpha) * kernel_moment(
-            Kernel("phi"), alpha
+            Kernel(), alpha
         )
         assert asym == pytest.approx(target, rel=1e-10)
 
@@ -308,7 +308,7 @@ class TestDZetaMcSharedDraws:
     ZETAS = [0.1, -0.01, 0.001]
 
     def test_sequence_equals_scalar_calls(self):
-        kernel = parse_kernel("composite", 1.5, M=4.0)
+        kernel = cancelling_kernel(1.5, 4.0)
         many = d_zeta(self.ZETAS, 1.5, 5000, 7, kernel)
         assert many == [d_zeta(z, 1.5, 5000, 7, kernel) for z in self.ZETAS]
 
@@ -328,7 +328,7 @@ class TestDZetaMcSharedDraws:
             ]
         )
         for z, (mean, stderr, _) in zip(zetas, many):
-            weights = Kernel("phi")(s * z)
+            weights = Kernel()(s * z)
             vals = np.where(weights > 0.0, s * s * weights, 0.0)
             assert mean == pytest.approx(vals.mean(), rel=1e-12)
             assert stderr == pytest.approx(vals.std() / np.sqrt(n), rel=1e-9)
@@ -466,7 +466,7 @@ class TestDZetaAgainstReference:
     @pytest.mark.parametrize("alpha", [0.5, 1.2, 1.5, 1.9])
     @pytest.mark.parametrize("zeta", [0.1, 1e-2, 1e-3, 1e-5])
     def test_phi(self, alpha, zeta):
-        kernel = Kernel("phi")
+        kernel = Kernel()
         assert d_zeta_quadrature(zeta, alpha, kernel) == pytest.approx(
             _reference_d_zeta(zeta, alpha, kernel), rel=1e-10
         )
@@ -477,7 +477,7 @@ class TestDZetaAgainstReference:
     def test_composite(self, alpha, zeta):
         """The kernel's parts cancel to 1e-3..1e-6 of either here; the
         total still meets the reference."""
-        kernel = parse_kernel("composite", alpha)
+        kernel = cancelling_kernel(alpha, 4.0)
         assert d_zeta_quadrature(zeta, alpha, kernel) == pytest.approx(
             _reference_d_zeta(zeta, alpha, kernel), rel=1e-8
         )
@@ -488,4 +488,4 @@ class TestDZetaAgainstReference:
         the old per-piece check returned -6.789e-7 against -6.83e-7, and to
         rounding at zeta = 1e-8, where it returned noise."""
         with pytest.raises(NumericalError, match="error estimate"):
-            d_zeta_quadrature(zeta, alpha, parse_kernel("composite", alpha))
+            d_zeta_quadrature(zeta, alpha, cancelling_kernel(alpha, 4.0))
