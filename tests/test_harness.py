@@ -13,6 +13,7 @@ import pytest
 from jumpvol import (
     CellConfig,
     ExperimentConfig,
+    Kernel,
     ParameterError,
     cancelling_kernel,
     d_zeta,
@@ -115,15 +116,24 @@ class TestParseConfig:
         with pytest.raises(ParameterError, match="line 11: alpha already set on line 10"):
             parse_config(text)
 
-    def test_kernel_takes_cell_m(self):
-        """E3's composite, built for a cell, gets a global M or the cell's own."""
+    @pytest.mark.parametrize("kind", ["psi", "composite"])
+    def test_kernel_takes_cell_m(self, kind):
+        """A kernel with a psi part built for a cell, phi + psi_M or E3's
+        composite, gets a global M or the cell's own."""
+
+        def build(cell):
+            if kind == "psi":
+                return Kernel(c=1.0, M=cell.M)
+            return cancelling_kernel(cell.alpha, cell.M)
+
         text = SAMPLE_CFG.replace("M = 4", "M = 6")
         for cell in parse_config(text).cells:
             assert cell.M == 6.0
-            assert cancelling_kernel(cell.alpha, cell.M).M == 6.0
+            assert build(cell).M == 6.0
+            assert build(cell).support_radius == 6.0
         text = SAMPLE_CFG.replace("k = 2\n", "k = 2\nM = 5\n")
         cells = parse_config(text).cells
-        assert [cancelling_kernel(c.alpha, c.M).M for c in cells] == [5.0, 4.0]
+        assert [build(c).M for c in cells] == [5.0, 4.0]
 
     @pytest.mark.parametrize(
         "edit",
