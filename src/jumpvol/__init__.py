@@ -33,7 +33,6 @@ from .estimators import (
     EstimatorConfig,
     estimates,
     jump_bias,
-    rate_fit,
     richardson,
     richardson_paired,
     tqv,
@@ -45,6 +44,7 @@ from .harness import (
     emit_report,
     load_config,
     parse_config,
+    rate_fit,
     run_mc,
     run_rate_experiment,
 )

@@ -1,4 +1,5 @@
-"""Truncated quadratic variation, bias corrections, and rate diagnostics."""
+"""Truncated quadratic variation of a path or of each row of a block of paths,
+its bias corrections, and the power-law fit of the bias decay."""
 
 from __future__ import annotations
 
@@ -9,8 +10,7 @@ import numpy as np
 
 from .errors import DiagnosticError, ParameterError, check_alpha
 from .kernels import Kernel, cancelling_kernel, kernel_moment, truncated_terms
-from .levy import ModelSpec, block_rows, replicate_block, simulate_path, tail_constant
-from .workers import fork_map
+from .levy import ModelSpec, simulate_path, tail_constant
 
 # The kernel that smooths Q_n's threshold.
 _PHI = Kernel()
@@ -106,21 +106,24 @@ def richardson_paired(
 def fit_power_law(n_values, biases) -> tuple[float, float]:
     """Least-squares slope of log(bias) against log(1/n), with its standard error.
 
-    Nonpositive biases are dropped; fewer than 3 surviving points is an error.
+    Every bias must be positive, and there must be at least 3 points; a
+    DiagnosticError says which n values break the first.
     """
     n_values = np.asarray(n_values, dtype=float)
     biases = np.asarray(biases, dtype=float)
-    keep = biases > 0.0
-    if keep.sum() < 3:
+    bad = ~(biases > 0.0)  # NaN too
+    if bad.any():
         raise DiagnosticError(
-            f"only {int(keep.sum())} positive bias points; need at least 3"
+            f"mean bias not positive at n = {[int(n) for n in n_values[bad]]};"
+            " a log-log fit needs every bias positive"
         )
-    x = np.log(1.0 / n_values[keep])
-    y = np.log(biases[keep])
+    if len(biases) < 3:
+        raise DiagnosticError(f"only {len(biases)} bias points; need at least 3")
+    x = np.log(1.0 / n_values)
+    y = np.log(biases)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
-    dof = max(keep.sum() - 2, 1)
-    var = float(resid @ resid) / dof / float(((x - x.mean()) ** 2).sum())
+    var = float(resid @ resid) / (len(x) - 2) / float(((x - x.mean()) ** 2).sum())
     return float(slope), float(np.sqrt(var))
 
 
@@ -148,43 +151,3 @@ def estimates(
         increments, config.threshold(n), _PHI, cancelling_kernel(alpha, M)
     )
     return np.stack((q, q - bias, q_c), axis=-1)
-
-
-def rate_fit(
-    model: ModelSpec,
-    config: EstimatorConfig,
-    n_grid,
-    replicates: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Empirical decay exponent of the mean bias of tqv over an n grid.
-
-    Simulates `replicates` paths per n in blocks of `block_rows(n)` rows,
-    the last one shorter; block b of n is drawn by `levy.replicate_block`
-    from stream (seed, n, b).  The (n, first replicate) pairs of the blocks
-    are the items of `workers.fork_map`, and each n's mean of Q_n - sigma^2
-    is taken over its replicates in replicate order, so the fit does not
-    depend on the number of processes.  Fits log(mean bias) vs log(1/n).
-    Every n must be at least 2, and `replicates` at least 1.
-    """
-    if replicates < 1:
-        raise ParameterError(f"replicates must be >= 1, got {replicates}")
-    n_grid = sorted(set(int(n) for n in n_grid))
-    if n_grid and n_grid[0] < 2:
-        raise ParameterError(f"every n in n_grid must be at least 2, got {n_grid[0]}")
-    if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
-        raise ParameterError("n grid must have >= 4 values spanning a factor of 8")
-    blocks = [(n, lo) for n in n_grid for lo in range(0, replicates, block_rows(n))]
-
-    def block_sums(item):
-        n, lo = item
-        block = replicate_block(model, n, (seed, n), lo, replicates)
-        (q,) = truncated_sums(block, config.threshold(n), _PHI)
-        return q
-
-    sums = fork_map(block_sums, blocks)
-    biases = []
-    for n in n_grid:
-        q_n = np.concatenate([s for (m, _), s in zip(blocks, sums) if m == n])
-        biases.append(float(q_n.mean()) - model.sigma**2)
-    return fit_power_law(n_grid, biases)

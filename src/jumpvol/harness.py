@@ -1,4 +1,8 @@
-"""Monte Carlo experiment harness: config parsing, batched runs, report emission."""
+"""Monte Carlo experiment harness: config parsing, batched runs, report emission.
+
+`replicate_map`, which mc-table and rate-check both run on, is the one place
+that cuts Monte Carlo paths into blocks and names each block's stream.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +12,14 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .estimators import EstimatorConfig, estimates, rate_fit
-from .kernels import cancelling_kernel
-from .levy import JumpLaw, ModelSpec, block_rows, replicate_block
+from .estimators import EstimatorConfig, estimates, fit_power_law, truncated_sums
+from .kernels import Kernel, cancelling_kernel
+from .levy import JumpLaw, ModelSpec, block_rows, simulate_increments
 from .workers import fork_map, worker_count
 
 
@@ -227,46 +232,58 @@ REPORT_HEADER = (
 )
 
 
+def replicate_map(groups, replicates: int) -> tuple[list, int]:
+    """fn's rows for `replicates` paths of every group, and the processes used.
+
+    A group is (fn, model, n, key).  Its paths come in blocks of
+    `block_rows(n)` rows, the last one shorter; block b is drawn whole by
+    `levy.simulate_increments` from the stream (*key, b), and fn maps it to
+    one row per path.  The (group, b) pairs are the items of one `fork_map`,
+    in group order, so no row depends on the number of processes.  Returns
+    ([(rows, simulate_s, fn_s) per group], workers): a group's rows are
+    joined in replicate order, and its stage times add up its blocks' times,
+    in whichever process ran them.
+    """
+    counts = [-(-replicates // block_rows(n)) for _, _, n, _ in groups]
+    items = [(g, b) for g, count in enumerate(counts) for b in range(count)]
+
+    def run_block(item):
+        g, b = item
+        fn, model, n, key = groups[g]
+        step = block_rows(n)
+        t0 = time.perf_counter()
+        block = simulate_increments(
+            model, n, min(step, replicates - b * step), (*key, b)
+        )
+        t1 = time.perf_counter()
+        rows = fn(block)
+        return rows, t1 - t0, time.perf_counter() - t1
+
+    done = iter(fork_map(run_block, items))
+    per_group = []
+    for count in counts:
+        rows, simulate_s, fn_s = zip(*(next(done) for _ in range(count)))
+        per_group.append((np.concatenate(rows), sum(simulate_s), sum(fn_s)))
+    return per_group, worker_count(len(items))
+
+
 def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     """(E1, E2, E3) of every replicate of every cell, and the processes used.
 
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
-    errors have shape (R, 3).  A cell's replicates come in blocks of
-    `block_rows(n)` rows, the last one shorter, and the items of `fork_map`
-    are the (cell, first replicate) pairs of these blocks.  Cell i's blocks
-    are drawn by `levy.replicate_block` with key (seed, i).  A replicate's
-    errors depend on neither the process that ran its block nor the number
-    of processes.  A cell's stage times add up its blocks' times, in
-    whichever process ran them.
+    errors have shape (R, 3).  Cell i is one `replicate_map` group, its
+    blocks drawn with key (seed, i).
     """
-    root_n = np.sqrt(config.n)
-    cells = [
-        (cell, cell.model(config.sigma), cell.estimator_config())
-        for cell in config.cells
+
+    def errors(cell, block):
+        est = estimates(block, cell.estimator_config(), cell.alpha, cell.gamma, cell.M)
+        return (est - config.sigma**2) * np.sqrt(config.n)
+
+    groups = [
+        (partial(errors, cell), cell.model(config.sigma), config.n, (config.seed, i))
+        for i, cell in enumerate(config.cells)
     ]
-    starts = range(0, config.replicates, block_rows(config.n))
-    blocks = [(ci, lo) for ci in range(len(cells)) for lo in starts]
-
-    def block_errors(item):
-        ci, lo = item
-        cell, model, est_cfg = cells[ci]
-        key = (config.seed, ci)
-        t0 = time.perf_counter()
-        block = replicate_block(model, config.n, key, lo, config.replicates)
-        t1 = time.perf_counter()
-        est = estimates(block, est_cfg, cell.alpha, cell.gamma, cell.M)
-        errors = (est - config.sigma**2) * root_n
-        return errors, t1 - t0, time.perf_counter() - t1
-
-    per_cell = [[np.empty((config.replicates, 3)), 0.0, 0.0] for _ in cells]
-    for (ci, lo), (errors, simulate_s, estimate_s) in zip(
-        blocks, fork_map(block_errors, blocks)
-    ):
-        out = per_cell[ci]
-        out[0][lo : lo + len(errors)] = errors
-        out[1] += simulate_s
-        out[2] += estimate_s
-    return [tuple(out) for out in per_cell], worker_count(len(blocks))
+    return replicate_map(groups, config.replicates)
 
 
 def _stderr(v: np.ndarray) -> float:
@@ -359,11 +376,40 @@ def emit_report(report: McReport, fmt: str, path: str) -> None:
 RATE_HEADER = "alpha,beta,expected_slope,fitted_slope,stderr"
 
 
+def rate_fit(
+    model: ModelSpec,
+    config: EstimatorConfig,
+    n_grid,
+    replicates: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Empirical decay exponent of the mean bias of tqv over an n grid.
+
+    Each n is one `replicate_map` group of `replicates` paths with key
+    (seed, n), and its mean of Q_n - sigma^2 is taken over them in
+    replicate order.  Fits log(mean bias) vs log(1/n) by `fit_power_law`.
+    Every n must be at least 2, and `replicates` at least 1.
+    """
+    if replicates < 1:
+        raise ParameterError(f"replicates must be >= 1, got {replicates}")
+    n_grid = sorted(set(int(n) for n in n_grid))
+    if n_grid and n_grid[0] < 2:
+        raise ParameterError(f"every n in n_grid must be at least 2, got {n_grid[0]}")
+    if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
+        raise ParameterError("n grid must have >= 4 values spanning a factor of 8")
+
+    def q_n(block):
+        return truncated_sums(block, config.threshold(block.shape[-1]), Kernel())[0]
+
+    per_n, _ = replicate_map([(q_n, model, n, (seed, n)) for n in n_grid], replicates)
+    biases = [float(q.mean()) - model.sigma**2 for q, _, _ in per_n]
+    return fit_power_law(n_grid, biases)
+
+
 def run_rate_experiment(config: ExperimentConfig) -> str:
     """Fit the bias decay exponent per cell; returns the rate-report CSV text.
 
-    The cells are fitted in turn, each by `rate_fit`, whose blocks run on
-    `fork_map`'s processes.
+    The cells are fitted in turn, each by `rate_fit`.
     """
     lines = [RATE_HEADER]
     for cell in config.cells:

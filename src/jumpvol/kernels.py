@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf
+from math import inf, isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -65,13 +66,15 @@ class Kernel:
     """The kernel phi + c * psi(., M): phi at the default c = 0.
 
     It is 1 on |x| <= 1 and 0 on |x| >= 2, or on |x| >= max(2, M) when c
-    is not 0.  M is checked whatever c is.
+    is not 0.  c must be a finite number, and M is checked whatever c is.
     """
 
     c: float = 0.0
     M: float = 4.0
 
     def __post_init__(self):
+        if not (isinstance(self.c, Real) and isfinite(self.c)):
+            raise ParameterError(f"c must be a finite number, got {self.c!r}")
         _check_M(self.M)
 
     @property

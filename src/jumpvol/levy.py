@@ -9,9 +9,9 @@ up to the Gaussian small-jump substitution used in the tempered case.  A
 path is its 1-D array of increments Delta X_1..n on [0, 1], observed with
 delta = 1/n; a block of paths is a (rows, n) array.  The samplers draw a
 whole block from one generator, each kind of draw in one call for all rows;
-`sample_stable_increment` is the one public sampler, and `replicate_block`
-is the one place that says which stream each block of a Monte Carlo cell
-is drawn from.
+`sample_stable_increment` is the one public sampler.  `block_rows` fixes how
+many paths of a Monte Carlo cell share a block; `harness.replicate_map`
+says which stream each block is drawn from.
 """
 
 from __future__ import annotations
@@ -324,20 +324,6 @@ def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
     if model.gamma != 0.0:
         block += model.gamma * _jump_block(model.jump_law, delta, gen, (rows, n))
     return block
-
-
-def replicate_block(
-    model: ModelSpec, n: int, key: tuple, lo: int, count: int
-) -> np.ndarray:
-    """The increments of the block of replicates that starts at replicate lo.
-
-    A Monte Carlo cell's `count` replicates come in blocks of
-    `block_rows(n)` rows, the last one shorter; the block of replicates
-    lo, lo+1, ... (lo a multiple of `block_rows(n)`) is drawn whole from
-    the stream (*key, lo // block_rows(n)).
-    """
-    step = block_rows(n)
-    return simulate_increments(model, n, min(step, count - lo), (*key, lo // step))
 
 
 def simulate_path(model: ModelSpec, n: int, seed) -> np.ndarray:

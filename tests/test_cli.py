@@ -419,14 +419,27 @@ class TestRateCheck:
         assert err == "error: config has no [cell] section\n"
         assert out == ""
 
+    def test_nonpositive_bias_exits_2(self, capsys, tmp_path):
+        """A threshold far below the increments truncates nearly every one,
+        so Q_n < sigma^2 at every n: the fit refuses, naming them all."""
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(
+            "replicates = 10\nseed = 2\nn_grid = 50 100 200 400\n"
+            "[cell]\nalpha = 0.5\ngamma = 1\nbeta = 0.2\nk = 0.01\n"
+        )
+        code, out, err = run_cli(capsys, "rate-check", "--config", str(cfg))
+        assert code == 2
+        assert "mean bias not positive at n = [50, 100, 200, 400]" in err
+        assert out == ""
+
     def test_n_grid_below_2_exits_1(self, capsys, tmp_path, monkeypatch):
         """An n below 2 is refused before any path is drawn."""
-        from jumpvol import estimators
+        from jumpvol import harness
 
         calls = []
-        real = estimators.replicate_block
+        real = harness.simulate_increments
         spy = lambda *a: calls.append(a) or real(*a)
-        monkeypatch.setattr(estimators, "replicate_block", spy)
+        monkeypatch.setattr(harness, "simulate_increments", spy)
         cfg = tmp_path / "rate.cfg"
         cfg.write_text(
             "replicates = 10\nn_grid = 0 100 200 1600\n"
@@ -677,9 +690,9 @@ class TestNonFiniteParameters:
         from jumpvol import harness, workers
 
         calls = []
-        real = harness.replicate_block
+        real = harness.simulate_increments
         spy = lambda *args: calls.append(args) or real(*args)
-        monkeypatch.setattr(harness, "replicate_block", spy)
+        monkeypatch.setattr(harness, "simulate_increments", spy)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TestMcTable.CFG.replace("k = 2", line))

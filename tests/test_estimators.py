@@ -14,12 +14,13 @@ from jumpvol import (
     ParameterError,
     jump_bias,
     kernel_moment,
+    rate_fit,
     richardson,
     richardson_paired,
     simulate_path,
     tqv,
 )
-from jumpvol.estimators import estimates, fit_power_law, rate_fit
+from jumpvol.estimators import estimates, fit_power_law
 from jumpvol.kernels import cancelling_kernel, phi
 from jumpvol.levy import block_rows, sample_stable_increment, simulate_increments
 
@@ -317,14 +318,17 @@ class TestFitPowerLaw:
         assert fitted == pytest.approx(slope, abs=1e-10)
         assert stderr < 1e-10
 
-    def test_drops_nonpositive(self):
+    def test_refuses_nonpositive(self):
+        """A non-positive or NaN bias is refused, naming its n, not dropped."""
         ns = np.array([100, 200, 400, 800, 1600])
         biases = 3.0 * (1.0 / ns) ** 0.25
-        biases[2] = -1.0
-        fitted, _ = fit_power_law(ns, biases)
-        assert fitted == pytest.approx(0.25, abs=1e-10)
+        biases[2], biases[3], biases[4] = -1.0, 0.0, np.nan
+        with pytest.raises(DiagnosticError, match=r"n = \[400, 800, 1600\]"):
+            fit_power_law(ns, biases)
 
     def test_too_few_points(self):
+        with pytest.raises(DiagnosticError, match="need at least 3"):
+            fit_power_law([100, 200], [1.0, 0.5])
         with pytest.raises(DiagnosticError):
             fit_power_law([100, 200, 400], [1.0, -1.0, -1.0])
 
@@ -378,20 +382,24 @@ class TestRateFit:
         assert rate_fit(model, cfg, grid, reps, seed) == fit_power_law(grid, biases)
 
     def test_maps_one_item_per_block(self, monkeypatch):
-        """The items of rate_fit's one fork_map are the (n, first replicate)
-        pairs of the blocks of every n, in n order."""
-        from jumpvol import estimators
+        """The items of rate_fit's one fork_map are the (group, block) pairs
+        of the blocks of every n, one group per n, in n order."""
+        from jumpvol import harness
 
         calls = []
-        real = estimators.fork_map
+        real = harness.fork_map
 
         def spy(fn, items):
             calls.append(list(items))
             return real(fn, items)
 
-        monkeypatch.setattr(estimators, "fork_map", spy)
+        monkeypatch.setattr(harness, "fork_map", spy)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 0.7))
         grid, reps = [50, 100, 200, 400], 100
         rate_fit(model, EstimatorConfig(beta=0.2, k=3.0), grid, reps, 11)
-        blocks = [(n, lo) for n in grid for lo in range(0, reps, block_rows(n))]
+        blocks = [
+            (g, b)
+            for g, n in enumerate(grid)
+            for b, _ in enumerate(range(0, reps, block_rows(n)))
+        ]
         assert calls == [blocks] and len(blocks) > len(grid)

@@ -103,6 +103,13 @@ class TestKernelDataclass:
         with pytest.raises(TypeError):
             Kernel(kind="phi")
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, "phi"])
+    def test_rejects_c_not_a_finite_number(self, c):
+        """A NaN or infinite c, or a kind name in c's place, is refused as
+        the kernel is built, not when it is first evaluated."""
+        with pytest.raises(ParameterError, match="c must be a finite number"):
+            Kernel(c)
+
 
 def dzeta_kernel_name(spec: str, M: str = "4") -> str:
     """The `--kernel` of `dzeta --kernel spec --M M` as parsed."""

@@ -55,6 +55,27 @@ def test_levy_imports_only_errors():
     assert package_imports("levy") == {"errors"}
 
 
+def test_estimators_imports_no_simulation_loop():
+    """The estimators see blocks; drawing and spreading them is harness's."""
+    assert package_imports("estimators") == {"errors", "kernels", "levy"}
+
+
+def test_only_harness_and_stable_import_workers():
+    importers = {m for m in MODULES if "workers" in package_imports(m)}
+    assert importers == {"harness", "stable"}
+
+
+def test_only_levy_and_harness_know_the_block_layout():
+    """`levy` defines `block_rows`, and `harness` (its `replicate_map`) is
+    the one module that uses it."""
+    users = set()
+    for m in MODULES:
+        tree = ast.parse((PACKAGE / f"{m}.py").read_text(encoding="utf-8"))
+        if "block_rows" in referenced_names(tree):
+            users.add(m)
+    assert users == {"harness"}
+
+
 def test_the_scan_sees_relative_imports():
     assert {"errors", "estimators", "levy", "stable"} <= package_imports("__init__")
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jumpvol import JumpLaw, ModelSpec, ParameterError, simulate_path
+from jumpvol.harness import replicate_map
 from jumpvol.levy import (
     BLOCK_INCREMENTS,
     SMALL_JUMP_CUTOFF,
@@ -12,7 +13,6 @@ from jumpvol.levy import (
     _jump_block,
     _tempered_block,
     block_rows,
-    replicate_block,
     sample_stable_increment,
     simulate_increments,
     stable_scale,
@@ -282,6 +282,14 @@ class TestSimulatePath:
         np.testing.assert_array_equal(a, b)
 
 
+def mapped_blocks(model, n, key, count):
+    """The blocks of one `harness.replicate_map` group of `count` paths, cut
+    from the rows it returns in replicate order."""
+    [(rows, _, _)], _ = replicate_map([(lambda block: block, model, n, key)], count)
+    step = block_rows(n)
+    return [rows[lo : lo + step] for lo in range(0, count, step)]
+
+
 class TestSimulateIncrements:
     @pytest.mark.parametrize("kind", ["stable", "tempered"])
     def test_rows_equal_single_paths(self, kind):
@@ -300,8 +308,7 @@ class TestSimulateIncrements:
         n, key = 1000, (7, 2)
         step = block_rows(n)
         count = 2 * step + 5
-        starts = (0, step, 2 * step)
-        blocks = [replicate_block(model, n, key, lo, count) for lo in starts]
+        blocks = mapped_blocks(model, n, key, count)
         assert [len(block) for block in blocks] == [step, step, 5]
         for b, block in enumerate(blocks):
             expected = simulate_increments(model, n, len(block), (*key, b))
@@ -395,7 +402,7 @@ class TestBlockAgainstWrittenOutDraws:
     def test_replicate_blocks(self, name):
         model, n, key = self.MODELS[name], 1000, (11, 4)
         step = block_rows(n)
-        blocks = [replicate_block(model, n, key, lo, step + 3) for lo in (0, step)]
+        blocks = mapped_blocks(model, n, key, step + 3)
         assert [len(block) for block in blocks] == [step, 3]
         for b, block in enumerate(blocks):
             ref = reference_block(model, n, len(block), np.random.default_rng((*key, b)))
@@ -430,7 +437,7 @@ class TestStreamStates:
 
     def test_rejects_negative_key(self):
         with pytest.raises(ParameterError, match="non-negative"):
-            replicate_block(ModelSpec(), 10, (-1, 0), 0, 2)
+            replicate_map([(lambda block: block, ModelSpec(), 10, (-1, 0))], 2)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
     def test_rejects_negative_seed(self, seed):
