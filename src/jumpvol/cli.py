@@ -53,8 +53,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    increments = path_from_csv(read_text(getattr(args, "in")))
     config = EstimatorConfig(beta=args.beta, k=args.k)
+    increments = path_from_csv(read_text(getattr(args, "in")), config)
     row = estimates(increments, config, args.alpha, args.gamma, args.M)
     q_n, q_c, q_nc = row.tolist()
     text = f"q_n = {q_n!r}\nq_n_corrected = {q_c!r}\nq_n_cancelled = {q_nc!r}\n"

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, fit_power_law, truncated_sums
 from .kernels import Kernel, cancelling_kernel
-from .levy import JumpLaw, ModelSpec, block_rows, simulate_increments
+from .levy import JumpLaw, ModelSpec, add_jumps, block_rows, simulate_parts
 from .workers import fork_map, worker_count
 
 
@@ -237,12 +237,12 @@ def replicate_map(groups, replicates: int) -> tuple[list, int]:
 
     A group is (fn, model, n, key).  Its paths come in blocks of
     `block_rows(n)` rows, the last one shorter; block b is drawn whole by
-    `levy.simulate_increments` from the stream (*key, b), and fn maps it to
-    one row per path.  The (group, b) pairs are the items of one `fork_map`,
-    in group order, so no row depends on the number of processes.  Returns
-    ([(rows, simulate_s, fn_s) per group], workers): a group's rows are
-    joined in replicate order, and its stage times add up its blocks' times,
-    in whichever process ran them.
+    `levy.simulate_parts` from the stream (*key, b), and fn maps its parts,
+    base and J, to one row per path.  The (group, b) pairs are the items of
+    one `fork_map`, in group order, so no row depends on the number of
+    processes.  Returns ([(rows, simulate_s, fn_s) per group], workers): a
+    group's rows are joined in replicate order, and its stage times add up
+    its blocks' times, in whichever process ran them.
     """
     counts = [-(-replicates // block_rows(n)) for _, _, n, _ in groups]
     items = [(g, b) for g, count in enumerate(counts) for b in range(count)]
@@ -252,11 +252,9 @@ def replicate_map(groups, replicates: int) -> tuple[list, int]:
         fn, model, n, key = groups[g]
         step = block_rows(n)
         t0 = time.perf_counter()
-        block = simulate_increments(
-            model, n, min(step, replicates - b * step), (*key, b)
-        )
+        parts = simulate_parts(model, n, min(step, replicates - b * step), (*key, b))
         t1 = time.perf_counter()
-        rows = fn(block)
+        rows = fn(*parts)
         return rows, t1 - t0, time.perf_counter() - t1
 
     done = iter(fork_map(run_block, items))
@@ -271,19 +269,37 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     """(E1, E2, E3) of every replicate of every cell, and the processes used.
 
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
-    errors have shape (R, 3).  Cell i is one `replicate_map` group, its
-    blocks drawn with key (seed, i).
+    errors have shape (R, 3).  The cells of one jump law, (jumps, alpha),
+    are one `replicate_map` group: group g, in order of first appearance,
+    draws its blocks with key (seed, g), and each cell estimates base +
+    gamma*J of the same draws.  A group's stage times are split equally
+    among its cells.
     """
+    laws: dict = {}  # (jumps, alpha) -> the indices of its cells
+    for i, cell in enumerate(config.cells):
+        laws.setdefault((cell.jumps, cell.alpha), []).append(i)
 
-    def errors(cell, block):
-        est = estimates(block, cell.estimator_config(), cell.alpha, cell.gamma, cell.M)
-        return (est - config.sigma**2) * np.sqrt(config.n)
+    def errors(members, base, jumps):
+        est = []
+        for c in (config.cells[i] for i in members):
+            block = add_jumps(base, jumps, c.gamma)
+            est.append(estimates(block, c.estimator_config(), c.alpha, c.gamma, c.M))
+        return (np.stack(est, axis=1) - config.sigma**2) * np.sqrt(config.n)
+
+    def model(members):  # a jump cell's, if the law has one, so J is drawn
+        lead = max(members, key=lambda i: config.cells[i].gamma != 0.0)
+        return config.cells[lead].model(config.sigma)
 
     groups = [
-        (partial(errors, cell), cell.model(config.sigma), config.n, (config.seed, i))
-        for i, cell in enumerate(config.cells)
+        (partial(errors, members), model(members), config.n, (config.seed, g))
+        for g, members in enumerate(laws.values())
     ]
-    return replicate_map(groups, config.replicates)
+    per_group, workers = replicate_map(groups, config.replicates)
+    per_cell = [None] * len(config.cells)
+    for members, (rows, *times) in zip(laws.values(), per_group):
+        for j, i in enumerate(members):
+            per_cell[i] = (rows[:, j], *(t / len(members) for t in times))
+    return per_cell, workers
 
 
 def _stderr(v: np.ndarray) -> float:
@@ -398,7 +414,8 @@ def rate_fit(
     if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
         raise ParameterError("n grid must have >= 4 values spanning a factor of 8")
 
-    def q_n(block):
+    def q_n(base, jumps):
+        block = add_jumps(base, jumps, model.gamma)
         return truncated_sums(block, config.threshold(block.shape[-1]), Kernel())[0]
 
     per_n, _ = replicate_map([(q_n, model, n, (seed, n)) for n in n_grid], replicates)
@@ -438,9 +455,11 @@ def path_to_csv(increments: np.ndarray) -> str:
     return buf.getvalue()
 
 
-def path_from_csv(text: str) -> np.ndarray:
+def path_from_csv(text: str, config: EstimatorConfig | None = None) -> np.ndarray:
     """The increments of the path of a CSV with header i,t,x, whose rows are
-    i = 0, 1, ..., n in order with t within 1e-9 of i/n and a finite x."""
+    i = 0, 1, ..., n in order with t within 1e-9 of i/n and a finite x.
+    Given the estimator config, a path whose |x| reaches doubles more than
+    1e-9 u_n apart is refused: its increments lost digits to rounding."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["i", "t", "x"]:
@@ -466,4 +485,11 @@ def path_from_csv(text: str) -> np.ndarray:
             )
         if not math.isfinite(x):
             raise ParameterError(f"path CSV line {line}: x must be finite, got {x!r}")
-    return np.diff([x for *_, x in rows])
+    x = np.array([x for *_, x in rows])
+    level = float(np.abs(x).max())
+    if config is not None and np.spacing(level) > 1e-9 * config.threshold(n):
+        raise ParameterError(
+            f"path CSV reaches |x| = {level!r}, where doubles are more than"
+            " 1e-9 u_n apart: its increments lost digits to rounding"
+        )
+    return np.diff(x)

@@ -9,9 +9,9 @@ up to the Gaussian small-jump substitution used in the tempered case.  A
 path is its 1-D array of increments Delta X_1..n on [0, 1], observed with
 delta = 1/n; a block of paths is a (rows, n) array.  The samplers draw a
 whole block from one generator, each kind of draw in one call for all rows;
-`sample_stable_increment` is the one public sampler.  `block_rows` fixes how
-many paths of a Monte Carlo cell share a block; `harness.replicate_map`
-says which stream each block is drawn from.
+`sample_stable_increment` is the one public sampler and `simulate_parts` the
+one block draw.  `block_rows` fixes how many paths share a block;
+`harness.replicate_map` says which stream each block is drawn from.
 """
 
 from __future__ import annotations
@@ -288,13 +288,13 @@ def _jump_block(law: JumpLaw, delta: float, gen, shape) -> np.ndarray:
     return _tempered_block(law.alpha, delta, gen, shape)
 
 
-# A constant of the draw design: a Monte Carlo cell's replicates come in
-# blocks of `block_rows(n)` rows, about this many increments, and each block
-# is drawn whole from one stream.  So it fixes which paths share a stream,
-# and changing it is a new draw design that moves every Monte Carlo report.
-# Blocks are large enough to amortize numpy call overhead over many paths and
-# small enough that a whole cell is never held in memory at once.  It also
-# bounds the pieces the stable transform works through.
+# A constant of the draw design: the replicates of a Monte Carlo group come
+# in blocks of `block_rows(n)` rows, about this many increments, and each
+# block is drawn whole from one stream.  So it fixes which paths share a
+# stream, and changing it is a new draw design that moves every Monte Carlo
+# report.  Blocks are large enough to amortize numpy call overhead over many
+# paths and small enough that a whole group is never held in memory at once.
+# It also bounds the pieces the stable transform works through.
 BLOCK_INCREMENTS = 16_384
 
 
@@ -303,13 +303,14 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_INCREMENTS // n)
 
 
-def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
-    """Increments of `rows` paths on the grid t_i = i/n, as a (rows, n) block.
+def simulate_parts(model: ModelSpec, n: int, rows: int, rng):
+    """(base, J) of `rows` paths on the grid t_i = i/n, as (rows, n) blocks.
 
-    Each entry is b*delta + sigma*sqrt(delta)*Z + gamma*J.  The whole block
-    is drawn from the one stream `rng` (anything `default_rng` accepts; an
-    integer seed or a key tuple must not be negative): the Gaussian draws of
-    every row first, then the jump draws of every row.
+    base is b*delta + sigma*sqrt(delta)*Z and J the unscaled jumps, None
+    when model.gamma is 0; the increments are base + gamma*J.  Both come
+    from the one stream `rng` (anything `default_rng` accepts; an integer
+    seed or a key tuple must not be negative): the Gaussian draws of every
+    row first, then the jump draws of every row.
     """
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
@@ -318,12 +319,25 @@ def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
         raise ParameterError(f"seeds must be non-negative integers, got {rng}")
     delta = 1.0 / n
     gen = default_rng(rng)
-    block = np.full((rows, n), model.drift * delta)
+    base = np.full((rows, n), model.drift * delta)
     if model.sigma > 0:
-        block += model.sigma * np.sqrt(delta) * gen.standard_normal((rows, n))
+        base += model.sigma * np.sqrt(delta) * gen.standard_normal((rows, n))
+    jumps = None
     if model.gamma != 0.0:
-        block += model.gamma * _jump_block(model.jump_law, delta, gen, (rows, n))
-    return block
+        jumps = _jump_block(model.jump_law, delta, gen, (rows, n))
+    return base, jumps
+
+
+def add_jumps(base: np.ndarray, jumps, gamma: float) -> np.ndarray:
+    """base + gamma*J as a new block; base itself when gamma is 0, where
+    0*J would turn an infinite jump into NaN."""
+    return base if gamma == 0.0 else base + gamma * jumps
+
+
+def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
+    """Increments of `rows` paths on the grid t_i = i/n, as a (rows, n) block:
+    b*delta + sigma*sqrt(delta)*Z + gamma*J, from `simulate_parts`."""
+    return add_jumps(*simulate_parts(model, n, rows, rng), model.gamma)
 
 
 def simulate_path(model: ModelSpec, n: int, seed) -> np.ndarray:

@@ -95,10 +95,13 @@ class TestCriterion2:
         Known to fail; the documents do not say which law the targets use.
         The program simulates the documented tempered law, Levy density
         e^(-|z|)|z|^(-1-alpha) scaled by gamma, and agrees with it: at seed
-        42 the Monte Carlo E1 is 73.1 +- 1.6 and 140.9 +- 1.9, against the
+        42 the Monte Carlo E1 is 74.0 +- 1.6 and 140.8 +- 2.0, against the
         noise-free first-order integral sqrt(n) int x^2 K(x/u_n) nu(dx) of
-        73.9 and 143.0; E3 is 24.8 +- 2.2 and 46.5 +- 3.4, against 25.0 and
-        49.5.  The E1 targets fit the Levy density
+        73.9 and 143.0; E3 is 26.85 +- 2.2 and 46.16 +- 3.3, against 25.0
+        and 49.5.  (The two cells have distinct jump laws, so each draws from
+        its own stream; in table_beta02.cfg, where each shares its law with a
+        gamma 1 cell, the same cells read E1 73.55 and 143.76, E3 25.85 and
+        51.10.)  The E1 targets fit the Levy density
         sigma_alpha^(-1) e^(-|z|)|z|^(-1-alpha) instead (first-order 14.7 and
         43.3), which is not criterion 1's convention and which JumpLaw cannot
         express.  The E3 bound is not met under any of these laws (E3 between
@@ -340,7 +343,8 @@ class TestCriterion9:
         """Identical reports on rerun, and every replicate's (E1, E2, E3) equal
         bit for bit to the route simulate_increments -> estimates of its row
         -> (est - sigma^2) sqrt(n), block b of cell i drawn from the stream
-        (seed, i, b).  R = 64 at n = 300 is not a multiple of the 54 rows of
+        (seed, i, b): the two cells have distinct jump laws, so cell i is
+        law group i.  R = 64 at n = 300 is not a multiple of the 54 rows of
         a simulation block, so a partial block is covered too."""
         from jumpvol.estimators import estimates
         from jumpvol.harness import replicate_errors, report_to_csv

@@ -146,6 +146,19 @@ class TestEstimate:
         assert run_cli(capsys, *args, "--gamma", "1")[0] == 0
         assert calls == [2]
 
+    def test_path_rounded_past_its_increments_exits_1(self, capsys, tmp_path):
+        """At alpha 0.1 a huge jump takes the path to |x| ~ 4e11, where doubles
+        are 6e-5 apart; the increments read back would have lost digits."""
+        p = tmp_path / "p.csv"
+        simulate = "simulate --n 700 --gamma 1 --alpha 0.1 --seed 0 --out".split()
+        assert run_cli(capsys, *simulate, str(p))[0] == 0
+        args = ["estimate", "--in", str(p), "--beta", "0.2", "--k", "2"]
+        code, out, err = run_cli(capsys, *args, "--alpha", "0.1", "--gamma", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: path CSV reaches |x| = ")
+        assert "lost digits to rounding" in err
+
     @pytest.mark.parametrize(
         "row", ["1,0.5", "1,0.5,abc", "1,0.5,nan", "1,0.5,inf", "1,0.5,-inf"]
     )
@@ -437,9 +450,9 @@ class TestRateCheck:
         from jumpvol import harness
 
         calls = []
-        real = harness.simulate_increments
+        real = harness.simulate_parts
         spy = lambda *a: calls.append(a) or real(*a)
-        monkeypatch.setattr(harness, "simulate_increments", spy)
+        monkeypatch.setattr(harness, "simulate_parts", spy)
         cfg = tmp_path / "rate.cfg"
         cfg.write_text(
             "replicates = 10\nn_grid = 0 100 200 1600\n"
@@ -690,9 +703,9 @@ class TestNonFiniteParameters:
         from jumpvol import harness, workers
 
         calls = []
-        real = harness.simulate_increments
+        real = harness.simulate_parts
         spy = lambda *args: calls.append(args) or real(*args)
-        monkeypatch.setattr(harness, "simulate_increments", spy)
+        monkeypatch.setattr(harness, "simulate_parts", spy)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TestMcTable.CFG.replace("k = 2", line))

@@ -23,16 +23,24 @@ from jumpvol import (
     run_mc,
     run_rate_experiment,
 )
+from jumpvol.estimators import EstimatorConfig, estimates, tqv
 from jumpvol.harness import (
     REPORT_HEADER,
     McReport,
     path_from_csv,
     path_to_csv,
+    replicate_errors,
     report_to_csv,
     report_to_json,
 )
 from jumpvol import workers
-from jumpvol.levy import ModelSpec, simulate_path
+from jumpvol.levy import (
+    JumpLaw,
+    ModelSpec,
+    block_rows,
+    simulate_increments,
+    simulate_path,
+)
 from jumpvol.workers import fork_map
 
 SAMPLE_CFG = """\
@@ -234,6 +242,79 @@ class TestRunMc:
         for key in ("simulate_s", "estimate_s"):
             assert len(payload[key]) == 1
             assert payload[key][0] > 0.0
+
+
+def per_path_errors(cfg, cell, g, model=None):
+    """(E1, E2, E3) of `cell`'s replicates by the route simulate_increments ->
+    estimates, block b drawn with `model` (the cell's own by default) from
+    the stream (seed, g, b)."""
+    model = model or cell.model(cfg.sigma)
+    step = block_rows(cfg.n)
+    errors = []
+    for b, lo in enumerate(range(0, cfg.replicates, step)):
+        rows = min(step, cfg.replicates - lo)
+        block = simulate_increments(model, cfg.n, rows, (cfg.seed, g, b))
+        est = estimates(block, cell.estimator_config(), cell.alpha, cell.gamma, cell.M)
+        errors.append((est - cfg.sigma**2) * np.sqrt(cfg.n))
+    return np.concatenate(errors)
+
+
+class TestLawGroups:
+    """The cells of one jump law, (jumps, alpha), share its draws: group g,
+    in order of first appearance, draws block b from (seed, g, b), and each
+    cell estimates base + gamma J of it."""
+
+    def test_cells_of_one_law_differ_only_in_gamma(self):
+        cells = (
+            CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+            CellConfig(alpha=0.5, gamma=1.0, beta=0.2, k=3.0, jumps="tempered"),
+            CellConfig(alpha=1.5, gamma=3.0, beta=0.2, k=2.0),
+        )
+        reps = 2 * block_rows(200) + 5  # two whole blocks and a short one
+        cfg = ExperimentConfig(cells=cells, n=200, replicates=reps, seed=5)
+        per_cell, _ = replicate_errors(cfg)
+        for (errors, _, _), cell, g in zip(per_cell, cells, (0, 1, 0)):
+            np.testing.assert_array_equal(errors, per_path_errors(cfg, cell, g))
+        # the law's stage times are split equally between its two cells
+        assert per_cell[0][1:] == per_cell[2][1:]
+
+    def test_distinct_laws_keep_one_stream_per_cell(self):
+        cells = (
+            CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+            CellConfig(alpha=0.5, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
+            CellConfig(alpha=1.9, gamma=0.0, beta=0.2, k=2.0),
+            CellConfig(alpha=1.5, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
+        )
+        cfg = ExperimentConfig(cells=cells, n=300, replicates=60, seed=9)
+        per_cell, _ = replicate_errors(cfg)
+        for i, ((errors, _, _), cell) in enumerate(zip(per_cell, cells)):
+            np.testing.assert_array_equal(errors, per_path_errors(cfg, cell, i))
+
+    def test_zero_gamma_cell_takes_the_base(self, monkeypatch):
+        """A gamma 0 cell of a law with jumps estimates the jump-free draw of
+        the same stream, even where J is infinite (0 * inf would be NaN)."""
+        from jumpvol import harness
+
+        real = harness.simulate_parts
+
+        def infinite_jump(*args):
+            base, jumps = real(*args)
+            jumps[0, 0] = np.inf
+            return base, jumps
+
+        monkeypatch.setattr(harness, "simulate_parts", infinite_jump)
+        cells = (
+            CellConfig(alpha=1.5, gamma=0.0, beta=0.2, k=2.0),
+            CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+        )
+        cfg = ExperimentConfig(cells=cells, n=200, replicates=100, seed=3)
+        [(zero, _, _), (one, _, _)], _ = replicate_errors(cfg)
+        jump_free = ModelSpec(sigma=1.0, gamma=0.0, jump_law=JumpLaw("stable", 1.5))
+        want = per_path_errors(cfg, cells[0], 0, jump_free)
+        np.testing.assert_array_equal(zero, want)
+        # the infinite jump did reach the gamma 1 cell, in row 0 of each block
+        moved = (one != per_path_errors(cfg, cells[1], 0)).any(axis=1)
+        assert moved.nonzero()[0].tolist() == [0, block_rows(200)]
 
 
 # Three cells, stable and tempered, so that the workers share them unevenly.
@@ -488,6 +569,37 @@ class TestPathCsv:
         text = "i,t,x\n0,0.0,1.5\n1,0.5,1e17\n2,1.0,1.75\n"
         back = path_from_csv(text)
         np.testing.assert_array_equal(back, np.diff([1.5, 1e17, 1.75]))
+
+    def test_refuses_observations_too_coarse_for_u_n(self):
+        """Given the estimator config, |x| whose doubles are more than
+        1e-9 u_n apart is refused; u_n = 2 * 2^-0.2 = 1.74 here."""
+        config = EstimatorConfig(beta=0.2, k=2.0)
+        coarse = "i,t,x\n0,0.0,0.0\n1,0.5,1e7\n2,1.0,0.03\n"  # spacing 1.9e-9
+        fine = coarse.replace("1e7", "1e6")  # spacing 1.2e-10
+        with pytest.raises(ParameterError, match="lost digits to rounding"):
+            path_from_csv(coarse, config)
+        assert path_from_csv(fine, config).shape == (2,)
+        assert path_from_csv(coarse).shape == (2,)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_refuses_every_path_whose_tqv_the_csv_moves(self, alpha):
+        """simulate -> estimate at n 700, beta 0.2, k 2: every path whose tqv
+        moves by more than 1e-6 after the CSV round trip is refused (14 of 20
+        at alpha 0.1, with 4 more that move by less), and none at alpha 0.5."""
+        config = EstimatorConfig(beta=0.2, k=2.0)
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", alpha))
+        moved, refused = set(), set()
+        for seed in range(20):
+            path = simulate_path(model, 700, seed)
+            text = path_to_csv(path)
+            if abs(tqv(path_from_csv(text), config) / tqv(path, config) - 1) > 1e-6:
+                moved.add(seed)
+            try:
+                path_from_csv(text, config)
+            except ParameterError:
+                refused.add(seed)
+        assert moved <= refused
+        assert (len(moved), len(refused)) == ((14, 18) if alpha == 0.1 else (0, 0))
 
     def test_header_required(self):
         with pytest.raises(ParameterError):

@@ -12,9 +12,11 @@ from jumpvol.levy import (
     _chambers_mallows_stuck,
     _jump_block,
     _tempered_block,
+    add_jumps,
     block_rows,
     sample_stable_increment,
     simulate_increments,
+    simulate_parts,
     stable_scale,
     tempered_small_jump_variance,
     tempered_tail_intensity,
@@ -282,12 +284,18 @@ class TestSimulatePath:
         np.testing.assert_array_equal(a, b)
 
 
-def mapped_blocks(model, n, key, count):
-    """The blocks of one `harness.replicate_map` group of `count` paths, cut
-    from the rows it returns in replicate order."""
-    [(rows, _, _)], _ = replicate_map([(lambda block: block, model, n, key)], count)
+def mapped_parts(model, n, key, count):
+    """The (base, J) parts of the blocks of one `harness.replicate_map` group
+    of `count` paths, cut from the rows it returns in replicate order; J is
+    None for a model without jumps."""
+
+    def both(base, jumps):
+        return np.stack((base, base if jumps is None else jumps), axis=1)
+
+    [(rows, _, _)], _ = replicate_map([(both, model, n, key)], count)
     step = block_rows(n)
-    return [rows[lo : lo + step] for lo in range(0, count, step)]
+    blocks = [rows[lo : lo + step] for lo in range(0, count, step)]
+    return [(b[:, 0], b[:, 1] if model.gamma != 0.0 else None) for b in blocks]
 
 
 class TestSimulateIncrements:
@@ -303,16 +311,37 @@ class TestSimulateIncrements:
             np.testing.assert_array_equal(simulate_path(model, 40, seed), ref[0])
 
     def test_replicate_blocks(self):
-        """Block b is drawn whole from stream (*key, b); the last is shorter."""
-        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", alpha=1.5))
+        """Block b's parts are drawn whole from stream (*key, b), the last
+        block shorter, and its increments are base + gamma J."""
+        model = ModelSpec(sigma=1.0, gamma=2.0, jump_law=JumpLaw("stable", alpha=1.5))
         n, key = 1000, (7, 2)
         step = block_rows(n)
         count = 2 * step + 5
-        blocks = mapped_blocks(model, n, key, count)
-        assert [len(block) for block in blocks] == [step, step, 5]
-        for b, block in enumerate(blocks):
-            expected = simulate_increments(model, n, len(block), (*key, b))
-            np.testing.assert_array_equal(block, expected)
+        blocks = mapped_parts(model, n, key, count)
+        assert [len(base) for base, _ in blocks] == [step, step, 5]
+        for b, (base, jumps) in enumerate(blocks):
+            stream = (*key, b)
+            want_base, want_jumps = simulate_parts(model, n, len(base), stream)
+            np.testing.assert_array_equal(base, want_base)
+            np.testing.assert_array_equal(jumps, want_jumps)
+            np.testing.assert_array_equal(
+                base + 2.0 * jumps, simulate_increments(model, n, len(base), stream)
+            )
+
+    def test_parts_of_a_model_without_jumps(self):
+        """J is not drawn at gamma = 0, and the increments are the base itself."""
+        model = ModelSpec(sigma=1.0, gamma=0.0, jump_law=JumpLaw("stable", alpha=1.5))
+        base, jumps = simulate_parts(model, 50, 3, (1, 2))
+        assert jumps is None
+        np.testing.assert_array_equal(simulate_increments(model, 50, 3, (1, 2)), base)
+
+    def test_zero_gamma_takes_the_base_whatever_the_jumps(self):
+        """0 * inf is NaN, so gamma = 0 must not scale the jumps at all."""
+        base = np.arange(6.0).reshape(2, 3)
+        jumps = np.full((2, 3), np.inf)
+        assert add_jumps(base, jumps, 0.0) is base
+        assert add_jumps(base, None, 0.0) is base
+        np.testing.assert_array_equal(add_jumps(base, jumps, -1.0), -jumps)
 
     def test_block_rows(self):
         assert block_rows(700) * 700 <= BLOCK_INCREMENTS < (block_rows(700) + 1) * 700
@@ -363,21 +392,28 @@ def reference_tempered_jumps(gen, alpha, delta, n):
     return out + np.sqrt(tempered_small_jump_variance(alpha) * delta) * small, counts
 
 
-def reference_block(model, n, rows, gen):
-    """A block of `rows` paths of n increments, written out: the normals of
-    every row, then the jump draws of every row, in row-major order."""
+def reference_parts(model, n, rows, gen):
+    """The (base, J) parts of a block of `rows` paths of n increments, written
+    out: the normals of every row, then the jump draws of every row, in
+    row-major order; J is None at gamma = 0."""
     delta, size = 1.0 / n, rows * n
-    block = np.full(size, model.drift * delta)
+    base = np.full(size, model.drift * delta)
     if model.sigma > 0:
-        block += model.sigma * np.sqrt(delta) * gen.standard_normal(size)
-    if model.gamma != 0.0:
-        law = model.jump_law
-        if law.kind == "stable":
-            jumps = reference_stable_jumps(gen, law.alpha, delta, size)
-        else:
-            jumps, _ = reference_tempered_jumps(gen, law.alpha, delta, size)
-        block += model.gamma * jumps
-    return block.reshape(rows, n)
+        base += model.sigma * np.sqrt(delta) * gen.standard_normal(size)
+    if model.gamma == 0.0:
+        return base.reshape(rows, n), None
+    law = model.jump_law
+    if law.kind == "stable":
+        jumps = reference_stable_jumps(gen, law.alpha, delta, size)
+    else:
+        jumps, _ = reference_tempered_jumps(gen, law.alpha, delta, size)
+    return base.reshape(rows, n), jumps.reshape(rows, n)
+
+
+def reference_block(model, n, rows, gen):
+    """The increments base + gamma J of `reference_parts`."""
+    base, jumps = reference_parts(model, n, rows, gen)
+    return base if jumps is None else base + model.gamma * jumps
 
 
 class TestBlockAgainstWrittenOutDraws:
@@ -400,13 +436,16 @@ class TestBlockAgainstWrittenOutDraws:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_replicate_blocks(self, name):
+        """Each block's base and J are its written-out draws from (*key, b)."""
         model, n, key = self.MODELS[name], 1000, (11, 4)
         step = block_rows(n)
-        blocks = mapped_blocks(model, n, key, step + 3)
-        assert [len(block) for block in blocks] == [step, 3]
-        for b, block in enumerate(blocks):
-            ref = reference_block(model, n, len(block), np.random.default_rng((*key, b)))
-            np.testing.assert_array_equal(block, ref)
+        blocks = mapped_parts(model, n, key, step + 3)
+        assert [len(base) for base, _ in blocks] == [step, 3]
+        for b, (base, jumps) in enumerate(blocks):
+            gen = np.random.default_rng((*key, b))
+            ref_base, ref_jumps = reference_parts(model, n, len(base), gen)
+            np.testing.assert_array_equal(base, ref_base)
+            np.testing.assert_array_equal(jumps, ref_jumps)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_simulate_increments_leaves_each_stream_where_the_draws_end(self, name):
@@ -437,7 +476,7 @@ class TestStreamStates:
 
     def test_rejects_negative_key(self):
         with pytest.raises(ParameterError, match="non-negative"):
-            replicate_map([(lambda block: block, ModelSpec(), 10, (-1, 0))], 2)
+            replicate_map([(lambda base, _: base, ModelSpec(), 10, (-1, 0))], 2)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
     def test_rejects_negative_seed(self, seed):
