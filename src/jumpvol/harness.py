@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, fit_power_law, truncated_sums
 from .kernels import Kernel, cancelling_kernel
-from .levy import JumpLaw, ModelSpec, add_jumps, block_rows, simulate_parts
+from .levy import JumpLaw, ModelSpec, block_rows, form_increments, simulate_parts
 from .workers import fork_map, worker_count
 
 
@@ -237,12 +237,12 @@ def replicate_map(groups, replicates: int) -> tuple[list, int]:
 
     A group is (fn, model, n, key).  Its paths come in blocks of
     `block_rows(n)` rows, the last one shorter; block b is drawn whole by
-    `levy.simulate_parts` from the stream (*key, b), and fn maps its parts,
-    base and J, to one row per path.  The (group, b) pairs are the items of
-    one `fork_map`, in group order, so no row depends on the number of
-    processes.  Returns ([(rows, simulate_s, fn_s) per group], workers): a
-    group's rows are joined in replicate order, and its stage times add up
-    its blocks' times, in whichever process ran them.
+    `levy.simulate_parts` from the stream (*key, b), and fn maps its parts
+    (Z, J) and its shape (rows, n) to one row per path.  The (group, b)
+    pairs are the items of one `fork_map`, in group order, so no row
+    depends on the number of processes.  Returns ([(rows, simulate_s, fn_s)
+    per group], workers): a group's rows are joined in replicate order, and
+    its stage times add up its blocks' times, in whichever process ran them.
     """
     counts = [-(-replicates // block_rows(n)) for _, _, n, _ in groups]
     items = [(g, b) for g, count in enumerate(counts) for b in range(count)]
@@ -251,10 +251,11 @@ def replicate_map(groups, replicates: int) -> tuple[list, int]:
         g, b = item
         fn, model, n, key = groups[g]
         step = block_rows(n)
+        size = min(step, replicates - b * step)
         t0 = time.perf_counter()
-        parts = simulate_parts(model, n, min(step, replicates - b * step), (*key, b))
+        parts = simulate_parts(model, n, size, (*key, b))
         t1 = time.perf_counter()
-        rows = fn(*parts)
+        rows = fn(parts, (size, n))
         return rows, t1 - t0, time.perf_counter() - t1
 
     done = iter(fork_map(run_block, items))
@@ -271,22 +272,22 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
     errors have shape (R, 3).  The cells of one jump law, (jumps, alpha),
     are one `replicate_map` group: group g, in order of first appearance,
-    draws its blocks with key (seed, g), and each cell estimates base +
-    gamma*J of the same draws.  A group's stage times are split equally
-    among its cells.
+    draws its blocks with key (seed, g), and each cell forms its increments
+    from the same parts (Z, J).  A group's stage times, forming included in
+    estimating, are split equally among its cells.
     """
     laws: dict = {}  # (jumps, alpha) -> the indices of its cells
     for i, cell in enumerate(config.cells):
         laws.setdefault((cell.jumps, cell.alpha), []).append(i)
 
-    def errors(members, base, jumps):
+    def errors(members, parts, shape):
         est = []
         for c in (config.cells[i] for i in members):
-            block = add_jumps(base, jumps, c.gamma)
+            block = form_increments(c.model(config.sigma), parts, shape)
             est.append(estimates(block, c.estimator_config(), c.alpha, c.gamma, c.M))
         return (np.stack(est, axis=1) - config.sigma**2) * np.sqrt(config.n)
 
-    def model(members):  # a jump cell's, if the law has one, so J is drawn
+    def model(members):  # a jump cell's, if the law has one, so every part is drawn
         lead = max(members, key=lambda i: config.cells[i].gamma != 0.0)
         return config.cells[lead].model(config.sigma)
 
@@ -414,9 +415,9 @@ def rate_fit(
     if len(n_grid) < 4 or n_grid[-1] < 8 * n_grid[0]:
         raise ParameterError("n grid must have >= 4 values spanning a factor of 8")
 
-    def q_n(base, jumps):
-        block = add_jumps(base, jumps, model.gamma)
-        return truncated_sums(block, config.threshold(block.shape[-1]), Kernel())[0]
+    def q_n(parts, shape):
+        block = form_increments(model, parts, shape)
+        return truncated_sums(block, config.threshold(shape[-1]), Kernel())[0]
 
     per_n, _ = replicate_map([(q_n, model, n, (seed, n)) for n in n_grid], replicates)
     biases = [float(q.mean()) - model.sigma**2 for q, _, _ in per_n]

@@ -89,8 +89,9 @@ def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     """Terms dx^2 K(x) of a truncated sum, one array per kernel.
 
     One sparse pass serves every kernel.  |x| and the interior |x| < 1, where
-    every kernel is 1, are found once; each kernel is then evaluated only on
-    the band 1 <= |x| < widest support radius, which holds few entries.  A
+    every kernel is 1, are found once; phi, and psi once per distinct M, are
+    then evaluated only on the band 1 <= |x| < widest support radius, which
+    holds few entries, and each kernel's band values are phi + c psi.  A
     term is zero wherever its kernel is, even where dx^2 overflows or x is
     not finite; kernels that go negative (composites) keep their negative
     terms.  Every term equals the dense dx * dx * K(x) where K(x) != 0, so
@@ -108,12 +109,15 @@ def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     squares.put(outside, 0.0)
     band_squares = dx.take(band)
     band_squares *= band_squares
+    phi_band = phi(ax_band)
+    psi_band = {k.M: psi(ax_band, k.M) for k in kernels if k.c}
     # The last kernel takes `squares` itself; the others take copies made
     # before it writes its band.
     out = []
-    for i, kernel in enumerate(kernels):
+    for i, k in enumerate(kernels):
         terms = squares if i == len(kernels) - 1 else squares.copy()
-        terms.put(band, band_squares * kernel(ax_band))
+        values = phi_band + k.c * psi_band[k.M] if k.c else phi_band
+        terms.put(band, band_squares * values)
         out.append(terms)
     return tuple(out)
 

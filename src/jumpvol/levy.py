@@ -9,8 +9,9 @@ up to the Gaussian small-jump substitution used in the tempered case.  A
 path is its 1-D array of increments Delta X_1..n on [0, 1], observed with
 delta = 1/n; a block of paths is a (rows, n) array.  The samplers draw a
 whole block from one generator, each kind of draw in one call for all rows;
-`sample_stable_increment` is the one public sampler and `simulate_parts` the
-one block draw.  `block_rows` fixes how many paths share a block;
+`sample_stable_increment` is the one public sampler, `simulate_parts` the
+one block draw and `form_increments` what turns its parts into a model's
+increments.  `block_rows` fixes how many paths share a block;
 `harness.replicate_map` says which stream each block is drawn from.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gamma, isfinite, log, pi, sin
+from math import factorial, gamma, hypot, isfinite, log, pi, sin, sqrt
 
 import numpy as np
 
@@ -67,6 +68,16 @@ class ModelSpec:
             raise ParameterError(f"sigma must be nonnegative, got {self.sigma}")
         if self.gamma != 0.0 and self.jump_law is None:
             raise ParameterError("gamma != 0 requires a jump_law")
+
+    @property
+    def gaussian_scale(self) -> float:
+        """hypot(sigma, gamma*sqrt(v)): sigma W and, for tempered jumps, the
+        Gaussian of variance rate v (`tempered_small_jump_variance`) that
+        stands in for gamma's jumps below the cutoff; sigma for stable jumps."""
+        law = self.jump_law
+        tempered = law is not None and law.kind == TEMPERED
+        v = tempered_small_jump_variance(law.alpha) if tempered else 0.0
+        return hypot(self.sigma, self.gamma * sqrt(v))
 
 
 def stable_scale(alpha: float) -> float:
@@ -259,26 +270,22 @@ def _tempered_jump_sizes(
 
 
 def _tempered_block(alpha: float, delta: float, gen, shape) -> np.ndarray:
-    """Tempered-stable increments over time delta, of the given shape, from gen.
+    """Tempered jumps above the cutoff over time delta, of the given shape, from gen.
 
-    One call each draws the Poisson jump counts of every entry, the
-    rejection rounds of all their jump sizes, the signs and the small-jump
-    normals.  The jumps are added in row-major entry order, so an entry sums
-    its jumps in the order they were drawn.
+    A compound Poisson block, exact in law: the total count of every entry,
+    that many uniform entry positions, the rejection rounds of their sizes,
+    then their signs.  The jumps are added in the order they were drawn.
     """
     check_alpha(alpha)
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    counts = gen.poisson(tempered_tail_intensity(alpha) * delta, shape)
-    out = np.zeros(counts.shape)
-    total = int(counts.sum())
+    out = np.zeros(shape)
+    total = int(gen.poisson(tempered_tail_intensity(alpha) * delta * out.size))
     if total:
+        where = gen.integers(0, out.size, total)
         magnitudes = _tempered_jump_sizes(alpha, total, gen)
         jumps = (2.0 * gen.integers(0, 2, size=total) - 1.0) * magnitudes
-        where = np.repeat(np.arange(out.size), counts.reshape(-1))
         np.add.at(out.reshape(-1), where, jumps)
-    small = gen.standard_normal(shape)
-    out += np.sqrt(tempered_small_jump_variance(alpha) * delta) * small
     return out
 
 
@@ -304,40 +311,43 @@ def block_rows(n: int) -> int:
 
 
 def simulate_parts(model: ModelSpec, n: int, rows: int, rng):
-    """(base, J) of `rows` paths on the grid t_i = i/n, as (rows, n) blocks.
+    """(Z, J) of `rows` paths on the grid t_i = i/n, as (rows, n) blocks.
 
-    base is b*delta + sigma*sqrt(delta)*Z and J the unscaled jumps, None
-    when model.gamma is 0; the increments are base + gamma*J.  Both come
-    from the one stream `rng` (anything `default_rng` accepts; an integer
-    seed or a key tuple must not be negative): the Gaussian draws of every
-    row first, then the jump draws of every row.
+    Z is unit normals, None when model.gaussian_scale is 0, and J the
+    unscaled jumps, None when model.gamma is 0.  Both come from the one
+    stream `rng` (anything `default_rng` accepts; an integer seed or a key
+    tuple must not be negative): the normals of every row first, then the
+    jump draws of every row.
     """
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
     seeds = rng if isinstance(rng, (int, np.integer, tuple)) else ()
     if min(np.atleast_1d(seeds), default=0) < 0:
         raise ParameterError(f"seeds must be non-negative integers, got {rng}")
-    delta = 1.0 / n
-    gen = default_rng(rng)
-    base = np.full((rows, n), model.drift * delta)
-    if model.sigma > 0:
-        base += model.sigma * np.sqrt(delta) * gen.standard_normal((rows, n))
-    jumps = None
+    gen, shape = default_rng(rng), (rows, n)
+    normals = gen.standard_normal(shape) if model.gaussian_scale > 0 else None
+    jumps = _jump_block(model.jump_law, 1.0 / n, gen, shape) if model.gamma else None
+    return normals, jumps
+
+
+def form_increments(model: ModelSpec, parts, shape) -> np.ndarray:
+    """Increments b*delta + gaussian_scale*sqrt(delta)*Z + gamma*J of `shape`
+    (rows, n) from parts (Z, J) drawn for any model of this jump law that
+    draws what this one scales.  J is not read at gamma = 0 (0*inf is NaN).
+    """
+    normals, jumps = parts
+    delta, scale = 1.0 / shape[-1], model.gaussian_scale
+    out = scale * np.sqrt(delta) * normals if scale > 0 else np.zeros(shape)
+    out += model.drift * delta  # s*Z + b*delta is b*delta + s*Z, bit for bit
     if model.gamma != 0.0:
-        jumps = _jump_block(model.jump_law, delta, gen, (rows, n))
-    return base, jumps
-
-
-def add_jumps(base: np.ndarray, jumps, gamma: float) -> np.ndarray:
-    """base + gamma*J as a new block; base itself when gamma is 0, where
-    0*J would turn an infinite jump into NaN."""
-    return base if gamma == 0.0 else base + gamma * jumps
+        out += model.gamma * jumps
+    return out
 
 
 def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
     """Increments of `rows` paths on the grid t_i = i/n, as a (rows, n) block:
-    b*delta + sigma*sqrt(delta)*Z + gamma*J, from `simulate_parts`."""
-    return add_jumps(*simulate_parts(model, n, rows, rng), model.gamma)
+    `form_increments` of `simulate_parts`."""
+    return form_increments(model, simulate_parts(model, n, rows, rng), (rows, n))
 
 
 def simulate_path(model: ModelSpec, n: int, seed) -> np.ndarray:
@@ -345,8 +355,9 @@ def simulate_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     constant coefficients.
 
     The one-row case of `simulate_increments`: X_0 = 0 and
-    X_{t_{i+1}} - X_{t_i} = b*delta + sigma*sqrt(delta)*Z_i + gamma*J_i.  The
-    same (model, n, seed) always yields bit-identical increments; `seed` may
-    be a non-negative integer or a numpy SeedSequence.
+    X_{t_{i+1}} - X_{t_i} = b*delta + s*sqrt(delta)*Z_i + gamma*J_i, s being
+    model.gaussian_scale.  The same (model, n, seed) always yields
+    bit-identical increments; `seed` may be a non-negative integer or a
+    numpy SeedSequence.
     """
     return simulate_increments(model, n, 1, seed)[0]

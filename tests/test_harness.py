@@ -236,6 +236,18 @@ class TestRunMc:
         with pytest.raises(NumericalError, match="every replicate failed"):
             run_mc(small_config)
 
+    def test_stable_means_are_pinned(self):
+        """Two stable cells of one law in two blocks of 23 paths: their E1-E3
+        means, to the last bit, so that the stable draw design (normals,
+        then uniforms and exponentials) moves only on purpose."""
+        cells = tuple(CellConfig(alpha=1.5, gamma=g, beta=0.2, k=2.0) for g in (1, 3))
+        cfg = ExperimentConfig(cells=cells, n=700, replicates=46, seed=42)
+        means = [repr((r.mean_e1, r.mean_e2, r.mean_e3)) for r in run_mc(cfg).results]
+        assert means == [
+            "(98.91611422713324, -1.304363521122417, -11.207673235598582)",
+            "(492.73455861876255, -28.02631963765215, -73.21222690630344)",
+        ]
+
     def test_stage_timings_in_json(self, small_config):
         report = run_mc(small_config)
         payload = json.loads(report_to_json(report))
@@ -262,7 +274,7 @@ def per_path_errors(cfg, cell, g, model=None):
 class TestLawGroups:
     """The cells of one jump law, (jumps, alpha), share its draws: group g,
     in order of first appearance, draws block b from (seed, g, b), and each
-    cell estimates base + gamma J of it."""
+    cell estimates the increments it forms from the block's parts (Z, J)."""
 
     def test_cells_of_one_law_differ_only_in_gamma(self):
         cells = (
@@ -290,6 +302,32 @@ class TestLawGroups:
         for i, ((errors, _, _), cell) in enumerate(zip(per_cell, cells)):
             np.testing.assert_array_equal(errors, per_path_errors(cfg, cell, i))
 
+    def test_tempered_cells_of_one_law_share_their_parts(self, monkeypatch):
+        """Cells gamma 1 and 3 of one tempered law form their increments from
+        the same parts (Z, J), both drawn, each cell scaling them itself."""
+        from jumpvol import harness
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
+        seen = []
+        real = harness.form_increments
+
+        def spy(model, parts, shape):
+            seen.append((model.gamma, parts))
+            return real(model, parts, shape)
+
+        monkeypatch.setattr(harness, "form_increments", spy)
+        cells = tuple(
+            CellConfig(alpha=0.9, gamma=g, beta=0.2, k=3.0, jumps="tempered")
+            for g in (1.0, 3.0)
+        )
+        cfg = ExperimentConfig(cells=cells, n=200, replicates=block_rows(200) + 5)
+        per_cell, _ = replicate_errors(cfg)
+        assert [gamma for gamma, _ in seen] == [1.0, 3.0, 1.0, 3.0]
+        for (_, one), (_, three) in zip(seen[::2], seen[1::2]):
+            assert one is three and all(part is not None for part in one)
+        for (errors, _, _), cell in zip(per_cell, cells):
+            np.testing.assert_array_equal(errors, per_path_errors(cfg, cell, 0))
+
     def test_zero_gamma_cell_takes_the_base(self, monkeypatch):
         """A gamma 0 cell of a law with jumps estimates the jump-free draw of
         the same stream, even where J is infinite (0 * inf would be NaN)."""
@@ -298,9 +336,9 @@ class TestLawGroups:
         real = harness.simulate_parts
 
         def infinite_jump(*args):
-            base, jumps = real(*args)
+            normals, jumps = real(*args)
             jumps[0, 0] = np.inf
-            return base, jumps
+            return normals, jumps
 
         monkeypatch.setattr(harness, "simulate_parts", infinite_jump)
         cells = (

@@ -335,6 +335,24 @@ class TestTruncatedTerms:
         for kernel, terms in zip(kernels, truncated_terms(dx, x, *kernels)):
             np.testing.assert_array_equal(terms, dense_terms(dx, x, kernel))
 
+    def test_evaluates_phi_and_psi_once(self, monkeypatch):
+        """A (phi, composite) pass evaluates phi once and psi once on the
+        band, and its terms are still the dense ones bit for bit."""
+        from jumpvol import kernels
+
+        dx, x = self.block()
+        pair = (Kernel(), self.KERNELS["composite"])
+        dense = [dense_terms(dx, x, kernel) for kernel in pair]
+        calls = []
+        for name in ("phi", "psi"):
+            real = getattr(kernels, name)
+            spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            monkeypatch.setattr(kernels, name, spy)
+        terms = truncated_terms(dx, x, *pair)
+        assert sorted(calls) == ["phi", "psi"]
+        for got, want in zip(terms, dense):
+            np.testing.assert_array_equal(got, want)
+
     def test_vector_and_empty(self):
         kernel = self.KERNELS["composite"]
         dx = np.array([0.1, 0.5, 0.9, 1.6, 3.0])

@@ -1,5 +1,7 @@
 """Tests for path simulation and the stable / tempered-stable samplers."""
 
+from math import exp, hypot, sqrt
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from jumpvol.levy import (
     _chambers_mallows_stuck,
     _jump_block,
     _tempered_block,
-    add_jumps,
     block_rows,
+    form_increments,
     sample_stable_increment,
     simulate_increments,
     simulate_parts,
@@ -184,12 +186,16 @@ class TestTemperedSampler:
         )
 
     def test_empirical_cf(self):
-        """CF of the tempered increment: exp(delta * 2*int_0^inf (cos(tz)-1) e^-z z^-1-a dz)."""
+        """CF of the tempered increment: exp(delta * 2*int_0^inf (cos(tz)-1) e^-z z^-1-a dz).
+
+        The whole increment at sigma = 0, gamma = 1, delta = 1/2: the jumps
+        above the cutoff and the Gaussian standing in for those below it.
+        """
         from scipy import integrate
 
         alpha, delta = 0.9, 0.5
-        rng = np.random.default_rng(21)
-        x = _tempered_block(alpha, delta, rng, 300_000)
+        model = ModelSpec(sigma=0.0, gamma=1.0, jump_law=JumpLaw("tempered", alpha))
+        x = simulate_increments(model, 2, 150_000, 21).reshape(-1)
         for t in (1.0, 3.0):
             ex, _ = integrate.quad(
                 lambda z: (np.cos(t * z) - 1.0) * np.exp(-z) * z ** (-1 - alpha),
@@ -286,10 +292,13 @@ class TestSimulatePath:
 
 def mapped_parts(model, n, key, count):
     """The (base, J) parts of the blocks of one `harness.replicate_map` group
-    of `count` paths, cut from the rows it returns in replicate order; J is
-    None for a model without jumps."""
+    of `count` paths, cut from the rows it returns in replicate order: base
+    is b delta + s sqrt(delta) Z, the increments `form_increments` makes of
+    the block's Z alone, and J is None for a model without jumps."""
 
-    def both(base, jumps):
+    def both(parts, shape):
+        normals, jumps = parts
+        base = form_increments(model, (normals, np.zeros(shape)), shape)
         return np.stack((base, base if jumps is None else jumps), axis=1)
 
     [(rows, _, _)], _ = replicate_map([(both, model, n, key)], count)
@@ -321,27 +330,58 @@ class TestSimulateIncrements:
         assert [len(base) for base, _ in blocks] == [step, step, 5]
         for b, (base, jumps) in enumerate(blocks):
             stream = (*key, b)
-            want_base, want_jumps = simulate_parts(model, n, len(base), stream)
-            np.testing.assert_array_equal(base, want_base)
+            normals, want_jumps = simulate_parts(model, n, len(base), stream)
+            np.testing.assert_array_equal(base, np.sqrt(1.0 / n) * normals)
             np.testing.assert_array_equal(jumps, want_jumps)
             np.testing.assert_array_equal(
                 base + 2.0 * jumps, simulate_increments(model, n, len(base), stream)
             )
 
     def test_parts_of_a_model_without_jumps(self):
-        """J is not drawn at gamma = 0, and the increments are the base itself."""
-        model = ModelSpec(sigma=1.0, gamma=0.0, jump_law=JumpLaw("stable", alpha=1.5))
-        base, jumps = simulate_parts(model, 50, 3, (1, 2))
+        """J is not drawn at gamma = 0, and the increments are sigma sqrt(delta) Z."""
+        model = ModelSpec(sigma=1.0, gamma=0.0, jump_law=JumpLaw("tempered", alpha=1.5))
+        normals, jumps = simulate_parts(model, 50, 3, (1, 2))
         assert jumps is None
-        np.testing.assert_array_equal(simulate_increments(model, 50, 3, (1, 2)), base)
+        np.testing.assert_array_equal(
+            simulate_increments(model, 50, 3, (1, 2)), np.sqrt(1.0 / 50) * normals
+        )
+
+    def test_parts_of_a_model_without_gaussian(self):
+        """Z is not drawn at Gaussian scale 0: sigma = 0 and stable jumps, or
+        no jumps either, when the increments are the drift alone."""
+        stable = ModelSpec(sigma=0.0, gamma=2.0, jump_law=JumpLaw("stable", alpha=1.5))
+        normals, jumps = simulate_parts(stable, 50, 3, (1, 2))
+        assert normals is None
+        np.testing.assert_array_equal(
+            simulate_increments(stable, 50, 3, (1, 2)), 2.0 * jumps
+        )
+        drift = ModelSpec(drift=2.0, sigma=0.0)
+        assert simulate_parts(drift, 50, 3, (1, 2)) == (None, None)
+        want = np.full((3, 50), 2.0 * (1.0 / 50))
+        np.testing.assert_array_equal(simulate_increments(drift, 50, 3, (1, 2)), want)
 
     def test_zero_gamma_takes_the_base_whatever_the_jumps(self):
         """0 * inf is NaN, so gamma = 0 must not scale the jumps at all."""
-        base = np.arange(6.0).reshape(2, 3)
-        jumps = np.full((2, 3), np.inf)
-        assert add_jumps(base, jumps, 0.0) is base
-        assert add_jumps(base, None, 0.0) is base
-        np.testing.assert_array_equal(add_jumps(base, jumps, -1.0), -jumps)
+        normals = np.arange(8.0).reshape(2, 4)
+        jumps = np.full((2, 4), np.inf)
+        law = JumpLaw("tempered", 0.9)
+        zero = ModelSpec(sigma=2.0, gamma=0.0, jump_law=law)  # 2 sqrt(1/4) = 1
+        for parts in ((normals, jumps), (normals, None)):
+            np.testing.assert_array_equal(form_increments(zero, parts, (2, 4)), normals)
+        minus = ModelSpec(sigma=2.0, gamma=-1.0, jump_law=JumpLaw("stable", 0.9))
+        np.testing.assert_array_equal(
+            form_increments(minus, (normals, jumps), (2, 4)), -jumps
+        )
+
+    def test_one_gaussian_of_both_variances(self):
+        """A tempered model's Gaussian scale is hypot(sigma, gamma sqrt(v)), and
+        a stable model's sigma exactly."""
+        v = tempered_small_jump_variance(0.9)
+        tempered = ModelSpec(sigma=0.7, gamma=-3.0, jump_law=JumpLaw("tempered", 0.9))
+        assert tempered.gaussian_scale == pytest.approx(sqrt(0.49 + 9.0 * v), rel=1e-15)
+        for sigma in (0.0, 0.7, 1e-300, 1e300):
+            stable = ModelSpec(sigma=sigma, gamma=3.0, jump_law=JumpLaw("stable", 0.9))
+            assert stable.gaussian_scale == sigma
 
     def test_block_rows(self):
         assert block_rows(700) * 700 <= BLOCK_INCREMENTS < (block_rows(700) + 1) * 700
@@ -370,15 +410,17 @@ def reference_stable_jumps(gen, alpha, delta, n):
 
 
 def reference_tempered_jumps(gen, alpha, delta, n):
-    """Compound Poisson above the cutoff plus a Gaussian below it, written out.
+    """Compound Poisson above the cutoff over n entries, written out.
 
-    Poisson counts; rejection rounds of Pareto candidates, each drawn before
-    its acceptance uniforms; one sign per jump; then the small-jump normals.
+    The total count of all n entries; if there is a jump, a uniform entry
+    for each; rejection rounds of Pareto candidates, each drawn before its
+    acceptance uniforms; one sign per jump.  Returns the jumps and each
+    entry's count.
     """
-    counts = gen.poisson(tempered_tail_intensity(alpha) * delta, n)
-    total = int(counts.sum())
-    out = np.zeros(n)
+    total = gen.poisson(tempered_tail_intensity(alpha) * delta * n)
+    out, counts = np.zeros(n), np.zeros(n, dtype=int)
     if total:
+        where = gen.integers(0, n, total)
         sizes = []
         while len(sizes) < total:
             m = min(2 * (total - len(sizes)) + 16, 4_000_000)
@@ -386,20 +428,31 @@ def reference_tempered_jumps(gen, alpha, delta, n):
             keep = gen.uniform(size=m) < np.exp(-cand)
             sizes.extend(cand[keep][: total - len(sizes)])
         signs = 2.0 * gen.integers(0, 2, size=total) - 1.0
-        for i, jump in zip(np.repeat(np.arange(n), counts), signs * np.array(sizes)):
+        for i, jump in zip(where, signs * np.array(sizes)):
             out[i] += jump
-    small = gen.standard_normal(n)
-    return out + np.sqrt(tempered_small_jump_variance(alpha) * delta) * small, counts
+            counts[i] += 1
+    return out, counts
+
+
+def reference_scale(model):
+    """sigma, or for tempered jumps hypot(sigma, gamma sqrt(v)): the Brownian
+    part and the Gaussian standing in for the jumps below the cutoff."""
+    law = model.jump_law
+    if law is None or law.kind == "stable":
+        return model.sigma
+    v = tempered_small_jump_variance(law.alpha)
+    return hypot(model.sigma, model.gamma * sqrt(v))
 
 
 def reference_parts(model, n, rows, gen):
     """The (base, J) parts of a block of `rows` paths of n increments, written
-    out: the normals of every row, then the jump draws of every row, in
-    row-major order; J is None at gamma = 0."""
+    out: base b delta + s sqrt(delta) Z, s = `reference_scale`, with the
+    normals of every row drawn when s > 0, then the jump draws of every
+    row, in row-major order; J is None at gamma = 0."""
     delta, size = 1.0 / n, rows * n
     base = np.full(size, model.drift * delta)
-    if model.sigma > 0:
-        base += model.sigma * np.sqrt(delta) * gen.standard_normal(size)
+    if reference_scale(model) > 0:
+        base += reference_scale(model) * np.sqrt(delta) * gen.standard_normal(size)
     if model.gamma == 0.0:
         return base.reshape(rows, n), None
     law = model.jump_law
@@ -470,13 +523,31 @@ class TestBlockAgainstWrittenOutDraws:
         assert {0, 1, 3} <= set(counts.sum(axis=1).tolist())
         assert counts.max() >= 2
 
+    def test_tempered_counts_are_poisson(self):
+        """Positions uniform over the entries of a Poisson total make each
+        entry's count Poisson(lambda delta): P(0), P(1), P(>= 2) and the
+        variance/mean ratio lie within 4 standard errors over 2e5 entries."""
+        alpha, size, mu = 0.9, 200_000, 0.2
+        delta = mu / tempered_tail_intensity(alpha)
+        block = _tempered_block(alpha, delta, np.random.default_rng(8), size)
+        ref, counts = reference_tempered_jumps(
+            np.random.default_rng(8), alpha, delta, size
+        )
+        np.testing.assert_array_equal(block, ref)
+        np.testing.assert_array_equal(block != 0.0, counts > 0)
+        p0, p1 = exp(-mu), mu * exp(-mu)
+        laws = ((counts == 0, p0), (counts == 1, p1), (counts >= 2, 1 - p0 - p1))
+        for seen, p in laws:
+            assert abs(seen.mean() - p) <= 4 * sqrt(p * (1 - p) / size)
+        assert abs(counts.var() / counts.mean() - 1.0) <= 4 * sqrt(2.0 / size)
+
 
 class TestStreamStates:
     """A block's stream is keyed by non-negative integers."""
 
     def test_rejects_negative_key(self):
         with pytest.raises(ParameterError, match="non-negative"):
-            replicate_map([(lambda base, _: base, ModelSpec(), 10, (-1, 0))], 2)
+            replicate_map([(lambda parts, _: parts[0], ModelSpec(), 10, (-1, 0))], 2)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
     def test_rejects_negative_seed(self, seed):
