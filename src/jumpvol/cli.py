@@ -72,10 +72,10 @@ def _load_config(args):
 
 def _cmd_mc_table(args) -> int:
     config = _load_config(args)
-    report = run_mc(config)
     csv_path = args.out or config.csv_path
     if not csv_path:
         raise ParameterError("no output path: pass --out or set csv in the config")
+    report = run_mc(config)
     emit_report(report, "csv", csv_path)
     if config.json_path:
         emit_report(report, "json", config.json_path)

@@ -4,12 +4,13 @@ its bias corrections, and the power-law fit of the bias decay."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 
 import numpy as np
 
 from .errors import DiagnosticError, ParameterError, check_alpha
-from .kernels import Kernel, cancelling_kernel, kernel_moment, truncated_terms
+from .kernels import Kernel, cancelling_kernel, kernel_moment, truncated_sums
 from .levy import ModelSpec, simulate_path, tail_constant
 
 # The kernel that smooths Q_n's threshold.
@@ -33,21 +34,6 @@ class EstimatorConfig:
         return self.k * n ** (-self.beta)
 
 
-def truncated_sums(
-    increments: np.ndarray, threshold: float, *kernels: Kernel
-) -> tuple[np.ndarray, ...]:
-    """sum (Delta X_i)^2 K(Delta X_i / u_n) over the last axis, u_n = threshold.
-
-    One sum per kernel K: the truncated quadratic variation of one path (a
-    vector) or of a block of paths (one per row), over the terms of one
-    `kernels.truncated_terms` pass.
-    """
-    with np.errstate(over="ignore"):  # a huge increment only leaves the support
-        x = increments / threshold
-    terms = truncated_terms(increments, x, *kernels)
-    return tuple(t.sum(axis=-1) for t in terms)
-
-
 def tqv(increments: np.ndarray, config: EstimatorConfig) -> float:
     """Truncated quadratic variation sum (Delta X_i)^2 phi(Delta X_i / (k n^-beta))
     of one path's increments, a vector of at least 2 entries."""
@@ -61,6 +47,7 @@ def tqv(increments: np.ndarray, config: EstimatorConfig) -> float:
     return float(q)
 
 
+@lru_cache  # `estimates` asks for it again on every block of a cell
 def jump_bias(alpha: float, beta: float, gamma: float, k: float, n: int) -> float:
     """First-order jump bias of the truncated quadratic variation.
 
@@ -138,7 +125,7 @@ def estimates(
 
     For one path (a vector) or a block of paths (one per row).  Q_n sums
     over phi, and Q_nc over the cancelling composite phi + c~ psi_M; the two
-    share one sparse pass of `kernels.truncated_terms`.
+    share one pass of `kernels.truncated_sums`.
     """
     n = increments.shape[-1]
     if increments.size == 0 or n < 2:
@@ -150,4 +137,6 @@ def estimates(
     q, q_c = truncated_sums(
         increments, config.threshold(n), _PHI, cancelling_kernel(alpha, M)
     )
-    return np.stack((q, q - bias, q_c), axis=-1)
+    out = np.empty(np.shape(q) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = q, q - bias, q_c
+    return out

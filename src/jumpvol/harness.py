@@ -17,8 +17,8 @@ from functools import partial
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .estimators import EstimatorConfig, estimates, fit_power_law, truncated_sums
-from .kernels import Kernel, cancelling_kernel
+from .estimators import EstimatorConfig, estimates, fit_power_law
+from .kernels import Kernel, cancelling_kernel, truncated_sums
 from .levy import JumpLaw, ModelSpec, block_rows, form_increments, simulate_parts
 from .workers import fork_map, worker_count
 
@@ -280,16 +280,19 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     for i, cell in enumerate(config.cells):
         laws.setdefault((cell.jumps, cell.alpha), []).append(i)
 
+    models = [cell.model(config.sigma) for cell in config.cells]
+    est_configs = [cell.estimator_config() for cell in config.cells]
+
     def errors(members, parts, shape):
-        est = []
-        for c in (config.cells[i] for i in members):
-            block = form_increments(c.model(config.sigma), parts, shape)
-            est.append(estimates(block, c.estimator_config(), c.alpha, c.gamma, c.M))
-        return (np.stack(est, axis=1) - config.sigma**2) * np.sqrt(config.n)
+        out = np.empty((shape[0], len(members), 3))
+        for j, i in enumerate(members):
+            c = config.cells[i]
+            block = form_increments(models[i], parts, shape)
+            out[:, j] = estimates(block, est_configs[i], c.alpha, c.gamma, c.M)
+        return (out - config.sigma**2) * np.sqrt(config.n)
 
     def model(members):  # a jump cell's, if the law has one, so every part is drawn
-        lead = max(members, key=lambda i: config.cells[i].gamma != 0.0)
-        return config.cells[lead].model(config.sigma)
+        return models[max(members, key=lambda i: config.cells[i].gamma != 0.0)]
 
     groups = [
         (partial(errors, members), model(members), config.n, (config.seed, g))

@@ -21,13 +21,10 @@ from .levy import tanh_sinh
 def phi(x):
     """Smooth indicator: 1 on |x| < 1, exp(1/3 + 1/(x^2 - 4)) on [1, 2), 0 beyond."""
     ax = np.abs(np.asarray(x, dtype=float))
-    scalar = ax.ndim == 0
-    ax = np.atleast_1d(ax)
-    out = np.zeros_like(ax)
-    out[ax < 1.0] = 1.0
-    mid = (ax >= 1.0) & (ax < 2.0)
-    out[mid] = np.exp(1.0 / 3.0 + 1.0 / (ax[mid] ** 2 - 4.0))
-    return float(out[0]) if scalar else out
+    with np.errstate(all="ignore"):  # the formula is kept only where it applies
+        tail = np.exp(1.0 / 3.0 + 1.0 / (ax**2 - 4.0))
+    out = np.where(ax < 1.0, 1.0, np.where(ax < 2.0, tail, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_M(M: float) -> None:
@@ -49,16 +46,12 @@ def psi(x, M: float):
     """
     _check_M(M)
     ax = np.abs(np.asarray(x, dtype=float))
-    scalar = ax.ndim == 0
-    ax = np.atleast_1d(ax)
-    out = np.zeros_like(ax)
-    lo = (ax > 1.0) & (ax <= 1.5)
-    out[lo] = np.exp(1.0 / 3.0 + 1.0 / ((3.0 - ax[lo]) ** 2 - 4.0))
-    hi = (ax > 1.5) & (ax < M)
-    out[hi] = np.exp(
-        1.0 / (ax[hi] ** 2 - M * M) - 5.0 / 21.0 + 4.0 / (4.0 * M * M - 9.0)
-    )
-    return float(out[0]) if scalar else out
+    with np.errstate(all="ignore"):  # each formula is kept only where it applies
+        rise = 1.0 / 3.0 + 1.0 / ((3.0 - ax) ** 2 - 4.0)
+        fall = 1.0 / (ax**2 - M * M) - 5.0 / 21.0 + 4.0 / (4.0 * M * M - 9.0)
+        out = np.exp(np.where(ax > 1.5, fall, rise))
+    out = np.where((ax > 1.0) & (ax < M), out, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -85,41 +78,68 @@ class Kernel:
         return phi(x) + self.c * psi(x, self.M) if self.c else phi(x)
 
 
+def _kernel_turns(terms, at, squares, x, kernels):
+    """`terms` after each kernel in turn writes dx^2 K(x) at the flat indices
+    `at`, where dx^2 = squares: phi once, psi once per M, and phi + c psi per
+    kernel.  A term is zero wherever its kernel is, even at a dx^2 that is
+    not finite (inf * 0 would be NaN)."""
+    phi_x = phi(x)
+    psi_x = {k.M: psi(x, k.M) for k in kernels if k.c}
+    finite = squares.max(initial=0.0) < inf  # False at NaN too
+    for k in kernels:
+        values = phi_x + k.c * psi_x[k.M] if k.c else phi_x
+        keep = True if finite else values != 0.0
+        terms.put(at, np.multiply(squares, values, np.zeros_like(values), where=keep))
+        yield terms
+
+
+def truncated_sums(dx, u: float, *kernels: Kernel) -> tuple[np.ndarray, ...]:
+    """Sums of dx^2 K(dx / u) over the last axis, one per kernel, u > 0.
+
+    The truncated quadratic variation of one path (a vector) or of each row
+    of a block of paths, in one pass that serves every kernel.  dx is
+    squared once, into the one buffer of terms; where dx^2 < u^2, |dx / u|
+    <= 1 and every kernel is 1, so the square is the term.  Rounding is
+    monotone, so the other entries, the candidates, hold every |dx / u| > 1
+    (and the few <= 1 that rounding lets in, where phi and psi give K = 1
+    as in the interior).  dx / u is formed on the candidates only, and each
+    kernel in turn writes its terms there and has its rows summed before the
+    next one writes.  Every sum is, bit for bit, the dense sum of
+    dx * dx * K(dx / u) over the entries where K != 0.
+    """
+    dx = np.asarray(dx, dtype=float)
+    with np.errstate(over="ignore"):  # a huge increment only leaves the support
+        terms = dx * dx
+        candidates = np.flatnonzero(~(terms < u * u))
+        x = dx.take(candidates) / u
+        turns = _kernel_turns(terms, candidates, terms.take(candidates), x, kernels)
+        return tuple(t.sum(axis=-1) for t in turns)
+
+
 def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     """Terms dx^2 K(x) of a truncated sum, one array per kernel.
 
     One sparse pass serves every kernel.  |x| and the interior |x| < 1, where
-    every kernel is 1, are found once; phi, and psi once per distinct M, are
-    then evaluated only on the band 1 <= |x| < widest support radius, which
-    holds few entries, and each kernel's band values are phi + c psi.  A
-    term is zero wherever its kernel is, even where dx^2 overflows or x is
-    not finite; kernels that go negative (composites) keep their negative
-    terms.  Every term equals the dense dx * dx * K(x) where K(x) != 0, so
-    sums over the terms are the dense sums bit for bit.
+    every kernel is 1, are found once; only the band 1 <= |x| < widest
+    support radius, which holds few entries, gets its terms from
+    `_kernel_turns`.  A term is zero wherever its kernel is, even where dx^2
+    overflows or x is not finite; kernels that go negative (composites) keep
+    their negative terms.  Every term equals the dense dx * dx * K(x) where
+    K(x) != 0, so sums over the terms are the dense sums bit for bit.
     """
     dx = np.asarray(dx, dtype=float)
-    # One full-size buffer holds |x|, then the terms of the interior.
-    squares = np.abs(np.asarray(x, dtype=float))
-    outside = np.flatnonzero(~(squares < 1.0))
-    radius = max(kernel.support_radius for kernel in kernels)
-    band = outside[squares.take(outside) < radius]
-    ax_band = squares.take(band)
+    # One full-size buffer holds |x|, then the terms.
+    terms = np.abs(np.asarray(x, dtype=float))
+    outside = np.flatnonzero(~(terms < 1.0))
+    band = outside[terms.take(outside) < max(k.support_radius for k in kernels)]
+    ax_band = terms.take(band)
     with np.errstate(over="ignore"):
-        np.multiply(dx, dx, out=squares)
-    squares.put(outside, 0.0)
-    band_squares = dx.take(band)
-    band_squares *= band_squares
-    phi_band = phi(ax_band)
-    psi_band = {k.M: psi(ax_band, k.M) for k in kernels if k.c}
-    # The last kernel takes `squares` itself; the others take copies made
-    # before it writes its band.
-    out = []
-    for i, k in enumerate(kernels):
-        terms = squares if i == len(kernels) - 1 else squares.copy()
-        values = phi_band + k.c * psi_band[k.M] if k.c else phi_band
-        terms.put(band, band_squares * values)
-        out.append(terms)
-    return tuple(out)
+        np.multiply(dx, dx, out=terms)
+    turns = _kernel_turns(terms, band, terms.take(band), ax_band, kernels)
+    terms.put(outside, 0.0)  # once the band's squares are taken
+    # Each kernel's terms but the last are copied before the next one writes.
+    last = len(kernels) - 1
+    return tuple(t if i == last else t.copy() for i, t in enumerate(turns))
 
 
 def _weighted_integral(f, lo: float, hi: float, alpha: float) -> float:
@@ -166,6 +186,7 @@ def c_tilde(alpha: float, M: float) -> float:
     return -_phi_moment(alpha) / psi_mom
 
 
+@lru_cache  # `estimates` asks for it again on every block of a cell
 def cancelling_kernel(alpha: float, M: float) -> Kernel:
     """Composite kernel with the moment-annihilating coefficient built in."""
     return Kernel(c=c_tilde(alpha, M), M=M)

@@ -338,7 +338,8 @@ def form_increments(model: ModelSpec, parts, shape) -> np.ndarray:
     normals, jumps = parts
     delta, scale = 1.0 / shape[-1], model.gaussian_scale
     out = scale * np.sqrt(delta) * normals if scale > 0 else np.zeros(shape)
-    out += model.drift * delta  # s*Z + b*delta is b*delta + s*Z, bit for bit
+    if model.drift:  # s*Z + b*delta is b*delta + s*Z, bit for bit
+        out += model.drift * delta
     if model.gamma != 0.0:
         out += model.gamma * jumps
     return out

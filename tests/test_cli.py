@@ -16,7 +16,7 @@ import numpy as np
 from jumpvol import EstimatorConfig, cancelling_kernel, jump_bias
 from jumpvol.cli import build_parser, cli
 from jumpvol.harness import path_from_csv
-from jumpvol.kernels import phi, truncated_terms
+from jumpvol.kernels import phi, truncated_sums
 
 
 def run_cli(capsys, *argv):
@@ -129,7 +129,7 @@ class TestEstimate:
             assert printed == [q_n, q_corrected, q_nc], M
 
     def test_one_kernel_pass(self, capsys, tmp_path, monkeypatch):
-        """The three estimates come from one truncated_terms pass over phi
+        """The three estimates come from one truncated_sums pass over phi
         and the composite; each call records its kernels."""
         from jumpvol import estimators
 
@@ -137,11 +137,11 @@ class TestEstimate:
 
         def counted(*args):
             calls.append(len(args) - 2)
-            return truncated_terms(*args)
+            return truncated_sums(*args)
 
         p = tmp_path / "p.csv"
         p.write_text("i,t,x\n0,0.0,0.0\n1,0.5,0.01\n2,1.0,0.03\n")
-        monkeypatch.setattr(estimators, "truncated_terms", counted)
+        monkeypatch.setattr(estimators, "truncated_sums", counted)
         args = ["estimate", "--in", str(p), "--beta", "0.2", "--alpha", "1.5"]
         assert run_cli(capsys, *args, "--gamma", "1")[0] == 0
         assert calls == [2]
@@ -716,6 +716,23 @@ class TestNonFiniteParameters:
         assert err.startswith("error:") and message in err
         assert calls == []
         assert not out.exists()
+
+    def test_missing_output_path_simulates_nothing(self, capsys, tmp_path, monkeypatch):
+        """With no --out and no csv key, mc-table refuses before drawing."""
+        from jumpvol import harness, workers
+
+        calls = []
+        real = harness.simulate_parts
+        spy = lambda *args: calls.append(args) or real(*args)
+        monkeypatch.setattr(harness, "simulate_parts", spy)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TestMcTable.CFG)
+        code, out, err = run_cli(capsys, "mc-table", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and "no output path" in err
+        assert out == ""
+        assert calls == []
 
 
 class TestNegativeSeed:

@@ -248,6 +248,21 @@ class TestRunMc:
             "(492.73455861876255, -28.02631963765215, -73.21222690630344)",
         ]
 
+    def test_tempered_means_are_pinned(self):
+        """Two tempered cells of one law in two blocks of 23 paths: their
+        E1-E3 means, to the last bit, so that the compound Poisson draws and
+        the estimators' pass over them move only on purpose."""
+        cells = tuple(
+            CellConfig(alpha=0.5, gamma=g, beta=0.2, k=3.0, jumps="tempered")
+            for g in (1, 3)
+        )
+        cfg = ExperimentConfig(cells=cells, n=700, replicates=46, seed=42)
+        means = [repr((r.mean_e1, r.mean_e2, r.mean_e3)) for r in run_mc(cfg).results]
+        assert means == [
+            "(28.473257637967144, -27.385604424846836, 18.11467531318673)",
+            "(71.42189713444148, -25.32849001133402, 19.65580162378286)",
+        ]
+
     def test_stage_timings_in_json(self, small_config):
         report = run_mc(small_config)
         payload = json.loads(report_to_json(report))

@@ -8,7 +8,14 @@ from scipy import integrate
 
 from jumpvol import Kernel, ParameterError, c_tilde, cancelling_kernel, kernel_moment
 from jumpvol.cli import build_parser
-from jumpvol.kernels import _phi_moment, _psi_moment, phi, psi, truncated_terms
+from jumpvol.kernels import (
+    _phi_moment,
+    _psi_moment,
+    phi,
+    psi,
+    truncated_sums,
+    truncated_terms,
+)
 
 E_M5_21 = float(np.exp(-5.0 / 21.0))  # shared value of phi and psi at |x| = 3/2
 
@@ -294,7 +301,7 @@ def dense_terms(dx, x, kernel):
 
 
 class TestTruncatedTerms:
-    """The sparse pass gives the dense terms bit for bit."""
+    """The sparse passes give the dense terms, and their row sums, bit for bit."""
 
     KERNELS = {
         "phi": Kernel(),
@@ -353,6 +360,62 @@ class TestTruncatedTerms:
         for got, want in zip(terms, dense):
             np.testing.assert_array_equal(got, want)
 
+    # A typical u_n and round ones; one whose square is subnormal, one whose
+    # square underflows to 0 and one whose square overflows to inf.
+    THRESHOLDS = (0.37, 1.0, 0.05, 3.0, 1e-160, 1e-170, 1e170)
+
+    def adversarial_block(self, u):
+        """Increments over interior, band and beyond for threshold u, one
+        kind per row (rows padded with zeros, whose terms are 0): |dx| one
+        ulp either side of u b at every breakpoint b; dx = +-u, where dx / u
+        is exactly 1.0, and the largest |dx| < u, whose square may round up
+        to u^2; infinite, NaN and huge entries, whose squares overflow."""
+        rows = [list(u * np.random.default_rng(12).uniform(-7.0, 7.0, 40))]
+        for b in (1.0, 1.5, 1.8, 2.0, 4.0, 6.0):
+            edge = u * b
+            near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+            rows.append(near + [-v for v in near])
+        below = np.nextafter(u, 0.0)
+        rows.append([u, -u, below, -below])
+        rows += [[np.inf, -np.inf], [np.nan, u], [1e200, -1e200, 0.0, -0.0]]
+        width = max(len(row) for row in rows)
+        return np.array([row + [0.0] * (width - len(row)) for row in rows])
+
+    def dense_sums(self, dx, u, kernel):
+        with np.errstate(over="ignore"):
+            x = dx / u
+        return dense_terms(dx, x, kernel).sum(axis=-1)
+
+    @pytest.mark.parametrize("u", THRESHOLDS)
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_sums_equal_dense_sums(self, name, u):
+        kernel = self.KERNELS[name]
+        dx = self.adversarial_block(u)
+        # where u^2 overflows, +inf and -inf terms of a composite meet
+        with np.errstate(invalid="ignore"):
+            (sums,) = truncated_sums(dx, u, kernel)
+            want = self.dense_sums(dx, u, kernel)
+        np.testing.assert_array_equal(sums, want)
+        if 1e-100 < u < 1e100:
+            assert np.isfinite(sums).all()
+
+    @pytest.mark.parametrize("u", [1e-160, 1e-170])
+    def test_rounding_lets_interior_entries_in(self, u):
+        """Where u^2 is subnormal or 0, the largest |dx| < u squares to u^2:
+        the pass takes it with |dx / u| < 1, where K is still 1."""
+        below = np.nextafter(u, 0.0)
+        assert below * below == u * u and abs(below / u) < 1.0
+        assert (self.adversarial_block(u) == below).any()
+
+    @pytest.mark.parametrize("u", THRESHOLDS)
+    def test_kernels_of_one_sum_pass_equal_single_passes(self, u):
+        dx = self.adversarial_block(u)
+        kernels = [self.KERNELS[name] for name in sorted(self.KERNELS)]
+        with np.errstate(invalid="ignore"):
+            sums = truncated_sums(dx, u, *kernels)
+            for kernel, got in zip(kernels, sums):
+                np.testing.assert_array_equal(got, self.dense_sums(dx, u, kernel))
+
     def test_vector_and_empty(self):
         kernel = self.KERNELS["composite"]
         dx = np.array([0.1, 0.5, 0.9, 1.6, 3.0])
@@ -360,4 +423,9 @@ class TestTruncatedTerms:
         np.testing.assert_array_equal(terms, dense_terms(dx, dx / 0.5, kernel))
         (empty,) = truncated_terms(np.empty(0), np.empty(0), kernel)
         assert empty.shape == (0,)
+        (total,) = truncated_sums(dx, 0.5, kernel)
+        assert np.ndim(total) == 0 and total == self.dense_sums(dx, 0.5, kernel)
+        for shape in [(0,), (3, 0)]:
+            (empty,) = truncated_sums(np.empty(shape), 0.5, kernel)
+            np.testing.assert_array_equal(empty, np.zeros(shape[:-1]))
 
