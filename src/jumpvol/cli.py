@@ -6,6 +6,7 @@ import argparse
 import ctypes
 import dataclasses
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -109,7 +110,9 @@ def _cmd_dzeta(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process (building it takes a few ms)."""
     parser = _Parser(prog="jumpvol", description="Jump-diffusion volatility toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -119,24 +119,32 @@ def truncated_sums(dx, u: float, *kernels: Kernel) -> tuple[np.ndarray, ...]:
 def truncated_terms(dx, x, *kernels: Kernel) -> tuple[np.ndarray, ...]:
     """Terms dx^2 K(x) of a truncated sum, one array per kernel.
 
-    One sparse pass serves every kernel.  |x| and the interior |x| < 1, where
-    every kernel is 1, are found once; only the band 1 <= |x| < widest
-    support radius, which holds few entries, gets its terms from
-    `_kernel_turns`.  A term is zero wherever its kernel is, even where dx^2
-    overflows or x is not finite; kernels that go negative (composites) keep
-    their negative terms.  Every term equals the dense dx * dx * K(x) where
-    K(x) != 0, so sums over the terms are the dense sums bit for bit.
+    One pass serves every kernel.  The interior |x| < 1, where every kernel
+    is 1, is found once, and the terms start as dx^2 times its indicator, a
+    multiply with no index arrays; only the band 1 <= |x| < widest support
+    radius, which holds few entries, gets its terms from `_kernel_turns`.
+    A term is zero wherever its kernel is, even where dx^2 overflows or x is
+    not finite: where some square is not finite, the entries off the
+    interior are set to 0 through a mask instead, as inf * 0 is NaN.
+    Kernels that go negative (composites) keep their negative terms.  Every
+    term equals the dense dx * dx * K(x) where K(x) != 0, so sums over the
+    terms are the dense sums bit for bit.
     """
     dx = np.asarray(dx, dtype=float)
     # One full-size buffer holds |x|, then the terms.
     terms = np.abs(np.asarray(x, dtype=float))
-    outside = np.flatnonzero(~(terms < 1.0))
-    band = outside[terms.take(outside) < max(k.support_radius for k in kernels)]
+    inner = terms < 1.0
+    radius = max(k.support_radius for k in kernels)
+    band = np.flatnonzero(np.less(terms, radius) > inner)
     ax_band = terms.take(band)
     with np.errstate(over="ignore"):
         np.multiply(dx, dx, out=terms)
-    turns = _kernel_turns(terms, band, terms.take(band), ax_band, kernels)
-    terms.put(outside, 0.0)  # once the band's squares are taken
+    squares = terms.take(band)
+    if terms.max(initial=0.0) < inf:  # False at NaN too
+        np.multiply(terms, inner, out=terms)
+    else:
+        terms[~inner] = 0.0
+    turns = _kernel_turns(terms, band, squares, ax_band, kernels)
     # Each kernel's terms but the last are copied before the next one writes.
     last = len(kernels) - 1
     return tuple(t if i == last else t.copy() for i, t in enumerate(turns))

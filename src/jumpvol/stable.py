@@ -43,11 +43,17 @@ def _series_coefficients(alpha: float) -> tuple[tuple[float, float], ...]:
     )
 
 
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """The scalar function f at each entry of the 1-D array x."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
 def _tail_series_with_error(
-    z: float, alpha: float, sigma: float, rtol: float
-) -> tuple[float, float] | None:
-    """Tail series of the density and its error estimate, or None where it
-    does not reach rtol.
+    z: np.ndarray, alpha: float, sigma: float, rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tail series of the density at each z > 0 of a 1-D array, and its
+    error estimate; NaN with an infinite estimate where it does not reach
+    rtol.
 
     f(z) = (1/(pi z)) sum_k (-1)^(k+1) Gamma(k alpha+1)/k! sin(k pi alpha/2) x^k
     with x = sigma z^-alpha.
@@ -55,30 +61,49 @@ def _tail_series_with_error(
     The series converges for alpha < 1 and is asymptotic for alpha >= 1
     (convergent for x < 1 at alpha = 1).  Its error is estimated as the
     magnitude of the first omitted term (truncation) plus the rounding unit
-    times the sum of the terms' magnitudes (cancellation).  Returns None
+    times the sum of the terms' magnitudes (cancellation).  A z is refused
     when that estimate exceeds rtol of the sum, or when the terms start to
     grow for alpha >= 1, or once the cancellation alone exceeds rtol of the
     first term, which bounds the sum.
+
+    One loop over the term index k serves every z still live; each z's sum
+    takes its terms in the order a loop at that z alone would.  The logs
+    and exponentials are libm's (`math.log`, `math.exp`) mapped over the
+    live entries: numpy's differ by an ulp at some z, which the composite
+    kernel's cancellation in d(zeta) would amplify past 1e-12.
     """
-    log_x = log(sigma) - alpha * log(z)
+    val = np.full(z.size, np.nan)
+    err = np.full(z.size, np.inf)
+    log_x = log(sigma) - alpha * _libm(log, z)
     # Past x = e^5 the cancellation rules the series out for every alpha < 1,
     # and its terms would overflow before the checks below see that.
-    if log_x >= (0.0 if alpha >= 1.0 else 5.0):
-        return None
-    first = exp(lgamma(alpha + 1.0) + log_x)
-    total = abs_sum = 0.0
-    prev = inf
+    live = np.flatnonzero(~(log_x >= (0.0 if alpha >= 1.0 else 5.0)))
+    log_x, pi_z = log_x[live], pi * z[live]
+    # rtol of the first term, which bounds the sum
+    cap = rtol * _libm(exp, lgamma(alpha + 1.0) + log_x)
+    total, abs_sum = np.zeros((2, live.size))
+    prev = np.full(live.size, inf)
     for k, (log_coef, sine) in enumerate(_series_coefficients(alpha), start=1):
-        mag = exp(log_coef + k * log_x)
-        if mag + _EPS * abs_sum <= rtol * abs(total):
-            return total / (pi * z), (mag + _EPS * abs_sum) / (pi * z)
-        if (alpha >= 1.0 and mag > prev) or _EPS * abs_sum > rtol * first:
-            return None
+        if not live.size:
+            break
+        mag = _libm(exp, log_coef + k * log_x)
+        bound = mag + _EPS * abs_sum
+        done = bound <= rtol * np.abs(total)
+        stop = done | (_EPS * abs_sum > cap)
+        if alpha >= 1.0:
+            stop |= mag > prev
+        if stop.any():
+            at = live[done]
+            val[at] = total[done] / pi_z[done]
+            err[at] = bound[done] / pi_z[done]
+            go = ~stop
+            live, log_x, pi_z, cap = live[go], log_x[go], pi_z[go], cap[go]
+            total, abs_sum, mag = total[go], abs_sum[go], mag[go]
         term = mag * sine
         total += term if k % 2 else -term
-        abs_sum += abs(term)
+        abs_sum += np.abs(term)
         prev = mag
-    return None
+    return val, err
 
 
 # The rotated form's trapezoid rule in s = log r: step 1/16 on |s| <= 80.
@@ -201,20 +226,22 @@ def _density(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     is above rounding, the tail series replaces it if the series gets to
     rounding there (at large z); where the estimate also exceeds
     _SERIES_RTOL (where the inversion's nodes do not resolve its
-    integrand), the series at _SERIES_RTOL does.  A value whose estimate
-    still exceeds _QUAD_RTOL of the value raises NumericalError rather
-    than being returned.
+    integrand), the series at _SERIES_RTOL does.  The series runs once per
+    rtol, over all the z that need it.  A value whose estimate still
+    exceeds _QUAD_RTOL of the value raises NumericalError rather than being
+    returned.
     """
     sigma = stable_scale(alpha)
     z = np.abs(z)
     val, err = _inversion(z, alpha, sigma)
-    above_rounding = ~(err <= _SERIES_RTOL_ROUNDING * np.abs(val))
-    for i in np.flatnonzero(above_rounding & (z > 0.0)):
-        found = _tail_series_with_error(z[i], alpha, sigma, _SERIES_RTOL_ROUNDING)
-        if found is None and not err[i] <= _SERIES_RTOL * abs(val[i]):
-            found = _tail_series_with_error(z[i], alpha, sigma, _SERIES_RTOL)
-        if found is not None:
-            val[i], err[i] = found
+    at = np.flatnonzero(~(err <= _SERIES_RTOL_ROUNDING * np.abs(val)) & (z > 0.0))
+    v, e = _tail_series_with_error(z[at], alpha, sigma, _SERIES_RTOL_ROUNDING)
+    retry = ~(e < inf) & ~(err[at] <= _SERIES_RTOL * np.abs(val[at]))
+    v[retry], e[retry] = _tail_series_with_error(
+        z[at[retry]], alpha, sigma, _SERIES_RTOL
+    )
+    found = e < inf
+    val[at[found]], err[at[found]] = v[found], e[found]
     bad = ~(err <= _QUAD_RTOL * np.abs(val))
     if bad.any():
         i = np.flatnonzero(bad)[0]

@@ -13,10 +13,12 @@ flushes the caller's buffered output nor runs its exit handlers.
 
 A forked child starts on its parent's CPU and can stay there for tens of
 milliseconds, long enough for short work to share one CPU while another
-idles.  So each process, the caller included, first moves itself onto a
-CPU of its own, process j onto the j-th CPU of its mask, and then gives
-the scheduler the whole mask back.  At one CPU, or where `fork` is missing,
-`fork_map` is a plain map in the caller.
+idles.  So the caller moves onto the j-th CPU of its mask just before it
+forks child j, so that the child is born there, and onto the first CPU
+before it starts its own share; each child also moves itself onto its
+CPU.  Every move is followed at once by giving the scheduler the whole
+mask back.  At one CPU, or where `fork` is missing, `fork_map` is a plain
+map in the caller.
 
 This module imports no other module of the package.
 """
@@ -144,10 +146,10 @@ def fork_map(fn, items) -> list:
         os.write(write, b"".join(s.to_bytes(TICKET_BYTES, "little") for s in starts))
     finally:
         os.close(write)  # so that a read of the emptied pipe returns at once
-    _place(0)
     children = []  # (pid, read end of its pipe), in the order forked
     try:
         for cpu in range(1, workers):
+            _place(cpu)
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -160,6 +162,7 @@ def fork_map(fn, items) -> list:
                 _run_child(fn, items, run, tickets, cpu, write)
             os.close(write)
             children.append((pid, read))
+        _place(0)
         outcomes = [_pull(fn, items, run, tickets)]
         while children:
             outcomes.append(_receive(*children.pop(0)))

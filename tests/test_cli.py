@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, exit codes, plumbing."""
 
+import argparse
 import csv
 import io
 import os
@@ -786,6 +787,74 @@ class TestModuleEntryPoints:
         )
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+
+# `jumpvol -h` and `jumpvol dzeta -h` at 80 columns, as the parser gave
+# them when it was built anew for every command.
+HELP = {
+    "-h": """\
+usage: jumpvol [-h] {simulate,estimate,mc-table,rate-check,dzeta} ...
+
+Jump-diffusion volatility toolkit
+
+positional arguments:
+  {simulate,estimate,mc-table,rate-check,dzeta}
+    simulate            dump one simulated path as CSV
+    estimate            run the estimators on a path CSV
+    mc-table            run a Monte Carlo experiment from a config
+    rate-check          fit the bias decay rate per config cell
+    dzeta               evaluate d(zeta) by MC, quadrature, asymptotics
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "dzeta -h": """\
+usage: jumpvol dzeta [-h] [--seed SEED] [--out OUT] --alpha ALPHA --zeta ZETA
+                     [--kernel {phi,composite}] [--M M] [--draws DRAWS]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --out OUT
+  --alpha ALPHA
+  --zeta ZETA           one or more values, comma separated
+  --kernel {phi,composite}
+  --M M
+  --draws DRAWS
+""",
+}
+
+
+class TestParser:
+    """The parser is built once per process and gives the same help."""
+
+    @pytest.mark.parametrize("argv", sorted(HELP))
+    def test_help_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):  # the second from the parser already built
+            with pytest.raises(SystemExit) as exited:
+                cli(argv.split())
+            assert exited.value.code == 0
+            assert capsys.readouterr().out == HELP[argv]
+
+    def test_two_commands_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert cli(["simulate", "--n", "3"]) == 0
+        finally:
+            build_parser.cache_clear()
+        assert built.count("jumpvol") == 1
+        assert len(built) == 6  # the parser and its five subcommands
+        assert capsys.readouterr().out.count("i,t,x") == 2
 
 
 class TestNotUtf8:

@@ -1,6 +1,7 @@
 """Tests for config parsing, the Monte Carlo harness, and report emission."""
 
 import csv
+import ctypes
 import io
 import json
 import os
@@ -529,6 +530,39 @@ class TestCellPool:
             assert masks == [before] * 4
         finally:
             os.sched_setaffinity(0, original)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here"
+    )
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_each_child_is_forked_on_its_cpu(self, at_workers, monkeypatch, count):
+        """The caller forks child j from the j-th CPU of its mask, so that the
+        child is born there, and takes its own share on the first."""
+        try:
+            sched_getcpu = ctypes.CDLL(None).sched_getcpu
+        except (AttributeError, OSError):
+            pytest.skip("no sched_getcpu here")
+        cpus = sorted(os.sched_getaffinity(0))
+        me = os.getpid()
+        seen = []  # (what, CPU) in the caller
+        fork, pull = os.fork, workers._pull
+
+        def forking():
+            seen.append(("fork", sched_getcpu()))
+            return fork()
+
+        def pulling(*args):
+            if os.getpid() == me:
+                seen.append(("pull", sched_getcpu()))
+            return pull(*args)
+
+        monkeypatch.setattr(os, "fork", forking)
+        monkeypatch.setattr(workers, "_pull", pulling)
+        at_workers(count)
+        assert fork_map(lambda x: x, range(count)) == list(range(count))
+        forks = [("fork", cpus[j % len(cpus)]) for j in range(1, count)]
+        assert seen == forks + [("pull", cpus[0])]
+        assert os.sched_getaffinity(0) == set(cpus)
 
 
 class TestEmitReport:

@@ -25,6 +25,7 @@ from jumpvol.levy import sample_stable_increment, stable_scale
 from jumpvol.stable import (
     MC_PIECE_DRAWS,
     _SERIES_RTOL,
+    _SERIES_RTOL_ROUNDING,
     _inversion,
     _series_coefficients,
     _tail_series_with_error,
@@ -108,10 +109,11 @@ class TestStableDensity:
         assert ratio == pytest.approx(1.0, rel=0.06)
 
 
-def _direct_tail_series(z, alpha, sigma):
-    """The tail series' value at _SERIES_RTOL, or None where it does not reach
-    it, with its coefficients computed in the loop, as reference."""
-    eps, rtol = np.finfo(float).eps, 1e-11
+def _direct_tail_series(z, alpha, sigma, rtol=_SERIES_RTOL):
+    """The tail series at one z > 0 as a loop over its terms, with its
+    coefficients computed in the loop, as reference: (value, error
+    estimate), or None where it does not reach rtol."""
+    eps = np.finfo(float).eps
     log_x = log(sigma) - alpha * log(z)
     if log_x >= (0.0 if alpha >= 1.0 else 5.0):
         return None
@@ -121,7 +123,7 @@ def _direct_tail_series(z, alpha, sigma):
     for k in range(1, 201):
         mag = exp(lgamma(k * alpha + 1.0) - lgamma(k + 1.0) + k * log_x)
         if mag + eps * abs_sum <= rtol * abs(total):
-            return total / (pi * z)
+            return total / (pi * z), (mag + eps * abs_sum) / (pi * z)
         if (alpha >= 1.0 and mag > prev) or eps * abs_sum > rtol * first:
             return None
         term = mag * sin(k * pi * alpha / 2.0)
@@ -159,9 +161,9 @@ class TestStableDensityFarTail:
     def test_series_agrees_with_fourier_inversion(self, alpha, z):
         """Where both routes are accurate they agree; the series is the one used."""
         sigma = stable_scale(alpha)
-        series = _tail_series_with_error(z, alpha, sigma, _SERIES_RTOL)[0]
+        series, _ = _tail_series_with_error(np.array([z]), alpha, sigma, _SERIES_RTOL)
         fourier = _inversion(np.array([z]), alpha, sigma)[0][0]
-        assert series == pytest.approx(fourier, rel=1e-9, abs=0.0)
+        assert series[0] == pytest.approx(fourier, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0, 1.5, 1.9])
     def test_cached_coefficients_give_the_direct_sum(self, alpha):
@@ -170,9 +172,10 @@ class TestStableDensityFarTail:
         assert _series_coefficients(alpha) is _series_coefficients(alpha)
         sigma = stable_scale(alpha)
         for z in np.logspace(-2, 8, 41):
-            found = _tail_series_with_error(z, alpha, sigma, _SERIES_RTOL)
-            series = None if found is None else found[0]
-            assert series == _direct_tail_series(z, alpha, sigma)
+            value, _ = _tail_series_with_error(np.array([z]), alpha, sigma, _SERIES_RTOL)
+            found = _direct_tail_series(z, alpha, sigma)
+            series = None if np.isnan(value[0]) else value[0]
+            assert series == (None if found is None else found[0])
 
     def test_refuses_when_no_route_is_accurate(self, monkeypatch):
         """Where the inversion's error estimate is as large as its value and
@@ -194,6 +197,70 @@ class TestStableDensityFarTail:
         assert d_zeta_quadrature(z, alpha) == pytest.approx(
             d_zeta_asymptotic(z, alpha), rel=1e-3
         )
+
+
+def _scalar_density(z, alpha):
+    """`_density` with the tail series taken one z at a time, as reference."""
+    sigma = stable_scale(alpha)
+    val, err = _inversion(z, alpha, sigma)
+    for i in np.flatnonzero(~(err <= _SERIES_RTOL_ROUNDING * np.abs(val)) & (z > 0.0)):
+        found = _direct_tail_series(z[i], alpha, sigma, _SERIES_RTOL_ROUNDING)
+        if found is None and not err[i] <= _SERIES_RTOL * abs(val[i]):
+            found = _direct_tail_series(z[i], alpha, sigma, _SERIES_RTOL)
+        if found is not None:
+            val[i], err[i] = found
+    return val, err
+
+
+SERIES_ALPHAS = [0.3, 0.9, 1.0, 1.2, 1.5, 1.9]
+
+
+class TestTailSeriesOverArrays:
+    """The tail series runs over an array of z in one loop over its terms,
+    and gives each z what a loop at that z alone gives, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+    @pytest.mark.parametrize(
+        "rtol", [_SERIES_RTOL, _SERIES_RTOL_ROUNDING], ids=["1e-11", "rounding"]
+    )
+    def test_equals_the_scalar_loop(self, alpha, rtol):
+        sigma = stable_scale(alpha)
+        gen = np.random.default_rng(5)
+        z = np.concatenate([np.logspace(-3, 9, 500), gen.uniform(0.5, 500.0, 100)])
+        val, err = _tail_series_with_error(z, alpha, sigma, rtol)
+        refused = 0
+        for i, zi in enumerate(z):
+            found = _direct_tail_series(float(zi), alpha, sigma, rtol)
+            if found is None:
+                refused += 1
+                assert np.isnan(val[i]) and err[i] == inf
+            else:
+                assert (val[i], err[i]) == found
+                assert np.signbit(val[i]) == np.signbit(found[0])
+        assert 0 < refused < z.size  # both outcomes are checked
+
+    def test_empty(self):
+        val, err = _tail_series_with_error(np.empty(0), 1.5, stable_scale(1.5), 1e-11)
+        assert val.shape == err.shape == (0,)
+
+    @pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+    def test_density_takes_one_series_call_per_rtol(self, alpha, monkeypatch):
+        """1 000 z make at most two calls, one per rtol, and the values
+        and estimates are those of the one-z-at-a-time loop."""
+        z = np.logspace(-2, 6, 1000)
+        want = _scalar_density(z, alpha)
+        rtols = []
+        series = jumpvol.stable._tail_series_with_error
+
+        def spy(z, alpha, sigma, rtol):
+            rtols.append(rtol)
+            return series(z, alpha, sigma, rtol)
+
+        monkeypatch.setattr(jumpvol.stable, "_tail_series_with_error", spy)
+        got = jumpvol.stable._density(z, alpha)
+        assert len(rtols) <= 2 and len(set(rtols)) == len(rtols)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestDZeta:
@@ -264,6 +331,38 @@ class TestDZeta:
         assert d_zeta_quadrature(0.01, 0.5) == pytest.approx(
             1840.45, rel=1e-3
         )
+
+    PINNED = {
+        (0.5, "phi"): [
+            "(23.014841081924196, 0.21099080034404794, 23.004148606993738)",
+            "(1819.5325252464247, 18.001449781255893, 1840.4512864058618)",
+            "(80127.10979429971, 1229.9619077069472, 79312.82569497202)",
+        ],
+        (0.5, "composite"): [
+            "(-17.059989799160228, 0.46014495965311625, -16.364048323814064)",
+            "(-388.4645653454693, 34.49033756766625, -390.9209341079755)",
+            "(-4770.04610766273, 2144.9933507653104, -5188.423993150763)",
+        ],
+        (1.5, "phi"): [
+            "(14.873151711222476, 0.12757442989579243, 14.946440968310432)",
+            "(52.51407916027997, 2.1960815528278377, 51.43982193105514)",
+            "(142.72285704474334, 30.8643424403908, 163.06752171555067)",
+        ],
+        (1.5, "composite"): [
+            "(-3.2640486359023897, 0.532117412787232, -3.3733011897628504)",
+            "(-0.636024385847213, 9.242424770648757, -0.31652097984658617)",
+            "(142.43084357140665, 30.659846931627186, -0.03158226733584884)",
+        ],
+    }
+
+    @pytest.mark.parametrize("alpha,name", sorted(PINNED))
+    def test_values_are_pinned(self, alpha, name):
+        """(mc, stderr, quadrature) at zeta 0.1, 0.01, 0.001 from 50 000
+        draws at seed 0, to the last bit, so that the draws, the truncated
+        terms and the density move only on purpose."""
+        kernel = Kernel() if name == "phi" else cancelling_kernel(alpha, 4.0)
+        rows = d_zeta([0.1, 0.01, 0.001], alpha, 50_000, 0, kernel)
+        assert [repr(row) for row in rows] == self.PINNED[alpha, name]
 
     def test_mc_agrees_with_quadrature(self):
         mc, se, quad = d_zeta(0.01, 0.5, 10**6, 123)
