@@ -19,7 +19,7 @@ from math import ceil, cos, exp, inf, isfinite, lgamma, log, pi, sin
 import numpy as np
 
 from .errors import NumericalError, ParameterError, check_alpha
-from .kernels import Kernel, kernel_moment, truncated_terms
+from .kernels import Kernel, kernel_moment, truncation_pass
 from .levy import sample_stable_increment, stable_scale, tail_constant, tanh_sinh
 from .workers import fork_map
 
@@ -293,8 +293,9 @@ def _check_quadrature_range(zeta: float) -> None:
 
 def _piece_sums(s: np.ndarray, zeta: float, kernel: Kernel) -> tuple[float, float]:
     """Sums of S^2 K(S*zeta) and of its square over one piece of draws."""
-    (vals,) = truncated_terms(s, s * zeta, kernel)
-    return float(vals.sum()), float((vals * vals).sum())
+    (terms,) = truncation_pass(s, 1.0 / abs(zeta), kernel)
+    total = float(terms.sum())
+    return total, float(np.square(terms, out=terms).sum())
 
 
 # Draws per piece of the Monte Carlo in d_zeta, each from its own stream.

@@ -134,7 +134,7 @@ def scaled_exactly(c, u):
 
 def dense_sums(dx, kernel, u):
     """sum dx * dx * K(dx / u) over the last axis, taking a term as 0 where
-    K is 0: the truncated sum without the sparse pass of truncated_terms."""
+    K is 0: the truncated sum without `kernels.truncation_pass`."""
     with np.errstate(over="ignore", invalid="ignore"):
         kv = kernel(dx / u)
         return np.where(kv != 0.0, dx * dx * kv, 0.0).sum(axis=-1)

@@ -9,12 +9,13 @@ from scipy import integrate
 from jumpvol import Kernel, ParameterError, c_tilde, cancelling_kernel, kernel_moment
 from jumpvol.cli import build_parser
 from jumpvol.kernels import (
+    _DENSE_SHARE,
     _phi_moment,
     _psi_moment,
     phi,
     psi,
     truncated_sums,
-    truncated_terms,
+    truncation_pass,
 )
 
 E_M5_21 = float(np.exp(-5.0 / 21.0))  # shared value of phi and psi at |x| = 3/2
@@ -300,8 +301,14 @@ def dense_terms(dx, x, kernel):
     return np.where(values != 0.0, terms, 0.0)
 
 
+def scaled(dx, u):
+    with np.errstate(over="ignore"):
+        return dx / u
+
+
 class TestTruncatedTerms:
-    """The sparse passes give the dense terms, and their row sums, bit for bit."""
+    """The pass gives the dense terms, and their row sums, bit for bit, on
+    blocks where few entries are candidates and on blocks where most are."""
 
     KERNELS = {
         "phi": Kernel(),
@@ -312,64 +319,84 @@ class TestTruncatedTerms:
         "composite-wide": cancelling_kernel(0.7, 6.0),
         "composite-narrow": cancelling_kernel(1.2, 1.8),
     }
+    U = 0.41  # every breakpoint b is dx / U for some dx
 
-    def block(self):
-        """Increments over interior, band and beyond, with non-finite and
-        overflowing entries, and |x| exactly at every breakpoint."""
-        u = 0.37
-        gen = np.random.default_rng(12)
-        dx = u * gen.uniform(-7.0, 7.0, (6, 200))
-        special = [np.inf, -np.inf, np.nan, 1e200, -1e200, 0.0, -0.0]
-        dx[0, : len(special)] = special
-        x = dx / u
-        breakpoints = [1.0, 1.5, 1.8, 2.0, 4.0, 6.0]
-        x[1, : len(breakpoints)] = breakpoints
-        x[2, : len(breakpoints)] = np.negative(breakpoints)
-        return dx, x
+    def blocks(self):
+        """Increments over interior, band and beyond for threshold U, with
+        non-finite and overflowing entries, and dx / U exactly at every
+        breakpoint: one block spread over |dx / U| < 7, where most entries
+        are candidates, and one over |dx / U| < 1.05, where few are."""
+        u = self.U
+        out = []
+        for spread in (7.0, 1.05):
+            gen = np.random.default_rng(12)
+            dx = u * gen.uniform(-spread, spread, (6, 200))
+            special = [np.inf, -np.inf, np.nan, 1e200, -1e200, 0.0, -0.0]
+            dx[0, : len(special)] = special
+            for i, b in enumerate([1.0, 1.5, 1.8, 2.0, 4.0, 6.0]):
+                near = u * b + np.arange(-20, 21) * np.spacing(u * b)
+                edge = near[near / u == b][0]
+                dx[1:3, i] = edge, -edge
+            out.append(dx)
+        return out
+
+    def test_blocks_take_both_branches(self):
+        with np.errstate(over="ignore"):
+            many, few = (np.mean(~(dx * dx < self.U**2)) for dx in self.blocks())
+        assert few < _DENSE_SHARE < many
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_equals_dense_terms(self, name):
-        dx, x = self.block()
-        (terms,) = truncated_terms(dx, x, self.KERNELS[name])
-        np.testing.assert_array_equal(terms, dense_terms(dx, x, self.KERNELS[name]))
-        np.testing.assert_array_equal(
-            terms.sum(axis=-1), dense_terms(dx, x, self.KERNELS[name]).sum(axis=-1)
-        )
+        kernel = self.KERNELS[name]
+        for dx in self.blocks():
+            want = dense_terms(dx, scaled(dx, self.U), kernel)
+            (terms,) = truncation_pass(dx, self.U, kernel)
+            np.testing.assert_array_equal(terms, want)
+            np.testing.assert_array_equal(terms.sum(axis=-1), want.sum(axis=-1))
+            np.testing.assert_array_equal(
+                np.square(terms).sum(axis=-1), np.square(want).sum(axis=-1)
+            )
 
     def test_kernels_of_one_pass_equal_single_passes(self):
-        dx, x = self.block()
         kernels = [self.KERNELS[name] for name in sorted(self.KERNELS)]
-        for kernel, terms in zip(kernels, truncated_terms(dx, x, *kernels)):
-            np.testing.assert_array_equal(terms, dense_terms(dx, x, kernel))
+        for dx in self.blocks():
+            x = scaled(dx, self.U)
+            for kernel, terms in zip(kernels, truncation_pass(dx, self.U, *kernels)):
+                np.testing.assert_array_equal(terms, dense_terms(dx, x, kernel))
 
     def test_evaluates_phi_and_psi_once(self, monkeypatch):
         """A (phi, composite) pass evaluates phi once and psi once on the
         band, and its terms are still the dense ones bit for bit."""
         from jumpvol import kernels
 
-        dx, x = self.block()
         pair = (Kernel(), self.KERNELS["composite"])
-        dense = [dense_terms(dx, x, kernel) for kernel in pair]
         calls = []
         for name in ("phi", "psi"):
             real = getattr(kernels, name)
             spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
             monkeypatch.setattr(kernels, name, spy)
-        terms = truncated_terms(dx, x, *pair)
-        assert sorted(calls) == ["phi", "psi"]
-        for got, want in zip(terms, dense):
-            np.testing.assert_array_equal(got, want)
+        for dx in self.blocks():
+            x = scaled(dx, self.U)
+            dense = [dense_terms(dx, x, kernel) for kernel in pair]
+            calls.clear()
+            terms = [t.copy() for t in truncation_pass(dx, self.U, *pair)]
+            assert sorted(calls) == ["phi", "psi"]
+            for got, want in zip(terms, dense):
+                np.testing.assert_array_equal(got, want)
 
     # A typical u_n and round ones; one whose square is subnormal, one whose
     # square underflows to 0 and one whose square overflows to inf.
     THRESHOLDS = (0.37, 1.0, 0.05, 3.0, 1e-160, 1e-170, 1e170)
 
-    def adversarial_block(self, u):
+    def adversarial_blocks(self, u):
         """Increments over interior, band and beyond for threshold u, one
-        kind per row (rows padded with zeros, whose terms are 0): |dx| one
-        ulp either side of u b at every breakpoint b; dx = +-u, where dx / u
-        is exactly 1.0, and the largest |dx| < u, whose square may round up
-        to u^2; infinite, NaN and huge entries, whose squares overflow."""
+        kind per row: |dx| one ulp either side of u b at every breakpoint b;
+        dx = +-u, where dx / u is exactly 1.0, and the largest |dx| < u, whose
+        square may round up to u^2; infinite, NaN and huge entries, whose
+        squares overflow.  Two blocks: one with the rows padded to 1000 with
+        zeros, whose terms are 0, so that few entries are candidates, and one
+        with the rows padded to 40 with 10 u, beyond every support, so that
+        most are."""
         rows = [list(u * np.random.default_rng(12).uniform(-7.0, 7.0, 40))]
         for b in (1.0, 1.5, 1.8, 2.0, 4.0, 6.0):
             edge = u * b
@@ -378,26 +405,50 @@ class TestTruncatedTerms:
         below = np.nextafter(u, 0.0)
         rows.append([u, -u, below, -below])
         rows += [[np.inf, -np.inf], [np.nan, u], [1e200, -1e200, 0.0, -0.0]]
-        width = max(len(row) for row in rows)
-        return np.array([row + [0.0] * (width - len(row)) for row in rows])
+        return [
+            np.array([row + [pad] * (width - len(row)) for row in rows])
+            for width, pad in [(1000, 0.0), (40, 10.0 * u)]
+        ]
 
     def dense_sums(self, dx, u, kernel):
-        with np.errstate(over="ignore"):
-            x = dx / u
-        return dense_terms(dx, x, kernel).sum(axis=-1)
+        return dense_terms(dx, scaled(dx, u), kernel).sum(axis=-1)
 
     @pytest.mark.parametrize("u", THRESHOLDS)
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_sums_equal_dense_sums(self, name, u):
         kernel = self.KERNELS[name]
-        dx = self.adversarial_block(u)
-        # where u^2 overflows, +inf and -inf terms of a composite meet
+        for dx in self.adversarial_blocks(u):
+            want = dense_terms(dx, scaled(dx, u), kernel)
+            # where u^2 overflows, +inf and -inf terms of a composite meet
+            with np.errstate(invalid="ignore"):
+                (sums,) = truncated_sums(dx, u, kernel)
+                np.testing.assert_array_equal(sums, want.sum(axis=-1))
+            if 1e-100 < u < 1e100:
+                assert np.isfinite(sums).all()
+            (terms,) = truncation_pass(dx, u, kernel)
+            np.testing.assert_array_equal(terms, want)
+            np.testing.assert_array_equal(
+                np.square(terms).sum(axis=-1), np.square(want).sum(axis=-1)
+            )
+
+    @pytest.mark.parametrize("u", THRESHOLDS)
+    def test_dense_branch_only_where_u2_and_bound_are_normal(self, monkeypatch, u):
+        """On the block where most entries are candidates, the kernels see
+        only the band when u^2 and the bound (6 u)^2 are normal numbers, and
+        every candidate otherwise (u^2 subnormal, 0 or infinite)."""
+        from jumpvol import kernels
+
+        dx = self.adversarial_blocks(u)[1]
+        with np.errstate(over="ignore"):
+            candidates = np.count_nonzero(~(dx * dx < u * u))
+        assert candidates > _DENSE_SHARE * dx.size
+        sizes = []
+        real = kernels.phi
+        monkeypatch.setattr(kernels, "phi", lambda x: sizes.append(x.size) or real(x))
         with np.errstate(invalid="ignore"):
-            (sums,) = truncated_sums(dx, u, kernel)
-            want = self.dense_sums(dx, u, kernel)
-        np.testing.assert_array_equal(sums, want)
-        if 1e-100 < u < 1e100:
-            assert np.isfinite(sums).all()
+            truncated_sums(dx, u, self.KERNELS["composite-wide"])
+        normal = 1e-100 < u < 1e100
+        assert (sizes[0] < candidates) if normal else (sizes[0] == candidates)
 
     @pytest.mark.parametrize("u", [1e-160, 1e-170])
     def test_rounding_lets_interior_entries_in(self, u):
@@ -405,27 +456,27 @@ class TestTruncatedTerms:
         the pass takes it with |dx / u| < 1, where K is still 1."""
         below = np.nextafter(u, 0.0)
         assert below * below == u * u and abs(below / u) < 1.0
-        assert (self.adversarial_block(u) == below).any()
+        for dx in self.adversarial_blocks(u):
+            assert (dx == below).any()
 
     @pytest.mark.parametrize("u", THRESHOLDS)
     def test_kernels_of_one_sum_pass_equal_single_passes(self, u):
-        dx = self.adversarial_block(u)
         kernels = [self.KERNELS[name] for name in sorted(self.KERNELS)]
-        with np.errstate(invalid="ignore"):
-            sums = truncated_sums(dx, u, *kernels)
-            for kernel, got in zip(kernels, sums):
-                np.testing.assert_array_equal(got, self.dense_sums(dx, u, kernel))
+        for dx in self.adversarial_blocks(u):
+            with np.errstate(invalid="ignore"):
+                sums = truncated_sums(dx, u, *kernels)
+                for kernel, got in zip(kernels, sums):
+                    np.testing.assert_array_equal(got, self.dense_sums(dx, u, kernel))
 
     def test_vector_and_empty(self):
         kernel = self.KERNELS["composite"]
         dx = np.array([0.1, 0.5, 0.9, 1.6, 3.0])
-        (terms,) = truncated_terms(dx, dx / 0.5, kernel)
+        (terms,) = truncation_pass(dx, 0.5, kernel)
         np.testing.assert_array_equal(terms, dense_terms(dx, dx / 0.5, kernel))
-        (empty,) = truncated_terms(np.empty(0), np.empty(0), kernel)
+        (empty,) = truncation_pass(np.empty(0), 0.5, kernel)
         assert empty.shape == (0,)
         (total,) = truncated_sums(dx, 0.5, kernel)
         assert np.ndim(total) == 0 and total == self.dense_sums(dx, 0.5, kernel)
         for shape in [(0,), (3, 0)]:
             (empty,) = truncated_sums(np.empty(shape), 0.5, kernel)
             np.testing.assert_array_equal(empty, np.zeros(shape[:-1]))
-
