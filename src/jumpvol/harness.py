@@ -19,7 +19,15 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .estimators import EstimatorConfig, estimates, fit_power_law
 from .kernels import Kernel, cancelling_kernel, truncated_sums
-from .levy import JumpLaw, ModelSpec, block_rows, form_increments, simulate_parts
+from .levy import (
+    JumpLaw,
+    ModelSpec,
+    block_rows,
+    block_stream,
+    draw_jumps,
+    draw_normals,
+    form_increments,
+)
 from .workers import fork_map, worker_count
 
 
@@ -236,32 +244,58 @@ def replicate_map(groups, replicates: int) -> tuple[list, int]:
     """fn's rows for `replicates` paths of every group, and the processes used.
 
     A group is (fn, model, n, key).  Its paths come in blocks of
-    `block_rows(n)` rows, the last one shorter; block b is drawn whole by
-    `levy.simulate_parts` from the stream (*key, b), and fn maps its parts
-    (Z, J) and its shape (rows, n) to one row per path.  The (group, b)
-    pairs are the items of one `fork_map`, in group order, so no row
-    depends on the number of processes.  Returns ([(rows, simulate_s, fn_s)
-    per group], workers): a group's rows are joined in replicate order, and
-    its stage times add up its blocks' times, in whichever process ran them.
+    `block_rows(n)` rows, the last one shorter, and fn maps a block's parts
+    (Z, J) and its shape (rows, n) to one row per path.  The groups of one n
+    share the unit normals Z of each block: block b of the first group of
+    an n draws from the stream (*key, b) its Z, when any of these groups'
+    models has a Gaussian, and then its own J; every other group of that n
+    draws only its J, from its own stream (*key, b).  Every stream is made,
+    and so every key checked, before the block draws anything.  The items
+    of one `fork_map` are the pairs (g, b) of each n's first group g, in
+    group order, and item (g, b) runs block b of every group of g's n, so
+    no row depends on the number of processes.  Returns ([(rows,
+    simulate_s, fn_s) per group], workers): a group's rows are joined in
+    replicate order, and its stage times add up its blocks' times, in
+    whichever process ran them.  The first group of an n carries the time
+    of the shared Z in its simulate_s.
     """
-    counts = [-(-replicates // block_rows(n)) for _, _, n, _ in groups]
-    items = [(g, b) for g, count in enumerate(counts) for b in range(count)]
+    by_n: dict = {}  # n -> its groups, in order
+    for g, (_, _, n, _) in enumerate(groups):
+        by_n.setdefault(n, []).append(g)
+    items = [
+        (members[0], b)
+        for n, members in by_n.items()
+        for b in range(-(-replicates // block_rows(n)))
+    ]
 
     def run_block(item):
-        g, b = item
-        fn, model, n, key = groups[g]
+        first, b = item
+        n = groups[first][2]
+        members = by_n[n]
         step = block_rows(n)
-        size = min(step, replicates - b * step)
+        shape = (min(step, replicates - b * step), n)
         t0 = time.perf_counter()
-        parts = simulate_parts(model, n, size, (*key, b))
-        t1 = time.perf_counter()
-        rows = fn(parts, (size, n))
-        return rows, t1 - t0, time.perf_counter() - t1
+        streams = [block_stream(n, (*groups[g][3], b)) for g in members]
+        gaussian = any(groups[g][1].gaussian_scale > 0 for g in members)
+        normals = draw_normals(streams[0], shape) if gaussian else None
+        out = []
+        for g, gen in zip(members, streams):
+            fn, model = groups[g][:2]
+            parts = normals, draw_jumps(model, gen, shape)
+            t1 = time.perf_counter()
+            rows = fn(parts, shape)
+            t2 = time.perf_counter()
+            out.append((rows, t1 - t0, t2 - t1))
+            t0 = t2
+        return out
 
-    done = iter(fork_map(run_block, items))
+    blocks = [[] for _ in groups]  # per group, (rows, simulate_s, fn_s) per block
+    for (first, _), done in zip(items, fork_map(run_block, items)):
+        for g, block in zip(by_n[groups[first][2]], done):
+            blocks[g].append(block)
     per_group = []
-    for count in counts:
-        rows, simulate_s, fn_s = zip(*(next(done) for _ in range(count)))
+    for got in blocks:
+        rows, simulate_s, fn_s = zip(*got)
         per_group.append((np.concatenate(rows), sum(simulate_s), sum(fn_s)))
     return per_group, worker_count(len(items))
 
@@ -272,8 +306,9 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
     errors have shape (R, 3).  The cells of one jump law, (jumps, alpha),
     are one `replicate_map` group: group g, in order of first appearance,
-    draws its blocks with key (seed, g), and each cell forms its increments
-    from the same parts (Z, J).  A group's stage times, forming included in
+    draws its jumps J with key (seed, g), every group takes the unit normals
+    Z that group 0 draws first, and each cell forms its increments from its
+    group's parts (Z, J).  A group's stage times, forming included in
     estimating, are split equally among its cells.
     """
     laws: dict = {}  # (jumps, alpha) -> the indices of its cells

@@ -9,10 +9,12 @@ up to the Gaussian small-jump substitution used in the tempered case.  A
 path is its 1-D array of increments Delta X_1..n on [0, 1], observed with
 delta = 1/n; a block of paths is a (rows, n) array.  The samplers draw a
 whole block from one generator, each kind of draw in one call for all rows;
-`sample_stable_increment` is the one public sampler, `simulate_parts` the
-one block draw and `form_increments` what turns its parts into a model's
-increments.  `block_rows` fixes how many paths share a block;
-`harness.replicate_map` says which stream each block is drawn from.
+`sample_stable_increment` is the one public sampler.  A block's parts are
+its unit normals Z (`draw_normals`) and its unscaled jumps J (`draw_jumps`),
+drawn from the generator `block_stream` makes of a key; `simulate_parts`
+draws both from one stream, and `form_increments` turns parts into a
+model's increments.  `block_rows` fixes how many paths share a block;
+`harness.replicate_map` says which stream each part of a block is drawn from.
 """
 
 from __future__ import annotations
@@ -310,24 +312,45 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_INCREMENTS // n)
 
 
+def block_stream(n: int, key) -> np.random.Generator:
+    """The generator of a block of paths of n increments, `default_rng(key)`.
+
+    `key` is anything `default_rng` accepts; an integer seed or a key tuple
+    must not be negative.
+    """
+    if n < 2:
+        raise ParameterError(f"n must be at least 2, got {n}")
+    seeds = key if isinstance(key, (int, np.integer, tuple)) else ()
+    if min(np.atleast_1d(seeds), default=0) < 0:
+        raise ParameterError(f"seeds must be non-negative integers, got {key}")
+    return default_rng(key)
+
+
+def draw_normals(gen: np.random.Generator, shape) -> np.ndarray:
+    """Z: the unit normals of a block of `shape` (rows, n), every row in one call."""
+    return gen.standard_normal(shape)
+
+
+def draw_jumps(model: ModelSpec, gen: np.random.Generator, shape):
+    """J: the unscaled jumps of model's law over a block of `shape` (rows, n),
+    from the jump draws of every row; None, drawing nothing, when model.gamma
+    is 0."""
+    if not model.gamma:
+        return None
+    return _jump_block(model.jump_law, 1.0 / shape[-1], gen, shape)
+
+
 def simulate_parts(model: ModelSpec, n: int, rows: int, rng):
     """(Z, J) of `rows` paths on the grid t_i = i/n, as (rows, n) blocks.
 
     Z is unit normals, None when model.gaussian_scale is 0, and J the
     unscaled jumps, None when model.gamma is 0.  Both come from the one
-    stream `rng` (anything `default_rng` accepts; an integer seed or a key
-    tuple must not be negative): the normals of every row first, then the
+    stream `block_stream(n, rng)`: the normals of every row first, then the
     jump draws of every row.
     """
-    if n < 2:
-        raise ParameterError(f"n must be at least 2, got {n}")
-    seeds = rng if isinstance(rng, (int, np.integer, tuple)) else ()
-    if min(np.atleast_1d(seeds), default=0) < 0:
-        raise ParameterError(f"seeds must be non-negative integers, got {rng}")
-    gen, shape = default_rng(rng), (rows, n)
-    normals = gen.standard_normal(shape) if model.gaussian_scale > 0 else None
-    jumps = _jump_block(model.jump_law, 1.0 / n, gen, shape) if model.gamma else None
-    return normals, jumps
+    gen, shape = block_stream(n, rng), (rows, n)
+    normals = draw_normals(gen, shape) if model.gaussian_scale > 0 else None
+    return normals, draw_jumps(model, gen, shape)
 
 
 def form_increments(model: ModelSpec, parts, shape) -> np.ndarray:

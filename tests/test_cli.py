@@ -26,6 +26,45 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """The calls of every routine a Monte Carlo block draws its parts with,
+    by name, recorded in this process: the work runs on one CPU."""
+    from jumpvol import harness, workers
+
+    calls = []
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    for name in ("draw_normals", "draw_jumps"):
+        real = getattr(harness, name)
+        spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        monkeypatch.setattr(harness, name, spy)
+    return calls
+
+
+class TestDrawSpies:
+    """The spies of `draws` see a valid command's draws, so a test that
+    finds them empty shows that nothing was drawn."""
+
+    def test_mc_table_draws(self, capsys, tmp_path, draws):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TestMcTable.CFG)
+        out = tmp_path / "t.csv"
+        args = ["mc-table", "--config", str(cfg), "--out", str(out)]
+        code, _, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert set(draws) == {"draw_normals", "draw_jumps"}
+
+    def test_rate_check_draws(self, capsys, tmp_path, draws):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(
+            "replicates = 10\nn_grid = 50 100 200 400\n"
+            "[cell]\nalpha = 0.5\ngamma = 1\nbeta = 0.2\nk = 3\n"
+        )
+        code, _, _ = run_cli(capsys, "rate-check", "--config", str(cfg))
+        assert code == 0
+        assert set(draws) == {"draw_normals", "draw_jumps"}
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
@@ -446,14 +485,8 @@ class TestRateCheck:
         assert "mean bias not positive at n = [50, 100, 200, 400]" in err
         assert out == ""
 
-    def test_n_grid_below_2_exits_1(self, capsys, tmp_path, monkeypatch):
+    def test_n_grid_below_2_exits_1(self, capsys, tmp_path, draws):
         """An n below 2 is refused before any path is drawn."""
-        from jumpvol import harness
-
-        calls = []
-        real = harness.simulate_parts
-        spy = lambda *a: calls.append(a) or real(*a)
-        monkeypatch.setattr(harness, "simulate_parts", spy)
         cfg = tmp_path / "rate.cfg"
         cfg.write_text(
             "replicates = 10\nn_grid = 0 100 200 1600\n"
@@ -463,7 +496,7 @@ class TestRateCheck:
         assert code == 1
         assert err.startswith("error:") and "at least 2" in err
         assert out == ""
-        assert calls == []
+        assert draws == []
 
     @pytest.mark.parametrize(
         "grid", ["", "n_grid = 100 800\n", "n_grid = 50 60 70 80\n"]
@@ -697,17 +730,8 @@ class TestNonFiniteParameters:
             ("k = 2\nM = 1e200", "M must be finite and exceed 3/2, with 4 M^2"),
         ],
     )
-    def test_config_simulates_nothing(
-        self, capsys, tmp_path, monkeypatch, line, message
-    ):
+    def test_config_simulates_nothing(self, capsys, tmp_path, draws, line, message):
         """The config is refused as it loads, before any replicate is drawn."""
-        from jumpvol import harness, workers
-
-        calls = []
-        real = harness.simulate_parts
-        spy = lambda *args: calls.append(args) or real(*args)
-        monkeypatch.setattr(harness, "simulate_parts", spy)
-        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TestMcTable.CFG.replace("k = 2", line))
         out = tmp_path / "t.csv"
@@ -715,25 +739,18 @@ class TestNonFiniteParameters:
         code, _, err = run_cli(capsys, *args)
         assert code == 1
         assert err.startswith("error:") and message in err
-        assert calls == []
+        assert draws == []
         assert not out.exists()
 
-    def test_missing_output_path_simulates_nothing(self, capsys, tmp_path, monkeypatch):
+    def test_missing_output_path_simulates_nothing(self, capsys, tmp_path, draws):
         """With no --out and no csv key, mc-table refuses before drawing."""
-        from jumpvol import harness, workers
-
-        calls = []
-        real = harness.simulate_parts
-        spy = lambda *args: calls.append(args) or real(*args)
-        monkeypatch.setattr(harness, "simulate_parts", spy)
-        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TestMcTable.CFG)
         code, out, err = run_cli(capsys, "mc-table", "--config", str(cfg))
         assert code == 1
         assert err.startswith("error:") and "no output path" in err
         assert out == ""
-        assert calls == []
+        assert draws == []
 
 
 class TestNegativeSeed:

@@ -39,6 +39,8 @@ from jumpvol.levy import (
     JumpLaw,
     ModelSpec,
     block_rows,
+    draw_jumps,
+    form_increments,
     simulate_increments,
     simulate_path,
 )
@@ -273,24 +275,33 @@ class TestRunMc:
 
 
 def per_path_errors(cfg, cell, g, model=None):
-    """(E1, E2, E3) of `cell`'s replicates by the route simulate_increments ->
-    estimates, block b drawn with `model` (the cell's own by default) from
-    the stream (seed, g, b)."""
+    """(E1, E2, E3) of `cell`'s replicates, law group g, by the per-path
+    route: block b drawn with `model` (the cell's own by default), its unit
+    normals Z from the stream (seed, 0, b) of the first group and its jumps
+    J from (seed, g, b), where group 0 draws them after Z; then
+    form_increments -> estimates."""
     model = model or cell.model(cfg.sigma)
     step = block_rows(cfg.n)
     errors = []
     for b, lo in enumerate(range(0, cfg.replicates, step)):
-        rows = min(step, cfg.replicates - lo)
-        block = simulate_increments(model, cfg.n, rows, (cfg.seed, g, b))
+        shape = (min(step, cfg.replicates - lo), cfg.n)
+        if g == 0:
+            block = simulate_increments(model, cfg.n, shape[0], (cfg.seed, 0, b))
+        else:
+            normals = np.random.default_rng((cfg.seed, 0, b)).standard_normal(shape)
+            jumps = draw_jumps(model, np.random.default_rng((cfg.seed, g, b)), shape)
+            block = form_increments(model, (normals, jumps), shape)
         est = estimates(block, cell.estimator_config(), cell.alpha, cell.gamma, cell.M)
         errors.append((est - cfg.sigma**2) * np.sqrt(cfg.n))
     return np.concatenate(errors)
 
 
 class TestLawGroups:
-    """The cells of one jump law, (jumps, alpha), share its draws: group g,
-    in order of first appearance, draws block b from (seed, g, b), and each
-    cell estimates the increments it forms from the block's parts (Z, J)."""
+    """The cells of one jump law, (jumps, alpha), share its draws, and every
+    law shares the unit normals: group g, in order of first appearance,
+    draws the jumps J of block b from (seed, g, b), group 0 after the
+    block's normals Z, and each cell estimates the increments it forms from
+    the block's parts (Z, J)."""
 
     def test_cells_of_one_law_differ_only_in_gamma(self):
         cells = (
@@ -307,6 +318,8 @@ class TestLawGroups:
         assert per_cell[0][1:] == per_cell[2][1:]
 
     def test_distinct_laws_keep_one_stream_per_cell(self):
+        """Four laws, one cell each: cell i draws its J from (seed, i, b)
+        and shares cell 0's Z."""
         cells = (
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
             CellConfig(alpha=0.5, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
@@ -344,19 +357,117 @@ class TestLawGroups:
         for (errors, _, _), cell in zip(per_cell, cells):
             np.testing.assert_array_equal(errors, per_path_errors(cfg, cell, 0))
 
+    def test_every_law_of_a_block_receives_the_same_normals(self, monkeypatch):
+        """Three laws in two blocks: each block's Z is one array, drawn once
+        and handed to every law's cells, while each law has its own J."""
+        from jumpvol import harness
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
+        seen = []
+        real = harness.form_increments
+
+        def spy(model, parts, shape):
+            seen.append(parts)
+            return real(model, parts, shape)
+
+        monkeypatch.setattr(harness, "form_increments", spy)
+        cells = (
+            CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+            CellConfig(alpha=0.9, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
+            CellConfig(alpha=1.2, gamma=1.0, beta=0.2, k=2.0),
+        )
+        cfg = ExperimentConfig(cells=cells, n=200, replicates=block_rows(200) + 5)
+        replicate_errors(cfg)
+        assert len(seen) == 2 * len(cells)
+        first, second = seen[:3], seen[3:]
+        for block in (first, second):
+            assert all(normals is block[0][0] for normals, _ in block)
+            assert len({id(jumps) for _, jumps in block}) == len(cells)
+        assert first[0][0] is not second[0][0]
+
+    def test_stage_times_add_up_to_the_draws(self, monkeypatch):
+        """On a clock that only the draws and the estimates move, the cells'
+        simulate_s add up to the blocks' draw time: the first law holds the
+        shared Z's, every law its own J's, each split among its cells."""
+        from types import SimpleNamespace
+
+        from jumpvol import harness
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # one clock
+        clock = [0.0]
+        fake = SimpleNamespace(perf_counter=lambda: clock[0], monotonic=time.monotonic)
+        monkeypatch.setattr(harness, "time", fake)
+
+        def ticking(name, seconds):
+            real = getattr(harness, name)
+
+            def tick(*args):
+                clock[0] += seconds
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, tick)
+
+        ticking("draw_normals", 1.0)
+        ticking("draw_jumps", 10.0)
+        ticking("estimates", 100.0)
+        cells = (
+            CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+            CellConfig(alpha=0.9, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
+            CellConfig(alpha=1.5, gamma=3.0, beta=0.2, k=2.0),
+            CellConfig(alpha=1.2, gamma=1.0, beta=0.2, k=2.0),
+        )
+        cfg = ExperimentConfig(cells=cells, n=200, replicates=block_rows(200) + 5)
+        per_cell, _ = replicate_errors(cfg)
+        # two blocks, each of one Z and three J's, and one estimate per cell
+        assert [simulate_s for _, simulate_s, _ in per_cell] == [11.0, 20.0, 11.0, 20.0]
+        assert sum(simulate_s for _, simulate_s, _ in per_cell) == 2 * (1.0 + 3 * 10.0)
+        assert [estimate_s for _, _, estimate_s in per_cell] == [200.0] * 4
+
+    def test_two_laws_means_are_pinned(self):
+        """A stable and a tempered law in two blocks of 23 paths: their E1-E3
+        means, to the last bit, so that the shared normals (group 0's stream)
+        and group 1's jumps, from its own stream, move only on purpose."""
+        cells = (
+            CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+            CellConfig(alpha=0.9, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
+        )
+        cfg = ExperimentConfig(cells=cells, n=700, replicates=46, seed=42)
+        means = [repr((r.mean_e1, r.mean_e2, r.mean_e3)) for r in run_mc(cfg).results]
+        assert means == [
+            "(98.91611422713324, -1.304363521122417, -11.207673235598582)",
+            "(138.8751404046427, -41.494249425138335, 42.85041150840108)",
+        ]
+
+    def test_a_table_maps_one_item_per_block(self, monkeypatch):
+        """table_beta02.cfg's six laws share each block: its one fork_map
+        has 22 items, the blocks of 23 paths of its 500 replicates."""
+        from jumpvol import harness
+
+        calls = []
+        real = harness.fork_map
+
+        def spy(fn, items):
+            calls.append(list(items))
+            return real(fn, items)
+
+        monkeypatch.setattr(harness, "fork_map", spy)
+        configs = Path(__file__).parents[1] / "configs"
+        replicate_errors(load_config(str(configs / "table_beta02.cfg")))
+        assert calls == [[(0, b) for b in range(22)]]
+
     def test_zero_gamma_cell_takes_the_base(self, monkeypatch):
         """A gamma 0 cell of a law with jumps estimates the jump-free draw of
         the same stream, even where J is infinite (0 * inf would be NaN)."""
         from jumpvol import harness
 
-        real = harness.simulate_parts
+        real = harness.draw_jumps
 
         def infinite_jump(*args):
-            normals, jumps = real(*args)
+            jumps = real(*args)
             jumps[0, 0] = np.inf
-            return normals, jumps
+            return jumps
 
-        monkeypatch.setattr(harness, "simulate_parts", infinite_jump)
+        monkeypatch.setattr(harness, "draw_jumps", infinite_jump)
         cells = (
             CellConfig(alpha=1.5, gamma=0.0, beta=0.2, k=2.0),
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),

@@ -545,9 +545,27 @@ class TestBlockAgainstWrittenOutDraws:
 class TestStreamStates:
     """A block's stream is keyed by non-negative integers."""
 
-    def test_rejects_negative_key(self):
+    def test_rejects_negative_key(self, monkeypatch):
+        """Also the key of a group that shares the first group's n, before
+        the block draws anything, though the first group's key is valid."""
+        from jumpvol import harness, workers
+
         with pytest.raises(ParameterError, match="non-negative"):
             replicate_map([(lambda parts, _: parts[0], ModelSpec(), 10, (-1, 0))], 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
+        draws = []
+        for name in ("draw_normals", "draw_jumps"):
+            real = getattr(harness, name)
+            spy = lambda *args, name=name, real=real: draws.append(name) or real(*args)
+            monkeypatch.setattr(harness, name, spy)
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
+        fn = lambda parts, _: parts[0]
+        replicate_map([(fn, model, 10, (0, 0)), (fn, model, 10, (0, 1))], 2)
+        assert draws == ["draw_normals", "draw_jumps", "draw_jumps"]
+        draws.clear()
+        with pytest.raises(ParameterError, match="non-negative"):
+            replicate_map([(fn, model, 10, (0, 0)), (fn, model, 10, (0, -1))], 2)
+        assert draws == []
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
     def test_rejects_negative_seed(self, seed):
