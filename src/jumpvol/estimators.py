@@ -47,7 +47,7 @@ def tqv(increments: np.ndarray, config: EstimatorConfig) -> float:
     return float(q)
 
 
-@lru_cache  # `estimates` asks for it again on every block of a cell
+@lru_cache  # `stacked_estimates` asks for it again on every block of a cell
 def jump_bias(alpha: float, beta: float, gamma: float, k: float, n: int) -> float:
     """First-order jump bias of the truncated quadratic variation.
 
@@ -114,6 +114,34 @@ def fit_power_law(n_values, biases) -> tuple[float, float]:
     return float(slope), float(np.sqrt(var))
 
 
+def stacked_estimates(stack: np.ndarray, cells) -> np.ndarray:
+    """(Q_n, Q_n - jump bias, Q_nc) per row of each cell of a stack, shape
+    (cells, ..., 3).
+
+    stack[i] holds the increments, one path or a block of paths, of cell i
+    = (config, alpha, gamma, M).  Q_n sums over phi at the cell's threshold,
+    and Q_nc over its cancelling composite phi + c~ psi_M; every cell's two
+    sums come from one pass of `kernels.truncated_sums` over the stack.
+    """
+    stack = np.asarray(stack, dtype=float)
+    n = stack.shape[-1] if stack.ndim > 1 else 0
+    if stack.size == 0 or n < 2:
+        raise ParameterError(
+            "increments must hold one or more paths of at least 2 entries,"
+            f" got shape {stack.shape[1:]}"
+        )
+    if len(cells) != len(stack):
+        raise ParameterError(f"{len(cells)} cells for a stack of {len(stack)}")
+    u = [config.threshold(n) for config, *_ in cells]
+    bias = [jump_bias(a, config.beta, g, config.k, n) for config, a, g, _ in cells]
+    composites = [cancelling_kernel(a, M) for _, a, _, M in cells]
+    q, q_c = truncated_sums(stack, u, _PHI, composites)
+    out = np.empty(q.shape + (3,))
+    out[..., 0], out[..., 2] = q, q_c
+    out[..., 1] = q - np.reshape(bias, (-1,) + (1,) * (q.ndim - 1))
+    return out
+
+
 def estimates(
     increments: np.ndarray,
     config: EstimatorConfig,
@@ -123,20 +151,8 @@ def estimates(
 ) -> np.ndarray:
     """(Q_n, Q_n - jump bias, Q_nc) per row of increments, shape (..., 3).
 
-    For one path (a vector) or a block of paths (one per row).  Q_n sums
-    over phi, and Q_nc over the cancelling composite phi + c~ psi_M; the two
-    share one pass of `kernels.truncated_sums`.
+    For one path (a vector) or a block of paths (one per row): the one-cell
+    case of `stacked_estimates`.
     """
-    n = increments.shape[-1]
-    if increments.size == 0 or n < 2:
-        raise ParameterError(
-            "increments must hold one or more paths of at least 2 entries,"
-            f" got shape {increments.shape}"
-        )
-    bias = jump_bias(alpha, config.beta, gamma, config.k, n)
-    q, q_c = truncated_sums(
-        increments, config.threshold(n), _PHI, cancelling_kernel(alpha, M)
-    )
-    out = np.empty(np.shape(q) + (3,))
-    out[..., 0], out[..., 1], out[..., 2] = q, q - bias, q_c
-    return out
+    stack = np.asarray(increments, dtype=float)[np.newaxis]
+    return stacked_estimates(stack, [(config, alpha, gamma, M)])[0]

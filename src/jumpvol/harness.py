@@ -12,12 +12,11 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .estimators import EstimatorConfig, estimates, fit_power_law
+from .estimators import EstimatorConfig, fit_power_law, stacked_estimates
 from .kernels import Kernel, cancelling_kernel, truncated_sums
 from .levy import (
     JumpLaw,
@@ -240,27 +239,30 @@ REPORT_HEADER = (
 )
 
 
-def replicate_map(groups, replicates: int) -> tuple[list, int]:
-    """fn's rows for `replicates` paths of every group, and the processes used.
+def replicate_map(fn, groups, replicates: int) -> tuple[list, int]:
+    """fn's rows for `replicates` paths of every n of the groups, and the
+    processes used.
 
-    A group is (fn, model, n, key).  Its paths come in blocks of
-    `block_rows(n)` rows, the last one shorter, and fn maps a block's parts
-    (Z, J) and its shape (rows, n) to one row per path.  The groups of one n
-    share the unit normals Z of each block: block b of the first group of
-    an n draws from the stream (*key, b) its Z, when any of these groups'
-    models has a Gaussian, and then its own J; every other group of that n
-    draws only its J, from its own stream (*key, b).  Every stream is made,
-    and so every key checked, before the block draws anything.  The items
-    of one `fork_map` are the pairs (g, b) of each n's first group g, in
-    group order, and item (g, b) runs block b of every group of g's n, so
-    no row depends on the number of processes.  Returns ([(rows,
-    simulate_s, fn_s) per group], workers): a group's rows are joined in
-    replicate order, and its stage times add up its blocks' times, in
-    whichever process ran them.  The first group of an n carries the time
-    of the shared Z in its simulate_s.
+    A group is (model, n, key).  Its paths come in blocks of `block_rows(n)`
+    rows, the last one shorter, and the groups of one n are mapped together:
+    fn maps the parts (Z, J) of block b of each of them, a list in group
+    order, and the block's shape (rows, n) to one row per path.  The groups
+    of one n share the unit normals Z of each block: block b of the first
+    group of an n draws from the stream (*key, b) its Z, when any of these
+    groups' models has a Gaussian, and then its own J; every other group of
+    that n draws only its J, from its own stream (*key, b).  Every stream is
+    made, and so every key checked, before the block draws anything.  The
+    items of one `fork_map` are the pairs (g, b) of each n's first group g,
+    in group order, and item (g, b) draws block b of every group of g's n
+    and makes one fn call, so no row depends on the number of processes.
+    Returns ([(rows, draw_s, fn_s) per n, in order of first appearance],
+    workers): an n's rows are joined in replicate order; draw_s holds, per
+    group of that n, the time its blocks' parts took to draw, the first
+    group's with the shared Z; fn_s is the time of the n's fn calls, in
+    whichever process ran them.
     """
     by_n: dict = {}  # n -> its groups, in order
-    for g, (_, _, n, _) in enumerate(groups):
+    for g, (_, n, _) in enumerate(groups):
         by_n.setdefault(n, []).append(g)
     items = [
         (members[0], b)
@@ -270,34 +272,31 @@ def replicate_map(groups, replicates: int) -> tuple[list, int]:
 
     def run_block(item):
         first, b = item
-        n = groups[first][2]
+        n = groups[first][1]
         members = by_n[n]
         step = block_rows(n)
         shape = (min(step, replicates - b * step), n)
         t0 = time.perf_counter()
-        streams = [block_stream(n, (*groups[g][3], b)) for g in members]
-        gaussian = any(groups[g][1].gaussian_scale > 0 for g in members)
+        streams = [block_stream(n, (*groups[g][2], b)) for g in members]
+        gaussian = any(groups[g][0].gaussian_scale > 0 for g in members)
         normals = draw_normals(streams[0], shape) if gaussian else None
-        out = []
+        parts, draw_s = [], []
         for g, gen in zip(members, streams):
-            fn, model = groups[g][:2]
-            parts = normals, draw_jumps(model, gen, shape)
+            parts.append((normals, draw_jumps(groups[g][0], gen, shape)))
             t1 = time.perf_counter()
-            rows = fn(parts, shape)
-            t2 = time.perf_counter()
-            out.append((rows, t1 - t0, t2 - t1))
-            t0 = t2
-        return out
+            draw_s.append(t1 - t0)
+            t0 = t1
+        rows = fn(parts, shape)
+        return rows, draw_s, time.perf_counter() - t0
 
-    blocks = [[] for _ in groups]  # per group, (rows, simulate_s, fn_s) per block
+    blocks: dict = {n: [] for n in by_n}  # n -> (rows, draw_s, fn_s) per block
     for (first, _), done in zip(items, fork_map(run_block, items)):
-        for g, block in zip(by_n[groups[first][2]], done):
-            blocks[g].append(block)
-    per_group = []
-    for got in blocks:
-        rows, simulate_s, fn_s = zip(*got)
-        per_group.append((np.concatenate(rows), sum(simulate_s), sum(fn_s)))
-    return per_group, worker_count(len(items))
+        blocks[groups[first][1]].append(done)
+    per_n = []
+    for got in blocks.values():
+        rows, draw_s, fn_s = zip(*got)
+        per_n.append((np.concatenate(rows), [sum(s) for s in zip(*draw_s)], sum(fn_s)))
+    return per_n, worker_count(len(items))
 
 
 def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
@@ -306,38 +305,45 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
     errors have shape (R, 3).  The cells of one jump law, (jumps, alpha),
     are one `replicate_map` group: group g, in order of first appearance,
-    draws its jumps J with key (seed, g), every group takes the unit normals
-    Z that group 0 draws first, and each cell forms its increments from its
-    group's parts (Z, J).  A group's stage times, forming included in
-    estimating, are split equally among its cells.
+    draws its jumps J with key (seed, g), and every group takes the unit
+    normals Z that group 0 draws first.  Each block is estimated by one
+    `stacked_estimates` call: cell i forms its increments from its group's
+    parts (Z, J) in slice i of one stack.  A group's draw time is split
+    equally among its cells, and a block's fn time, forming included in
+    estimating, equally among all cells.
     """
     laws: dict = {}  # (jumps, alpha) -> the indices of its cells
     for i, cell in enumerate(config.cells):
         laws.setdefault((cell.jumps, cell.alpha), []).append(i)
+    law_of = {i: g for g, members in enumerate(laws.values()) for i in members}
 
     models = [cell.model(config.sigma) for cell in config.cells]
-    est_configs = [cell.estimator_config() for cell in config.cells]
+    cells = [
+        (cell.estimator_config(), cell.alpha, cell.gamma, cell.M)
+        for cell in config.cells
+    ]
 
-    def errors(members, parts, shape):
-        out = np.empty((shape[0], len(members), 3))
-        for j, i in enumerate(members):
-            c = config.cells[i]
-            block = form_increments(models[i], parts, shape)
-            out[:, j] = estimates(block, est_configs[i], c.alpha, c.gamma, c.M)
-        return (out - config.sigma**2) * np.sqrt(config.n)
+    def errors(parts, shape):
+        stack = np.empty((len(cells),) + shape)
+        for i, model in enumerate(models):
+            form_increments(model, parts[law_of[i]], shape, stack[i])
+        rows = np.moveaxis(stacked_estimates(stack, cells), 0, 1)
+        return (rows - config.sigma**2) * np.sqrt(config.n)
 
     def model(members):  # a jump cell's, if the law has one, so every part is drawn
         return models[max(members, key=lambda i: config.cells[i].gamma != 0.0)]
 
     groups = [
-        (partial(errors, members), model(members), config.n, (config.seed, g))
+        (model(members), config.n, (config.seed, g))
         for g, members in enumerate(laws.values())
     ]
-    per_group, workers = replicate_map(groups, config.replicates)
-    per_cell = [None] * len(config.cells)
-    for members, (rows, *times) in zip(laws.values(), per_group):
-        for j, i in enumerate(members):
-            per_cell[i] = (rows[:, j], *(t / len(members) for t in times))
+    [(rows, draw_s, estimate_s)], workers = replicate_map(
+        errors, groups, config.replicates
+    )
+    per_cell = [None] * len(cells)
+    for members, simulate_s in zip(laws.values(), draw_s):
+        for i in members:
+            per_cell[i] = rows[:, i], simulate_s / len(members), estimate_s / len(cells)
     return per_cell, workers
 
 
@@ -454,10 +460,12 @@ def rate_fit(
         raise ParameterError("n grid must have >= 4 values spanning a factor of 8")
 
     def q_n(parts, shape):
-        block = form_increments(model, parts, shape)
+        (block_parts,) = parts
+        block = form_increments(model, block_parts, shape)
         return truncated_sums(block, config.threshold(shape[-1]), Kernel())[0]
 
-    per_n, _ = replicate_map([(q_n, model, n, (seed, n)) for n in n_grid], replicates)
+    groups = [(model, n, (seed, n)) for n in n_grid]
+    per_n, _ = replicate_map(q_n, groups, replicates)
     biases = [float(q.mean()) - model.sigma**2 for q, _, _ in per_n]
     return fit_power_law(n_grid, biases)
 

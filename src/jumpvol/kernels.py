@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isfinite
+from math import inf, isfinite, prod
 from numbers import Real
 
 import numpy as np
@@ -86,31 +86,75 @@ _DENSE_SHARE = 0.1
 _TINY = np.finfo(float).tiny
 
 
-def truncation_pass(dx, u: float, *kernels: Kernel):
-    """Yield the terms dx^2 K(dx / u) of each kernel in turn, u > 0.
+def _checked(dx, u, kernels):
+    """(u, kernels, radius) for `truncation_pass`: floats u and widest
+    support radius where u is one number and every kernel is shared, and
+    otherwise one of each per cell, shaped to broadcast over dx, with each
+    kernel list a tuple.  A ParameterError unless every u is positive and
+    finite and every kernel list holds one kernel per cell."""
+    if not kernels:
+        raise ParameterError("a truncation pass needs at least one kernel")
+    one_u = isinstance(u, float) or np.ndim(u) == 0
+    if one_u and all(isinstance(k, Kernel) for k in kernels):
+        if not 0.0 < u < inf:  # False at NaN too
+            raise ParameterError(f"u must be positive and finite, got {u}")
+        return float(u), kernels, max(k.support_radius for k in kernels)
+    cells = len(dx) if dx.ndim else 0
+    kernels = [k if isinstance(k, Kernel) else tuple(k) for k in kernels]
+    radius = np.zeros(cells)
+    for k in kernels:
+        if isinstance(k, Kernel):
+            radius = np.maximum(radius, k.support_radius)
+        elif k and len(k) == cells:
+            radius = np.maximum(radius, [c.support_radius for c in k])
+        else:
+            raise ParameterError(f"a kernel list needs one kernel per cell ({cells})")
+    u = np.asarray(u, dtype=float)
+    if u.ndim and u.shape != (cells,):
+        raise ParameterError(f"u needs one threshold per cell ({cells})")
+    u = np.broadcast_to(u, (cells,))
+    bad = np.flatnonzero(~((0.0 < u) & (u < inf)))
+    if bad.size:
+        raise ParameterError(f"u must be positive and finite, at cells {bad.tolist()}")
+    lead = (cells,) + (1,) * (dx.ndim - 1)
+    return u.reshape(lead), kernels, radius.reshape(lead)
 
-    One buffer holds the terms, and each kernel writes its own there in
-    turn: use or copy a yield before asking for the next.  Every term is
-    the dense dx * dx * K(dx / u) bit for bit where K != 0, and 0 where K
-    is 0, even where dx^2 overflows or dx is not finite (inf * 0 is NaN).
-    dx is squared once.  Where dx^2 < u^2, |dx / u| <= 1 and the square is
-    the term.  Rounding is monotone, so the other entries, the candidates,
-    hold every |dx / u| > 1 (and the few <= 1 that rounding lets in, where
-    K is 1 too).  dx / u is formed, phi evaluated once and psi once per M,
-    on the candidates only, or, where more than _DENSE_SHARE of the entries
-    are candidates and u^2 and the bound are normal, on the band u^2 <=
-    dx^2 < bound only, after one multiply zeroes the entries beyond it.
+
+def truncation_pass(dx, u, *kernels):
+    """Yield the terms dx^2 K(dx / u) of each kernel in turn.
+
+    dx is a path or block with one u and shared kernels, or a stack whose
+    leading index is a cell, with one u per cell and any kernel a list of
+    one per cell; every u must be positive and finite.  One buffer holds
+    the terms, and each kernel writes its own there in turn: use or copy a
+    yield before asking for the next.  Every term is the dense
+    dx * dx * K(dx / u) bit for bit where K != 0, and 0 where K is 0, even
+    where dx^2 overflows or dx is not finite (inf * 0 is NaN).  dx is
+    squared once.  Where dx^2 < u^2, |dx / u| <= 1 and the square is the
+    term.  Rounding is monotone, so the other entries, the candidates, hold
+    every |dx / u| > 1 (and the few <= 1 that rounding lets in, where K is
+    1 too).  dx / u is formed, phi evaluated once and psi once per M, on
+    the candidates of every cell only, each with its cell's u and c.  Where
+    more than _DENSE_SHARE of the entries are candidates and every u^2 and
+    bound is normal, only the band u^2 <= dx^2 < bound is indexed, after
+    one multiply zeroes the entries beyond it.
     """
     dx = np.asarray(dx, dtype=float)
+    u, kernels, radius = _checked(dx, u, kernels)
+    per_cell = not isinstance(u, float)
     with np.errstate(over="ignore"):  # a huge increment only leaves the support
         terms = dx * dx
         u2 = u * u
-        reach = max(k.support_radius for k in kernels) * u
+        reach = radius * u
         # past rounding: no dx^2 >= bound has |dx / u| < radius
         bound = reach * reach * (1.0 + 2.0**-40)
         at = ~(terms < u2)  # the candidates
         dense = np.count_nonzero(at) > _DENSE_SHARE * at.size
-        if dense and _TINY <= u2 and bound < inf:
+        if per_cell:
+            normal = _TINY <= u2.min(initial=inf) and bound.max(initial=0.0) < inf
+        else:
+            normal = _TINY <= u2 and bound < inf
+        if dense and normal:
             inside = terms < bound
             at &= inside
             if terms.max(initial=0.0) < inf:  # False at NaN too
@@ -119,13 +163,19 @@ def truncation_pass(dx, u: float, *kernels: Kernel):
                 terms[~inside] = 0.0
         at = np.flatnonzero(at)
         squares = terms.take(at)
-        x = dx.take(at) / u
+        x = dx.take(at)
+        cell = at // prod(dx.shape[1:]) if per_cell else None  # of each candidate
+        x /= u.ravel().take(cell) if per_cell else u
         phi_x = phi(x)
-        psi_x = {k.M: psi(x, k.M) for k in kernels if k.c}
+        psi_x = {}  # M -> psi(x, M), for every M of a kernel with c != 0
+        for k in kernels:
+            for one in (k,) if isinstance(k, Kernel) else k:
+                if one.c and one.M not in psi_x:
+                    psi_x[one.M] = psi(x, one.M)
         finite = squares.max(initial=0.0) < inf  # False at NaN too
         turns = []
         for k in kernels:
-            values = phi_x + k.c * psi_x[k.M] if k.c else phi_x
+            values = _kernel_values(k, phi_x, psi_x, cell)
             keep = True if finite else values != 0.0
             turns.append(
                 np.multiply(squares, values, np.zeros_like(values), where=keep)
@@ -135,11 +185,29 @@ def truncation_pass(dx, u: float, *kernels: Kernel):
         yield terms
 
 
-def truncated_sums(dx, u: float, *kernels: Kernel) -> tuple[np.ndarray, ...]:
+def _kernel_values(kernel, phi_x, psi_x, cell):
+    """phi + c psi_M at the candidates, from their phi and psi of each M,
+    with one kernel's c and M or with those of each candidate's cell."""
+    if isinstance(kernel, Kernel):
+        return phi_x + kernel.c * psi_x[kernel.M] if kernel.c else phi_x
+    c = np.array([k.c for k in kernel])
+    if not c.any():
+        return phi_x
+    ms = list(psi_x)
+    if len(ms) == 1:
+        psi_cell = psi_x[ms[0]]
+    else:  # each candidate's psi of its cell's M (any M where c is 0)
+        which = np.array([ms.index(k.M) if k.c else 0 for k in kernel])
+        psi_cell = np.stack([psi_x[m] for m in ms])[which[cell], np.arange(cell.size)]
+    return phi_x + c[cell] * psi_cell
+
+
+def truncated_sums(dx, u, *kernels) -> tuple[np.ndarray, ...]:
     """Sums of dx^2 K(dx / u) over the last axis, one per kernel, u > 0.
 
-    The truncated quadratic variation of one path (a vector) or of each row
-    of a block of paths: the row sums of `truncation_pass`, each taken
+    The truncated quadratic variation of one path (a vector), of each row
+    of a block of paths, or of each row of each cell of a stack, with u
+    and the kernels as in `truncation_pass`: its row sums, each taken
     before the next kernel writes its terms.
     """
     return tuple(t.sum(axis=-1) for t in truncation_pass(dx, u, *kernels))
@@ -189,7 +257,7 @@ def c_tilde(alpha: float, M: float) -> float:
     return -_phi_moment(alpha) / psi_mom
 
 
-@lru_cache  # `estimates` asks for it again on every block of a cell
+@lru_cache  # `stacked_estimates` asks for it again on every block of a cell
 def cancelling_kernel(alpha: float, M: float) -> Kernel:
     """Composite kernel with the moment-annihilating coefficient built in."""
     return Kernel(c=c_tilde(alpha, M), M=M)

@@ -353,14 +353,19 @@ def simulate_parts(model: ModelSpec, n: int, rows: int, rng):
     return normals, draw_jumps(model, gen, shape)
 
 
-def form_increments(model: ModelSpec, parts, shape) -> np.ndarray:
+def form_increments(model: ModelSpec, parts, shape, out=None) -> np.ndarray:
     """Increments b*delta + gaussian_scale*sqrt(delta)*Z + gamma*J of `shape`
     (rows, n) from parts (Z, J) drawn for any model of this jump law that
-    draws what this one scales.  J is not read at gamma = 0 (0*inf is NaN).
+    draws what this one scales, written into `out` (of `shape`) when given.
+    J is not read at gamma = 0 (0*inf is NaN).
     """
     normals, jumps = parts
     delta, scale = 1.0 / shape[-1], model.gaussian_scale
-    out = scale * np.sqrt(delta) * normals if scale > 0 else np.zeros(shape)
+    out = np.empty(shape) if out is None else out
+    if scale > 0:
+        np.multiply(scale * np.sqrt(delta), normals, out=out)
+    else:
+        out.fill(0.0)
     if model.drift:  # s*Z + b*delta is b*delta + s*Z, bit for bit
         out += model.drift * delta
     if model.gamma != 0.0:

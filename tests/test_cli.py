@@ -365,7 +365,9 @@ k = 2
         cfg.write_text(self.CFG + "[cell]\nalpha = 1.5\ngamma = 1\nbeta = 0.2\nk = 2\n")
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(
-            harness, "estimates", lambda block, *args: np.full((len(block), 3), np.nan)
+            harness,
+            "stacked_estimates",
+            lambda stack, *args: np.full(stack.shape[:-1] + (3,), np.nan),
         )
         out = tmp_path / "table.csv"
         args = ["mc-table", "--config", str(cfg), "--out", str(out)]
@@ -416,13 +418,13 @@ class TestForkedWorkers:
         # items on demand, has time to take the other one.
         patch = (
             "import time\n"
-            "estimates = harness.estimates\n"
+            "stacked_estimates = harness.stacked_estimates\n"
             "def killing(*args):\n"
             "    if os.getpid() != CALLER:\n"
             "        os.kill(os.getpid(), 9)\n"
             "    time.sleep(0.3)\n"
-            "    return estimates(*args)\n"
-            "harness.estimates = killing\n"
+            "    return stacked_estimates(*args)\n"
+            "harness.stacked_estimates = killing\n"
         )
         out = tmp_path / "table.csv"
         args = ["mc-table", "--config", str(cfg), "--out", str(out)]

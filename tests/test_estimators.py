@@ -20,7 +20,7 @@ from jumpvol import (
     simulate_path,
     tqv,
 )
-from jumpvol.estimators import estimates, fit_power_law
+from jumpvol.estimators import estimates, fit_power_law, stacked_estimates
 from jumpvol.kernels import cancelling_kernel, phi
 from jumpvol.levy import block_rows, sample_stable_increment, simulate_increments
 
@@ -186,6 +186,41 @@ class TestEstimates:
         assert tqv(path, config) == expected
         values = estimates(path, config, self.ALPHA, self.GAMMA, 4.0)
         assert values[0] == values[2] == expected
+
+
+class TestStackedEstimates:
+    """Each cell of a stack, with its own config, alpha, gamma and M, gets
+    the estimates of that cell alone bit for bit."""
+
+    CELLS = (
+        (EstimatorConfig(beta=0.25, k=1.0), 1.5, 1.0, 4.0),
+        (EstimatorConfig(beta=0.2, k=3.0), 0.5, 0.0, 6.0),
+        (EstimatorConfig(beta=0.4, k=2.0), 1.9, 3.0, 1.8),
+    )
+
+    def stack(self, rows):
+        gen = np.random.default_rng(4)
+        dx = gen.standard_normal((len(self.CELLS), rows, 50)) / np.sqrt(50)
+        jumps = gen.random(dx.shape) < 0.1
+        dx[jumps] *= gen.uniform(2.0, 40.0, jumps.sum())
+        dx[1] /= 4.0  # a jump-free cell
+        dx[0, 0, :3] = [np.inf, np.nan, 1e155]
+        return dx
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_cells_equal_one_cell_estimates(self, rows):
+        dx = self.stack(rows)
+        values = stacked_estimates(dx, self.CELLS)
+        assert values.shape == (len(self.CELLS), rows, 3)
+        for block, cell, got in zip(dx, self.CELLS, values):
+            np.testing.assert_array_equal(got, estimates(block, *cell))
+            for row, one in zip(block, got):
+                np.testing.assert_array_equal(estimates(row, *cell), one)
+        assert np.isfinite(values).all()
+
+    def test_one_cell_per_leading_index(self):
+        with pytest.raises(ParameterError, match="2 cells for a stack of 3"):
+            stacked_estimates(self.stack(2), self.CELLS[:2])
 
 
 class TestEmptyIncrements:

@@ -213,16 +213,16 @@ class TestRunMc:
         """A replicate with a non-finite error is excluded and counted, not averaged."""
         from jumpvol import harness
 
-        clean_estimates = harness.estimates
+        clean_estimates = harness.stacked_estimates
 
         def poisoned(*args):
             values = clean_estimates(*args)
-            values[0, 2] = np.inf
-            values[1, 0] = np.nan
+            values[0, 0, 2] = np.inf
+            values[0, 1, 0] = np.nan
             return values
 
         clean = run_mc(small_config).results[0]
-        monkeypatch.setattr(harness, "estimates", poisoned)
+        monkeypatch.setattr(harness, "stacked_estimates", poisoned)
         res = run_mc(small_config).results[0]
         assert (res.replicates, res.excluded) == (small_config.replicates - 2, 2)
         assert res.flagged
@@ -232,10 +232,10 @@ class TestRunMc:
     def test_every_replicate_failed(self, small_config, monkeypatch):
         from jumpvol import NumericalError, harness
 
-        def all_nan(block, *args):
-            return np.full((len(block), 3), np.nan)
+        def all_nan(stack, *args):
+            return np.full(stack.shape[:-1] + (3,), np.nan)
 
-        monkeypatch.setattr(harness, "estimates", all_nan)
+        monkeypatch.setattr(harness, "stacked_estimates", all_nan)
         with pytest.raises(NumericalError, match="every replicate failed"):
             run_mc(small_config)
 
@@ -340,9 +340,9 @@ class TestLawGroups:
         seen = []
         real = harness.form_increments
 
-        def spy(model, parts, shape):
+        def spy(model, parts, shape, out=None):
             seen.append((model.gamma, parts))
-            return real(model, parts, shape)
+            return real(model, parts, shape, out)
 
         monkeypatch.setattr(harness, "form_increments", spy)
         cells = tuple(
@@ -366,9 +366,9 @@ class TestLawGroups:
         seen = []
         real = harness.form_increments
 
-        def spy(model, parts, shape):
+        def spy(model, parts, shape, out=None):
             seen.append(parts)
-            return real(model, parts, shape)
+            return real(model, parts, shape, out)
 
         monkeypatch.setattr(harness, "form_increments", spy)
         cells = (
@@ -388,7 +388,9 @@ class TestLawGroups:
     def test_stage_times_add_up_to_the_draws(self, monkeypatch):
         """On a clock that only the draws and the estimates move, the cells'
         simulate_s add up to the blocks' draw time: the first law holds the
-        shared Z's, every law its own J's, each split among its cells."""
+        shared Z's, every law its own J's, each split among its cells; and
+        their estimate_s add up to the blocks' one estimating call each,
+        split among all cells."""
         from types import SimpleNamespace
 
         from jumpvol import harness
@@ -409,7 +411,7 @@ class TestLawGroups:
 
         ticking("draw_normals", 1.0)
         ticking("draw_jumps", 10.0)
-        ticking("estimates", 100.0)
+        ticking("stacked_estimates", 100.0)
         cells = (
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
             CellConfig(alpha=0.9, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
@@ -418,10 +420,11 @@ class TestLawGroups:
         )
         cfg = ExperimentConfig(cells=cells, n=200, replicates=block_rows(200) + 5)
         per_cell, _ = replicate_errors(cfg)
-        # two blocks, each of one Z and three J's, and one estimate per cell
+        # two blocks, each of one Z, three J's and one estimate of every cell
         assert [simulate_s for _, simulate_s, _ in per_cell] == [11.0, 20.0, 11.0, 20.0]
         assert sum(simulate_s for _, simulate_s, _ in per_cell) == 2 * (1.0 + 3 * 10.0)
-        assert [estimate_s for _, _, estimate_s in per_cell] == [200.0] * 4
+        assert [estimate_s for _, _, estimate_s in per_cell] == [50.0] * 4
+        assert sum(estimate_s for _, _, estimate_s in per_cell) == 2 * 100.0
 
     def test_two_laws_means_are_pinned(self):
         """A stable and a tempered law in two blocks of 23 paths: their E1-E3
@@ -480,6 +483,34 @@ class TestLawGroups:
         # the infinite jump did reach the gamma 1 cell, in row 0 of each block
         moved = (one != per_path_errors(cfg, cells[1], 0)).any(axis=1)
         assert moved.nonzero()[0].tolist() == [0, block_rows(200)]
+
+
+# The names in `harness` that tests here and in test_cli.py replace with a
+# spy or a fault.
+SPIED = (
+    "stacked_estimates",
+    "form_increments",
+    "draw_normals",
+    "draw_jumps",
+    "fork_map",
+)
+
+
+@pytest.mark.parametrize("name", SPIED)
+def test_every_spied_routine_runs_on_a_valid_config(monkeypatch, name):
+    """A positive control for those spies: a valid config's run calls each
+    of them through the name the spies replace, and a counting spy leaves
+    the report as it was, so no spy passes by seeing no call."""
+    from jumpvol import harness
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
+    cfg = parse_config(SAMPLE_CFG)
+    want = report_to_csv(run_mc(cfg))
+    calls = []
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *a: calls.append(name) or real(*a))
+    assert report_to_csv(run_mc(cfg)) == want
+    assert calls
 
 
 # Three cells, stable and tempered, so that the workers share them unevenly.
@@ -586,10 +617,10 @@ class TestCellPool:
         raised again, with its type, in the caller."""
         from jumpvol import NumericalError, harness
 
-        def failing(block, *args):
+        def failing(stack, *args):
             raise NumericalError("no estimate in this worker")
 
-        monkeypatch.setattr(harness, "estimates", failing)
+        monkeypatch.setattr(harness, "stacked_estimates", failing)
         at_workers(2)
         cfg = ExperimentConfig(cells=POOL_CELLS, n=100, replicates=4)
         with pytest.raises(NumericalError, match="no estimate in this worker"):

@@ -480,3 +480,131 @@ class TestTruncatedTerms:
         for shape in [(0,), (3, 0)]:
             (empty,) = truncated_sums(np.empty(shape), 0.5, kernel)
             np.testing.assert_array_equal(empty, np.zeros(shape[:-1]))
+
+
+class TestStackedPass:
+    """A stack, whose leading index is a cell with its own threshold and
+    kernels, gives each cell's terms and row sums bit for bit as the pass
+    over that cell alone does."""
+
+    N = 300
+    COMPOSITES = (
+        cancelling_kernel(1.5, 4.0),
+        cancelling_kernel(0.7, 6.0),
+        cancelling_kernel(1.2, 1.8),
+    )
+
+    def stack(self, case):
+        """Three cells of 4 rows (1 for "one-row") at thresholds about
+        n^-0.2: Gaussian increments, plus large ones (dense where most
+        entries are candidates) where the cell has jumps."""
+        gen = np.random.default_rng(31)
+        rows = 1 if case == "one-row" else 4
+        dx = gen.standard_normal((3, rows, self.N)) / np.sqrt(self.N)
+        u = np.array([0.31, 0.42, 0.27])
+        dense = case in ("dense", "subnormal")
+        jumps = gen.random(dx.shape) < (0.4 if dense else 0.02)
+        jumps[0] &= case != "gamma-0"  # cell 0 is jump-free then
+        dx[jumps] *= gen.uniform(3.0, 300.0, jumps.sum())
+        if case == "subnormal":
+            u[1] = 1e-160  # its square is subnormal
+            dx[1] *= 1e-160 / 0.42
+        if case == "non-finite":
+            dx[0, 0, :5] = [np.inf, -np.inf, np.nan, 1e155, -1e155]
+            dx[2, -1, :2] = [1e155, np.nan]
+        return dx, u
+
+    def cell_by_cell(self, dx, u, *kernels):
+        """The pass over each cell alone, as [cell][kernel] terms."""
+        out = []
+        for i in range(len(dx)):
+            own = [k if isinstance(k, Kernel) else k[i] for k in kernels]
+            out.append([t.copy() for t in truncation_pass(dx[i], u[i], *own)])
+        return out
+
+    CASES = ["gamma-0", "two-m", "dense", "subnormal", "one-row", "non-finite"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_terms_and_sums_equal_cell_by_cell(self, case):
+        dx, u = self.stack(case)
+        kernels = (Kernel(), self.COMPOSITES)
+        if case == "two-m":  # one kernel list holds M 4, M 6 and phi
+            kernels = (self.COMPOSITES[:2] + (Kernel(),), Kernel(c=3.0, M=1.8))
+        want = self.cell_by_cell(dx, u, *kernels)
+        terms = [t.copy() for t in truncation_pass(dx, u, *kernels)]
+        sums = truncated_sums(dx, u, *kernels)
+        for i, cell in enumerate(want):
+            for j, one in enumerate(cell):
+                np.testing.assert_array_equal(terms[j][i], one)
+                np.testing.assert_array_equal(sums[j][i], one.sum(axis=-1))
+        if case == "non-finite":  # K is 0 there, so their terms are 0
+            assert all(np.isfinite(s).all() for s in sums)
+
+    @pytest.mark.parametrize("case", ["dense", "subnormal"])
+    def test_most_entries_are_candidates(self, case):
+        """So the stack takes the dense branch, unless a cell's u^2 is
+        subnormal."""
+        dx, u = self.stack(case)
+        candidates = np.count_nonzero(~(dx * dx < (u * u)[:, None, None]))
+        assert candidates > _DENSE_SHARE * dx.size
+
+    def test_one_threshold_or_one_kernel_for_every_cell(self):
+        """A float u with kernel lists, and thresholds with shared kernels."""
+        dx, u = self.stack("dense")
+        for args in [(0.3, Kernel(), self.COMPOSITES), (u, Kernel(), Kernel(c=3.0))]:
+            thresholds = np.broadcast_to(args[0], (3,))
+            want = self.cell_by_cell(dx, thresholds, *args[1:])
+            for j, got in enumerate(truncated_sums(dx, *args)):
+                for i in range(3):
+                    np.testing.assert_array_equal(got[i], want[i][j].sum(axis=-1))
+
+    def test_evaluates_phi_once_and_psi_once_per_m(self, monkeypatch):
+        from jumpvol import kernels
+
+        calls = []
+        for name in ("phi", "psi"):
+            real = getattr(kernels, name)
+            spy = lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            monkeypatch.setattr(kernels, name, spy)
+        dx, u = self.stack("two-m")
+        one_m = [cancelling_kernel(a, 4.0) for a in (1.0, 1.5, 1.9)]
+        calls.clear()
+        truncated_sums(dx, u, Kernel(), self.COMPOSITES)
+        assert sorted(calls) == ["phi", "psi", "psi", "psi"]
+        calls.clear()
+        truncated_sums(dx, u, Kernel(), one_m)
+        assert sorted(calls) == ["phi", "psi"]
+
+
+class TestPassRefuses:
+    """Thresholds that are not positive and finite, per cell, and a pass
+    without kernels, are a ParameterError, not a sum of 0 or a bare error."""
+
+    DX = np.array([[0.1, 0.5, 2.0], [0.3, -0.2, 0.9]])
+
+    @pytest.mark.parametrize("u", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_threshold(self, u):
+        with pytest.raises(ParameterError, match="u must be positive and finite"):
+            truncated_sums(self.DX, u, Kernel())
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.nan, np.inf])
+    def test_threshold_of_one_cell(self, bad):
+        with pytest.raises(ParameterError, match=r"at cells \[1\]"):
+            truncated_sums(self.DX, [0.5, bad], Kernel())
+
+    def test_thresholds_not_one_per_cell(self):
+        for u in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ParameterError, match="one threshold per cell"):
+                truncated_sums(self.DX, u, Kernel())
+
+    def test_no_kernel(self):
+        with pytest.raises(ParameterError, match="at least one kernel"):
+            truncated_sums(self.DX, 1.0)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_kernel_list_not_one_per_cell(self, count):
+        kernels = [Kernel()] * count
+        with pytest.raises(ParameterError, match="one kernel per cell"):
+            truncated_sums(self.DX, [0.5, 0.5], kernels)
+        with pytest.raises(ParameterError, match="one kernel per cell"):
+            truncated_sums(self.DX, 0.5, Kernel(), kernels)

@@ -297,11 +297,11 @@ def mapped_parts(model, n, key, count):
     the block's Z alone, and J is None for a model without jumps."""
 
     def both(parts, shape):
-        normals, jumps = parts
+        ((normals, jumps),) = parts
         base = form_increments(model, (normals, np.zeros(shape)), shape)
         return np.stack((base, base if jumps is None else jumps), axis=1)
 
-    [(rows, _, _)], _ = replicate_map([(both, model, n, key)], count)
+    [(rows, _, _)], _ = replicate_map(both, [(model, n, key)], count)
     step = block_rows(n)
     blocks = [rows[lo : lo + step] for lo in range(0, count, step)]
     return [(b[:, 0], b[:, 1] if model.gamma != 0.0 else None) for b in blocks]
@@ -551,7 +551,7 @@ class TestStreamStates:
         from jumpvol import harness, workers
 
         with pytest.raises(ParameterError, match="non-negative"):
-            replicate_map([(lambda parts, _: parts[0], ModelSpec(), 10, (-1, 0))], 2)
+            replicate_map(lambda parts, _: parts[0][0], [(ModelSpec(), 10, (-1, 0))], 2)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
         draws = []
         for name in ("draw_normals", "draw_jumps"):
@@ -559,12 +559,12 @@ class TestStreamStates:
             spy = lambda *args, name=name, real=real: draws.append(name) or real(*args)
             monkeypatch.setattr(harness, name, spy)
         model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
-        fn = lambda parts, _: parts[0]
-        replicate_map([(fn, model, 10, (0, 0)), (fn, model, 10, (0, 1))], 2)
+        fn = lambda parts, _: parts[0][0]
+        replicate_map(fn, [(model, 10, (0, 0)), (model, 10, (0, 1))], 2)
         assert draws == ["draw_normals", "draw_jumps", "draw_jumps"]
         draws.clear()
         with pytest.raises(ParameterError, match="non-negative"):
-            replicate_map([(fn, model, 10, (0, 0)), (fn, model, 10, (0, -1))], 2)
+            replicate_map(fn, [(model, 10, (0, 0)), (model, 10, (0, -1))], 2)
         assert draws == []
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
