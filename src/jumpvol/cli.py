@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import sys
 from functools import cache
@@ -163,35 +162,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-# mallopt's parameter numbers for the trim and mmap thresholds, and the
-# values set: 64 MB, and glibc's largest mmap threshold, 32 MB.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_TRIM_THRESHOLD_BYTES = 64 << 20
-_MMAP_THRESHOLD_BYTES = 32 << 20
-
-
-def _retain_freed_memory() -> None:
-    """Ask glibc's malloc to keep freed memory for reuse rather than return it.
-
-    The commands free and allocate arrays of the same sizes over and over:
-    blocks of about 128 KB in mc-table and rate-check, pieces of 128 KB of
-    draws in dzeta.  At glibc's default thresholds (128 KB, raised only as
-    mmapped blocks are freed) much of that memory goes back to the system
-    and faults in again: about 41 000 page faults in an mc-table run of
-    table_beta02.cfg, against a few hundred with these thresholds.  Where
-    malloc is not glibc's, nothing changes.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 def cli(argv=None) -> int:
-    _retain_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,7 +22,7 @@ from .levy import (
     JumpLaw,
     ModelSpec,
     block_rows,
-    block_stream,
+    block_streams,
     draw_jumps,
     draw_normals,
     form_increments,
@@ -246,20 +246,23 @@ def replicate_map(fn, groups, replicates: int) -> tuple[list, int]:
     A group is (model, n, key).  Its paths come in blocks of `block_rows(n)`
     rows, the last one shorter, and the groups of one n are mapped together:
     fn maps the parts (Z, J) of block b of each of them, a list in group
-    order, and the block's shape (rows, n) to one row per path.  The groups
-    of one n share the unit normals Z of each block: block b of the first
-    group of an n draws from the stream (*key, b) its Z, when any of these
-    groups' models has a Gaussian, and then its own J; every other group of
-    that n draws only its J, from its own stream (*key, b).  Every stream is
-    made, and so every key checked, before the block draws anything.  The
+    order, and the block's shape (rows, n) to one row per path.  Block b of
+    a group draws from the stream (*key, b), by `levy.block_streams`,
+    `draw_normals` and `draw_jumps`.  The groups of one n share the unit
+    normals Z of each block, which the first group draws first, when any of
+    their models has a Gaussian.  A tempered group then draws its own J.
+    The stable groups share one set of uniforms and exponentials, which the
+    first stable group draws; every later one draws nothing and makes no
+    generator.  Every key is checked before the block draws anything.  The
     items of one `fork_map` are the pairs (g, b) of each n's first group g,
     in group order, and item (g, b) draws block b of every group of g's n
     and makes one fn call, so no row depends on the number of processes.
     Returns ([(rows, draw_s, fn_s) per n, in order of first appearance],
     workers): an n's rows are joined in replicate order; draw_s holds, per
     group of that n, the time its blocks' parts took to draw, the first
-    group's with the shared Z; fn_s is the time of the n's fn calls, in
-    whichever process ran them.
+    group's with the shared Z and the first stable group's with the shared
+    stable draw; fn_s is the time of the n's fn calls, in whichever process
+    ran them.
     """
     by_n: dict = {}  # n -> its groups, in order
     for g, (_, n, _) in enumerate(groups):
@@ -277,12 +280,13 @@ def replicate_map(fn, groups, replicates: int) -> tuple[list, int]:
         step = block_rows(n)
         shape = (min(step, replicates - b * step), n)
         t0 = time.perf_counter()
-        streams = [block_stream(n, (*groups[g][2], b)) for g in members]
-        gaussian = any(groups[g][0].gaussian_scale > 0 for g in members)
+        models = [groups[g][0] for g in members]
+        streams = block_streams(n, [(*groups[g][2], b) for g in members], models)
+        gaussian = any(model.gaussian_scale > 0 for model in models)
         normals = draw_normals(streams[0], shape) if gaussian else None
         parts, draw_s = [], []
-        for g, gen in zip(members, streams):
-            parts.append((normals, draw_jumps(groups[g][0], gen, shape)))
+        for jumps in draw_jumps(models, streams, shape):
+            parts.append((normals, jumps))
             t1 = time.perf_counter()
             draw_s.append(t1 - t0)
             t0 = t1
@@ -305,12 +309,13 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
     errors have shape (R, 3).  The cells of one jump law, (jumps, alpha),
     are one `replicate_map` group: group g, in order of first appearance,
-    draws its jumps J with key (seed, g), and every group takes the unit
-    normals Z that group 0 draws first.  Each block is estimated by one
-    `stacked_estimates` call: cell i forms its increments from its group's
-    parts (Z, J) in slice i of one stack.  A group's draw time is split
-    equally among its cells, and a block's fn time, forming included in
-    estimating, equally among all cells.
+    has the key (seed, g), every group takes the unit normals Z that group 0
+    draws first, and every stable law its jumps J from the draw of the first
+    stable group.  Each block is estimated by one `stacked_estimates` call:
+    cell i forms its increments from its group's parts (Z, J) in slice i of
+    one stack.  A group's draw time is split equally among its cells, and a
+    block's fn time, forming included in estimating, equally among all
+    cells.
     """
     laws: dict = {}  # (jumps, alpha) -> the indices of its cells
     for i, cell in enumerate(config.cells):

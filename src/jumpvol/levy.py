@@ -9,12 +9,17 @@ up to the Gaussian small-jump substitution used in the tempered case.  A
 path is its 1-D array of increments Delta X_1..n on [0, 1], observed with
 delta = 1/n; a block of paths is a (rows, n) array.  The samplers draw a
 whole block from one generator, each kind of draw in one call for all rows;
-`sample_stable_increment` is the one public sampler.  A block's parts are
-its unit normals Z (`draw_normals`) and its unscaled jumps J (`draw_jumps`),
-drawn from the generator `block_stream` makes of a key; `simulate_parts`
-draws both from one stream, and `form_increments` turns parts into a
-model's increments.  `block_rows` fixes how many paths share a block;
-`harness.replicate_map` says which stream each part of a block is drawn from.
+`sample_stable_increment` is the one public sampler.  The stable transform
+takes several alpha at once: one set of uniforms and exponentials gives
+every alpha's draws, and the one-alpha case is `sample_stable_increment`.
+A block's parts are its unit normals Z (`draw_normals`) and the unscaled
+jumps J of each of several models (`draw_jumps`), drawn from the generators
+`block_streams` makes of their keys: a tempered law's J from its own
+stream, and every stable law's from the uniforms and exponentials of the
+first stable law's stream.  `simulate_parts` draws one model's parts from
+one stream, and `form_increments` turns parts into a model's increments.
+`block_rows` fixes how many paths share a block; `harness.replicate_map`
+says which key each model of a block has.
 """
 
 from __future__ import annotations
@@ -120,61 +125,91 @@ def tail_constant(alpha: float) -> float:
 _HALF_PI_LO = 6.123233995736766e-17
 
 
-def _chambers_mallows_stuck(alpha: float, u: np.ndarray, w: np.ndarray) -> None:
-    """Overwrite uniforms u on [-pi/2, pi/2] with standard stable draws.
+def _chambers_mallows_stuck(alphas, u: np.ndarray, w: np.ndarray, out) -> None:
+    """Write into out[i] standard stable draws of alphas[i] from uniforms u
+    on [0, 1) and exponentials w, one set for every alpha.
 
-    X = sin(alpha u) / cos(u)^(1/alpha) * (cos((1-alpha) u) / w)^((1-alpha)/alpha)
-    for exponentials w (Chambers, Mallows & Stuck 1976); u and w are
-    C-contiguous arrays of one shape.  Each sine and cosine comes from the
-    tangent of half its angle, which numpy evaluates several times faster:
-      cos u = 2s/(1+s^2), s = tan(d/2), d = (pi/2 - |u|) + _HALF_PI_LO,
-      sin(alpha u) = 2a/(1+a^2), a = tan(alpha u/2),
-      cos((1-alpha) u) = (1-b)(1+b)/(1+b^2), b = tan((1-alpha) u/2).
-    pi/2 - |u| is exact for |u| >= pi/4, so cos u keeps its relative
-    accuracy up to |u| = pi/2.  The transform is elementwise; it runs over
-    pieces of at most BLOCK_INCREMENTS entries through four reused buffers,
-    so its temporaries stay cache-sized however many draws there are.
+    X = sin(alpha v) / cos(v)^(1/alpha) * (cos((1-alpha) v) / w)^((1-alpha)/alpha)
+    for v = pi u - pi/2 (Chambers, Mallows & Stuck 1976); u, w and each
+    out[i] are C-contiguous arrays of one shape, and the last out may be u
+    itself.  Each sine and cosine comes from the tangent of half its angle,
+    which numpy evaluates several times faster:
+      cos v = 2s/(1+s^2), s = tan(d/2), d = (pi/2 - |v|) + _HALF_PI_LO,
+      sin(alpha v) = 2a/(1+a^2), a = tan(alpha v/2),
+      cos((1-alpha) v) = (1-b)(1+b)/(1+b^2), b = tan((1-alpha) v/2).
+    pi/2 - |v| is exact for |v| >= pi/4, so cos v keeps its relative
+    accuracy up to |v| = pi/2.  The transform is elementwise; it runs over
+    pieces of at most BLOCK_INCREMENTS entries through reused buffers, so
+    its temporaries stay cache-sized however many draws there are.  Each
+    piece takes v and cos v, which no alpha changes, once, then the rest
+    once per alpha; v stays in u until the last alpha, whose draws
+    overwrite it.  One alpha runs in four buffers, cos v in the one that
+    then holds cos(v)^(1/alpha); several keep cos v in a fifth.
     """
     u, w = u.reshape(-1), w.reshape(-1)
-    if alpha == 1.0:
-        np.tan(u, out=u)
-        return
+    out = [x.reshape(-1) for x in out]
     step = max(1, min(u.size, BLOCK_INCREMENTS))
-    buffers = np.empty((4, step))
+    several = len(alphas) > 1
+    cosine = any(alpha != 1.0 for alpha in alphas)
+    buffers = np.empty((4 + several, step))
     for lo in range(0, u.size, step):
         up, wp = u[lo : lo + step], w[lo : lo + step]
-        c, a, b, t = buffers[:, : up.size]
-        # c = cos(u)^(1/alpha)
-        np.abs(up, out=c)
-        np.subtract(np.pi / 2, c, out=c)
-        c += _HALF_PI_LO
-        c *= 0.5
-        np.tan(c, out=c)
-        np.multiply(c, c, out=t)
-        t += 1.0
-        c *= 2.0
-        c /= t
-        c **= 1.0 / alpha
-        # a = sin(alpha u) / c
-        np.multiply(up, alpha / 2, out=a)
-        np.tan(a, out=a)
-        np.multiply(a, a, out=t)
-        t += 1.0
-        a *= 2.0
-        a /= t
-        a /= c
-        # c = (cos((1-alpha) u) / w)^((1-alpha)/alpha)
-        np.multiply(up, (1.0 - alpha) / 2, out=b)
-        np.tan(b, out=b)
-        np.subtract(1.0, b, out=c)
-        np.multiply(b, b, out=t)
-        t += 1.0
-        b += 1.0
-        c *= b
-        c /= t
-        c /= wp
-        c **= (1.0 - alpha) / alpha
-        np.multiply(a, c, out=up)
+        k = buffers[0, : up.size]
+        c, a, b, t = buffers[several:, : up.size]
+        # uniform(-pi/2, pi/2) bit for bit: it too is -pi/2 + pi * random()
+        up *= np.pi
+        up += -np.pi / 2
+        if cosine:
+            # k = cos(v)
+            np.abs(up, out=k)
+            np.subtract(np.pi / 2, k, out=k)
+            k += _HALF_PI_LO
+            k *= 0.5
+            np.tan(k, out=k)
+            np.multiply(k, k, out=t)
+            t += 1.0
+            k *= 2.0
+            k /= t
+        for alpha, x in zip(alphas, out):
+            xp = x[lo : lo + step]
+            if alpha == 1.0:
+                np.tan(up, out=xp)
+                continue
+            # c = cos(v)^(1/alpha)
+            np.power(k, 1.0 / alpha, out=c)
+            # a = sin(alpha v) / c
+            np.multiply(up, alpha / 2, out=a)
+            np.tan(a, out=a)
+            np.multiply(a, a, out=t)
+            t += 1.0
+            a *= 2.0
+            a /= t
+            a /= c
+            # c = (cos((1-alpha) v) / w)^((1-alpha)/alpha)
+            np.multiply(up, (1.0 - alpha) / 2, out=b)
+            np.tan(b, out=b)
+            np.subtract(1.0, b, out=c)
+            np.multiply(b, b, out=t)
+            t += 1.0
+            b += 1.0
+            c *= b
+            c /= t
+            c /= wp
+            c **= (1.0 - alpha) / alpha
+            np.multiply(a, c, out=xp)
+
+
+def _stable_blocks(alphas, delta: float, gen, shape) -> list:
+    """Increments L_delta of the stable law of each alpha, of the given
+    shape, from one set of uniforms and then exponentials of generator gen:
+    one new array per alpha, the last one the uniforms' own."""
+    scales = [(stable_scale(alpha) * delta) ** (1.0 / alpha) for alpha in alphas]
+    u, w = gen.random(shape), gen.standard_exponential(shape)
+    draws = [np.empty(shape) for _ in alphas[1:]] + [u]
+    _chambers_mallows_stuck(alphas, u, w, draws)
+    for scale, x in zip(scales, draws):
+        x *= scale
+    return draws
 
 
 def sample_stable_increment(alpha: float, delta: float, rng, shape) -> np.ndarray:
@@ -187,15 +222,7 @@ def sample_stable_increment(alpha: float, delta: float, rng, shape) -> np.ndarra
     """
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
-    gen = default_rng(rng)
-    u, w = gen.random(shape), gen.standard_exponential(shape)
-    # uniform(-pi/2, pi/2) bit for bit: it too is -pi/2 + pi * random()
-    u *= np.pi
-    u += -np.pi / 2
-    _chambers_mallows_stuck(alpha, u, w)
-    u *= scale
-    return u
+    return _stable_blocks([alpha], delta, default_rng(rng), shape)[0]
 
 
 # Tanh-sinh rule on [-1, 1], the package's one fixed quadrature table: nodes
@@ -291,19 +318,14 @@ def _tempered_block(alpha: float, delta: float, gen, shape) -> np.ndarray:
     return out
 
 
-def _jump_block(law: JumpLaw, delta: float, gen, shape) -> np.ndarray:
-    if law.kind == STABLE:
-        return sample_stable_increment(law.alpha, delta, gen, shape)
-    return _tempered_block(law.alpha, delta, gen, shape)
-
-
 # A constant of the draw design: the replicates of a Monte Carlo group come
 # in blocks of `block_rows(n)` rows, about this many increments, and each
-# block is drawn whole from one stream.  So it fixes which paths share a
-# stream, and changing it is a new draw design that moves every Monte Carlo
-# report.  Blocks are large enough to amortize numpy call overhead over many
-# paths and small enough that a whole group is never held in memory at once.
-# It also bounds the pieces the stable transform works through.
+# block is drawn whole, every row from the same streams.  So it fixes which
+# paths share a stream, and changing it is a new draw design that moves
+# every Monte Carlo report.  Blocks are large enough to amortize numpy call
+# overhead over many paths and small enough that a whole group is never held
+# in memory at once.  It also bounds the pieces the stable transform works
+# through.
 BLOCK_INCREMENTS = 16_384
 
 
@@ -312,18 +334,29 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_INCREMENTS // n)
 
 
-def block_stream(n: int, key) -> np.random.Generator:
-    """The generator of a block of paths of n increments, `default_rng(key)`.
+def _stable_jumps(model: ModelSpec) -> bool:
+    """Whether model draws stable jumps: a stable law at gamma != 0."""
+    return bool(model.gamma) and model.jump_law.kind == STABLE
 
-    `key` is anything `default_rng` accepts; an integer seed or a key tuple
-    must not be negative.
+
+def block_streams(n: int, keys, models) -> list:
+    """The generators of a block of paths of n increments for models, one
+    key each: `default_rng(key)`, but None for every stable model with
+    jumps after the first, whose jumps come from the first's stream
+    (`draw_jumps`).
+
+    Every key is checked before any generator is made: it is anything
+    `default_rng` accepts, and an integer seed or a key tuple must not be
+    negative.
     """
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
-    seeds = key if isinstance(key, (int, np.integer, tuple)) else ()
-    if min(np.atleast_1d(seeds), default=0) < 0:
-        raise ParameterError(f"seeds must be non-negative integers, got {key}")
-    return default_rng(key)
+    for key in keys:
+        seeds = key if isinstance(key, (int, np.integer, tuple)) else ()
+        if min(np.atleast_1d(seeds), default=0) < 0:
+            raise ParameterError(f"seeds must be non-negative integers, got {key}")
+    later = [i for i, model in enumerate(models) if _stable_jumps(model)][1:]
+    return [None if i in later else default_rng(key) for i, key in enumerate(keys)]
 
 
 def draw_normals(gen: np.random.Generator, shape) -> np.ndarray:
@@ -331,13 +364,30 @@ def draw_normals(gen: np.random.Generator, shape) -> np.ndarray:
     return gen.standard_normal(shape)
 
 
-def draw_jumps(model: ModelSpec, gen: np.random.Generator, shape):
-    """J: the unscaled jumps of model's law over a block of `shape` (rows, n),
-    from the jump draws of every row; None, drawing nothing, when model.gamma
-    is 0."""
-    if not model.gamma:
-        return None
-    return _jump_block(model.jump_law, 1.0 / shape[-1], gen, shape)
+def draw_jumps(models, streams, shape):
+    """J: the unscaled jumps of each model over a block of `shape` (rows,
+    n), yielded in model order as they are drawn, from the generators of
+    `block_streams`.
+
+    A model's J is None, drawing nothing, when its gamma is 0.  A tempered
+    law's comes from its own stream, its jump draws of every row.  Every
+    stable law's comes from one set of uniforms, then exponentials, of every
+    row, drawn from the first stable model's stream at its turn; each
+    later stable model's J is then ready.  So each stable law's J is
+    `sample_stable_increment` of that stream, bit for bit.
+    """
+    delta = 1.0 / shape[-1]
+    alphas = [model.jump_law.alpha for model in models if _stable_jumps(model)]
+    stable = None
+    for model, gen in zip(models, streams):
+        if not model.gamma:
+            yield None
+        elif model.jump_law.kind == TEMPERED:
+            yield _tempered_block(model.jump_law.alpha, delta, gen, shape)
+        else:
+            if stable is None:
+                stable = iter(_stable_blocks(alphas, delta, gen, shape))
+            yield next(stable)
 
 
 def simulate_parts(model: ModelSpec, n: int, rows: int, rng):
@@ -345,12 +395,14 @@ def simulate_parts(model: ModelSpec, n: int, rows: int, rng):
 
     Z is unit normals, None when model.gaussian_scale is 0, and J the
     unscaled jumps, None when model.gamma is 0.  Both come from the one
-    stream `block_stream(n, rng)`: the normals of every row first, then the
-    jump draws of every row.
+    stream `block_streams(n, [rng], [model])`: the normals of every row
+    first, then the jump draws of every row.
     """
-    gen, shape = block_stream(n, rng), (rows, n)
+    shape = (rows, n)
+    (gen,) = block_streams(n, [rng], [model])
     normals = draw_normals(gen, shape) if model.gaussian_scale > 0 else None
-    return normals, draw_jumps(model, gen, shape)
+    (jumps,) = draw_jumps([model], [gen], shape)
+    return normals, jumps
 
 
 def form_increments(model: ModelSpec, parts, shape, out=None) -> np.ndarray:

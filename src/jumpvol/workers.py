@@ -20,18 +20,57 @@ CPU.  Every move is followed at once by giving the scheduler the whole
 mask back.  At one CPU, or where `fork` is missing, `fork_map` is a plain
 map in the caller.
 
+The first `fork_map` of a process, before it runs any item, sets glibc's
+malloc thresholds so that freed memory is kept for reuse
+(`_retain_freed_memory`); children inherit them.
+
 This module imports no other module of the package.
 """
 
 from __future__ import annotations
 
+# Imported with the module: imported by the first fork_map, ctypes would add
+# its import time to the run of every command.
+import ctypes
 import os
 import pickle
+from functools import cache
 
 TICKET_BYTES = 4
 # 1024 tickets of 4 bytes fill one page, the least a pipe holds and Linux's
 # PIPE_BUF, so the one write that puts them all in neither blocks nor splits.
 MAX_TICKETS = 1024
+
+
+# mallopt's parameter numbers for the trim and mmap thresholds, and the
+# values set: 64 MB, and glibc's largest mmap threshold, 32 MB.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 64 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+@cache
+def _retain_freed_memory() -> None:
+    """Ask glibc's malloc to keep freed memory for reuse rather than return
+    it; the first call in a process does, later ones do nothing.
+
+    The work that `fork_map` runs frees and allocates arrays of the same
+    sizes over and over: blocks of about 128 KB in mc-table and rate-check,
+    pieces of 128 KB of draws in dzeta.  At glibc's default thresholds
+    (128 KB, raised only as mmapped blocks are freed) much of that memory
+    goes back to the system and faults in again: about 16 000 page faults
+    in an in-process run of table_beta02.cfg, against about one with these
+    thresholds.  Where malloc is not glibc's, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def usable_cpus() -> int:
@@ -127,7 +166,8 @@ def _receive(pid: int, pipe: int) -> tuple[list, tuple | None]:
 
 
 def fork_map(fn, items) -> list:
-    """[fn(x) for x in items], in item order, on `worker_count` processes.
+    """[fn(x) for x in items], in item order, on `worker_count` processes,
+    after `_retain_freed_memory`.
 
     Each process takes the next ticket of ceil(len(items) / MAX_TICKETS)
     items as soon as it is free.  When `fn` raises, the processes stop
@@ -135,6 +175,7 @@ def fork_map(fn, items) -> list:
     raised is raised again in the caller with its type: the one a plain map
     raises, whatever the number of processes.
     """
+    _retain_freed_memory()
     items = list(items)
     workers = worker_count(len(items))
     if workers == 1:

@@ -61,9 +61,9 @@ class TestCriterion1:
         the targets, as the first-order bias with C = 1 predicts.
 
         The (alpha=1.9, gamma=3) cell passes narrowly but steadily: its E1
-        lies about 20% below the target (0.197-0.202 over seeds 1-4) because
+        lies about 20% below the target (0.200-0.204 over seeds 1-4) because
         higher-order terms pull the Monte Carlo value (about 1846) below the
-        first-order 2109, and |E2|/E1 is 0.137-0.144.
+        first-order 2109, and |E2|/E1 is 0.141-0.146.
         """
         targets = {(1.2, 1.0): 32.5, (1.5, 1.0): 50.3, (1.9, 1.0): 261.1, (1.9, 3.0): 2311.5}
         cells = [
@@ -373,7 +373,7 @@ class TestCriterion9:
                 shared = default_rng((cfg.seed, 0, b))
                 normals = shared.standard_normal(shape)
                 own = shared if ci == 0 else default_rng((cfg.seed, ci, b))
-                jumps = draw_jumps(model, own, shape)
+                (jumps,) = draw_jumps([model], [own], shape)
                 block = form_increments(model, (normals, jumps), shape)
                 for r, dx in enumerate(block, lo):
                     row = estimates(dx, est, cell.alpha, cell.gamma, cell.M)

@@ -43,16 +43,18 @@ def draws(monkeypatch):
 
 class TestDrawSpies:
     """The spies of `draws` see a valid command's draws, so a test that
-    finds them empty shows that nothing was drawn."""
+    finds them empty shows that nothing was drawn.  Each block makes one
+    call of each, however many jump laws it holds."""
 
     def test_mc_table_draws(self, capsys, tmp_path, draws):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(TestMcTable.CFG)
+        second_law = "\n[cell]\nalpha = 1.5\ngamma = 1\nbeta = 0.2\nk = 2\n"
+        cfg.write_text(TestMcTable.CFG + second_law)
         out = tmp_path / "t.csv"
         args = ["mc-table", "--config", str(cfg), "--out", str(out)]
         code, _, _ = run_cli(capsys, *args)
         assert code == 0
-        assert set(draws) == {"draw_normals", "draw_jumps"}
+        assert draws == ["draw_normals", "draw_jumps"]
 
     def test_rate_check_draws(self, capsys, tmp_path, draws):
         cfg = tmp_path / "rate.cfg"
@@ -62,7 +64,7 @@ class TestDrawSpies:
         )
         code, _, _ = run_cli(capsys, "rate-check", "--config", str(cfg))
         assert code == 0
-        assert set(draws) == {"draw_normals", "draw_jumps"}
+        assert draws == ["draw_normals", "draw_jumps"] * 4
 
 
 class TestExitCodes:

@@ -275,11 +275,12 @@ class TestRunMc:
 
 
 def per_path_errors(cfg, cell, g, model=None):
-    """(E1, E2, E3) of `cell`'s replicates, law group g, by the per-path
-    route: block b drawn with `model` (the cell's own by default), its unit
-    normals Z from the stream (seed, 0, b) of the first group and its jumps
-    J from (seed, g, b), where group 0 draws them after Z; then
-    form_increments -> estimates."""
+    """(E1, E2, E3) of `cell`'s replicates by the per-path route: block b
+    drawn with `model` (the cell's own by default), its unit normals Z from
+    the stream (seed, 0, b) of the first group and its jumps J from
+    (seed, g, b), where group 0 draws them after Z; then form_increments ->
+    estimates.  g is the cell's law group, or for a stable law the group of
+    the first stable law, whose stream gives every stable law's J."""
     model = model or cell.model(cfg.sigma)
     step = block_rows(cfg.n)
     errors = []
@@ -289,7 +290,8 @@ def per_path_errors(cfg, cell, g, model=None):
             block = simulate_increments(model, cfg.n, shape[0], (cfg.seed, 0, b))
         else:
             normals = np.random.default_rng((cfg.seed, 0, b)).standard_normal(shape)
-            jumps = draw_jumps(model, np.random.default_rng((cfg.seed, g, b)), shape)
+            own = np.random.default_rng((cfg.seed, g, b))
+            (jumps,) = draw_jumps([model], [own], shape)
             block = form_increments(model, (normals, jumps), shape)
         est = estimates(block, cell.estimator_config(), cell.alpha, cell.gamma, cell.M)
         errors.append((est - cfg.sigma**2) * np.sqrt(cfg.n))
@@ -301,7 +303,8 @@ class TestLawGroups:
     law shares the unit normals: group g, in order of first appearance,
     draws the jumps J of block b from (seed, g, b), group 0 after the
     block's normals Z, and each cell estimates the increments it forms from
-    the block's parts (Z, J)."""
+    the block's parts (Z, J).  Every stable law takes its J from the
+    uniforms and exponentials of the first stable law's stream."""
 
     def test_cells_of_one_law_differ_only_in_gamma(self):
         cells = (
@@ -388,30 +391,32 @@ class TestLawGroups:
     def test_stage_times_add_up_to_the_draws(self, monkeypatch):
         """On a clock that only the draws and the estimates move, the cells'
         simulate_s add up to the blocks' draw time: the first law holds the
-        shared Z's, every law its own J's, each split among its cells; and
-        their estimate_s add up to the blocks' one estimating call each,
-        split among all cells."""
+        shared Z's, the first stable law the stable laws' shared draw, a
+        tempered law its own J's, each split among its cells, and a later
+        stable law nothing; and their estimate_s add up to the blocks' one
+        estimating call each, split among all cells."""
         from types import SimpleNamespace
 
-        from jumpvol import harness
+        from jumpvol import harness, levy
 
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # one clock
         clock = [0.0]
         fake = SimpleNamespace(perf_counter=lambda: clock[0], monotonic=time.monotonic)
         monkeypatch.setattr(harness, "time", fake)
 
-        def ticking(name, seconds):
-            real = getattr(harness, name)
+        def ticking(module, name, seconds):
+            real = getattr(module, name)
 
             def tick(*args):
                 clock[0] += seconds
                 return real(*args)
 
-            monkeypatch.setattr(harness, name, tick)
+            monkeypatch.setattr(module, name, tick)
 
-        ticking("draw_normals", 1.0)
-        ticking("draw_jumps", 10.0)
-        ticking("stacked_estimates", 100.0)
+        ticking(harness, "draw_normals", 1.0)
+        ticking(levy, "_tempered_block", 10.0)
+        ticking(levy, "_stable_blocks", 100.0)
+        ticking(harness, "stacked_estimates", 1000.0)
         cells = (
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
             CellConfig(alpha=0.9, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
@@ -420,11 +425,58 @@ class TestLawGroups:
         )
         cfg = ExperimentConfig(cells=cells, n=200, replicates=block_rows(200) + 5)
         per_cell, _ = replicate_errors(cfg)
-        # two blocks, each of one Z, three J's and one estimate of every cell
-        assert [simulate_s for _, simulate_s, _ in per_cell] == [11.0, 20.0, 11.0, 20.0]
-        assert sum(simulate_s for _, simulate_s, _ in per_cell) == 2 * (1.0 + 3 * 10.0)
-        assert [estimate_s for _, _, estimate_s in per_cell] == [50.0] * 4
-        assert sum(estimate_s for _, _, estimate_s in per_cell) == 2 * 100.0
+        # two blocks, each of one Z, one stable draw, one tempered J and one
+        # estimate of every cell
+        simulate_s = [simulate_s for _, simulate_s, _ in per_cell]
+        assert simulate_s == [101.0, 20.0, 101.0, 0.0]
+        assert sum(simulate_s) == 2 * (1.0 + 100.0 + 10.0)
+        assert [estimate_s for _, _, estimate_s in per_cell] == [500.0] * 4
+        assert sum(estimate_s for _, _, estimate_s in per_cell) == 2 * 1000.0
+
+    def test_stable_laws_share_the_first_ones_draws(self):
+        """Three stable laws after a tempered one: each stable law's J is
+        drawn from the first stable law's stream (seed, 1, b), and the
+        tempered law keeps its own."""
+        cells = (
+            CellConfig(alpha=0.9, gamma=3.0, beta=0.2, k=3.0, jumps="tempered"),
+            CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
+            CellConfig(alpha=1.0, gamma=3.0, beta=0.2, k=2.0),
+            CellConfig(alpha=1.9, gamma=1.0, beta=0.2, k=2.0),
+        )
+        reps = 2 * block_rows(200) + 5  # two whole blocks and a short one
+        cfg = ExperimentConfig(cells=cells, n=200, replicates=reps, seed=8)
+        per_cell, _ = replicate_errors(cfg)
+        for (errors, _, _), cell, g in zip(per_cell, cells, (0, 1, 1, 1)):
+            np.testing.assert_array_equal(errors, per_path_errors(cfg, cell, g))
+
+    def test_one_stable_draw_per_block(self, monkeypatch):
+        """One block of table_beta02.cfg draws the uniforms and exponentials
+        of its three stable laws in one call each, and its normals once."""
+        from jumpvol import harness
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
+        calls = []
+
+        class Recording:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.gen, name)
+
+        real = harness.block_streams
+
+        def recording_streams(*args):
+            return [gen and Recording(gen) for gen in real(*args)]
+
+        monkeypatch.setattr(harness, "block_streams", recording_streams)
+        configs = Path(__file__).parents[1] / "configs"
+        cfg = load_config(str(configs / "table_beta02.cfg"))
+        cfg = ExperimentConfig(cells=cfg.cells, n=cfg.n, replicates=block_rows(cfg.n))
+        replicate_errors(cfg)
+        names = ("random", "standard_exponential", "standard_normal")
+        assert [calls.count(name) for name in names] == [1, 1, 1]
 
     def test_two_laws_means_are_pinned(self):
         """A stable and a tempered law in two blocks of 23 paths: their E1-E3
@@ -439,6 +491,21 @@ class TestLawGroups:
         assert means == [
             "(98.91611422713324, -1.304363521122417, -11.207673235598582)",
             "(138.8751404046427, -41.494249425138335, 42.85041150840108)",
+        ]
+
+    def test_two_stable_laws_means_are_pinned(self):
+        """Stable laws 1.2 and 1.5 in two blocks of 23 paths: their E1-E3
+        means, to the last bit, so that the stable laws' shared uniforms and
+        exponentials (group 0's stream, after the normals) move only on
+        purpose.  Alpha 1.5 draws what it draws alone as group 0."""
+        cells = tuple(
+            CellConfig(alpha=a, gamma=1.0, beta=0.2, k=2.0) for a in (1.2, 1.5)
+        )
+        cfg = ExperimentConfig(cells=cells, n=700, replicates=46, seed=42)
+        means = [repr((r.mean_e1, r.mean_e2, r.mean_e3)) for r in run_mc(cfg).results]
+        assert means == [
+            "(58.7763715550244, -1.9981656393225868, 2.9797186207229798)",
+            "(98.91611422713324, -1.304363521122417, -11.207673235598582)",
         ]
 
     def test_a_table_maps_one_item_per_block(self, monkeypatch):
@@ -466,9 +533,9 @@ class TestLawGroups:
         real = harness.draw_jumps
 
         def infinite_jump(*args):
-            jumps = real(*args)
-            jumps[0, 0] = np.inf
-            return jumps
+            for jumps in real(*args):
+                jumps[0, 0] = np.inf
+                yield jumps
 
         monkeypatch.setattr(harness, "draw_jumps", infinite_jump)
         cells = (
@@ -490,6 +557,7 @@ class TestLawGroups:
 SPIED = (
     "stacked_estimates",
     "form_increments",
+    "block_streams",
     "draw_normals",
     "draw_jumps",
     "fork_map",
@@ -532,6 +600,33 @@ class TestCellPool:
             monkeypatch.setattr(workers, "usable_cpus", lambda: count)
 
         return at
+
+    def test_malloc_thresholds_are_set_once_before_any_item(
+        self, at_workers, monkeypatch
+    ):
+        """fork_map sets glibc's mmap threshold (mallopt -3) to 32 MB and its
+        trim threshold (-1) to 64 MB before it runs an item, once per
+        process, so every caller of the package gets them."""
+        from types import SimpleNamespace
+
+        seen = []
+
+        def mallopt(param, value):
+            seen.append((param, value))
+            return 1
+
+        fake = SimpleNamespace(
+            CDLL=lambda name: SimpleNamespace(mallopt=mallopt), c_int=ctypes.c_int
+        )
+        at_workers(1)
+        monkeypatch.setattr(workers, "ctypes", fake)
+        workers._retain_freed_memory.cache_clear()
+        try:
+            fork_map(seen.append, ["item"])
+            fork_map(seen.append, ["item"])
+        finally:
+            workers._retain_freed_memory.cache_clear()  # the real ones, next
+        assert seen == [(-3, 32 << 20), (-1, 64 << 20), "item", "item"]
 
     def test_workers_are_other_processes(self, at_workers):
         """At one worker the caller runs every item; at w workers the items

@@ -12,9 +12,11 @@ from jumpvol.levy import (
     BLOCK_INCREMENTS,
     SMALL_JUMP_CUTOFF,
     _chambers_mallows_stuck,
-    _jump_block,
+    _stable_blocks,
     _tempered_block,
     block_rows,
+    block_streams,
+    draw_jumps,
     form_increments,
     sample_stable_increment,
     simulate_increments,
@@ -84,14 +86,20 @@ class TestStandardStableSampler:
 
 
 def _transform_grid():
-    """About 400 u on [-pi/2, pi/2] without 0, crowded towards the ends."""
-    half_pi = np.pi / 2
-    ends = half_pi - 10.0 ** -np.arange(1, 11)
-    special = [half_pi, np.nextafter(half_pi, 0.0), np.pi / 4, 1e-12]
-    side = np.concatenate((ends, special))
-    u = np.concatenate((np.linspace(-half_pi, half_pi, 376), side, -side))
-    w = np.random.default_rng(0).standard_exponential(u.size)
-    return u, w
+    """About 400 uniforms r on [0, 1) and exponentials: the angles
+    v = pi r - pi/2 of the r, formed as the transform forms them, avoid 0
+    and crowd towards +-pi/2."""
+    near = 10.0 ** -np.arange(1, 16)
+    special = [0.0, np.nextafter(1.0, 0.0), 0.75, 0.5 + 1e-12]
+    r = np.concatenate((np.linspace(0.0, 1.0, 377)[:-1], near, 1.0 - near, special))
+    r = r[_angles(r) != 0.0]
+    w = np.random.default_rng(0).standard_exponential(r.size)
+    return r, w
+
+
+def _angles(r):
+    """v = pi r - pi/2, rounded as the transform rounds it."""
+    return r * np.pi + -np.pi / 2
 
 
 def _cms_mpmath(alpha, u, w):
@@ -113,29 +121,46 @@ class TestChambersMallowsStuck:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.999, 1.2, 1.5, 1.9, 1.99])
     def test_against_mpmath(self, alpha):
-        u, w = _transform_grid()
+        r, w = _transform_grid()
+        u = _angles(r)
         exact = np.array([float(_cms_mpmath(alpha, a, b)) for a, b in zip(u, w)])
         sin_cos = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)) * (
             np.cos((1.0 - alpha) * u) / w
         ) ** ((1.0 - alpha) / alpha)
-        tan = u.copy()
-        _chambers_mallows_stuck(alpha, tan, w)
+        tan = r.copy()
+        _chambers_mallows_stuck([alpha], tan, w, [tan])
         worst_tan = np.max(np.abs(tan / exact - 1.0))
         worst_sin_cos = np.max(np.abs(sin_cos / exact - 1.0))
         assert worst_tan <= 2.0 * worst_sin_cos
         assert worst_tan <= 5e-14
 
     def test_pieces_equal_one_pass(self):
-        """Past BLOCK_INCREMENTS draws the transform runs in pieces, bit for bit."""
+        """Past BLOCK_INCREMENTS draws the transform runs in pieces, bit for
+        bit, for one alpha and for several."""
         gen = np.random.default_rng(4)
-        u = gen.uniform(-np.pi / 2, np.pi / 2, (3, BLOCK_INCREMENTS - 5))
-        w = gen.standard_exponential(u.shape)
-        whole = u.copy()
-        _chambers_mallows_stuck(1.5, whole, w)
-        for row_u, row_w, row in zip(u, w, whole):
-            alone = row_u.copy()
-            _chambers_mallows_stuck(1.5, alone, row_w)
-            np.testing.assert_array_equal(alone, row)
+        r = gen.random((3, BLOCK_INCREMENTS - 5))
+        w = gen.standard_exponential(r.shape)
+        for alphas in ([1.5], [0.7, 1.0, 1.5]):
+            whole = [np.empty(r.shape) for _ in alphas]
+            _chambers_mallows_stuck(alphas, r.copy(), w, whole)
+            for i, (row_r, row_w) in enumerate(zip(r, w)):
+                alone = [np.empty(row_r.shape) for _ in alphas]
+                _chambers_mallows_stuck(alphas, row_r.copy(), row_w, alone)
+                for one, all_rows in zip(alone, whole):
+                    np.testing.assert_array_equal(one, all_rows[i])
+
+    @pytest.mark.parametrize("alphas", [[1.2, 1.0, 0.5, 1.9], [1.9, 1.5, 1.0]])
+    def test_several_alphas_equal_one_alpha_each(self, alphas):
+        """One set of uniforms and exponentials for several alpha, alpha 1
+        among them, over three pieces: each alpha's draws are those that
+        sample_stable_increment makes of the same stream, bit for bit."""
+        shape, delta = (3, BLOCK_INCREMENTS - 5), 1.0 / 700
+        draws = _stable_blocks(alphas, delta, np.random.default_rng(6), shape)
+        assert len(draws) == len(alphas)
+        for alpha, got in zip(alphas, draws):
+            gen = np.random.default_rng(6)
+            want = sample_stable_increment(alpha, delta, gen, shape)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestStableIncrement:
@@ -216,11 +241,15 @@ class TestTemperedSampler:
         def gen():
             return np.random.default_rng(1)
 
-        a = _jump_block(JumpLaw("stable", 1.1), 0.1, gen(), (2, 100))
-        b = sample_stable_increment(1.1, 0.1, gen(), (2, 100))
-        np.testing.assert_array_equal(a, b)
-        a = _jump_block(JumpLaw("tempered", 1.1), 0.1, gen(), (2, 100))
-        np.testing.assert_array_equal(a, _tempered_block(1.1, 0.1, gen(), (2, 100)))
+        def jumps(kind):
+            model = ModelSpec(gamma=1.0, jump_law=JumpLaw(kind, 1.1))
+            (got,) = draw_jumps([model], [gen()], (2, 10))
+            return got
+
+        b = sample_stable_increment(1.1, 0.1, gen(), (2, 10))
+        np.testing.assert_array_equal(jumps("stable"), b)
+        a = _tempered_block(1.1, 0.1, gen(), (2, 10))
+        np.testing.assert_array_equal(jumps("tempered"), a)
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ParameterError, match="delta must be positive"):
@@ -542,30 +571,70 @@ class TestBlockAgainstWrittenOutDraws:
         assert abs(counts.var() / counts.mean() - 1.0) <= 4 * sqrt(2.0 / size)
 
 
+class TestSharedStableDraw:
+    """The stable laws of a block share one set of uniforms and
+    exponentials, from the first stable law's stream."""
+
+    def test_each_stable_law_from_the_first_ones_stream(self):
+        law = lambda kind, alpha, gamma=1.0: ModelSpec(
+            sigma=1.0, gamma=gamma, jump_law=JumpLaw(kind, alpha)
+        )
+        models = [
+            law("tempered", 0.9),
+            law("stable", 1.2),
+            law("stable", 0.5, gamma=0.0),
+            law("tempered", 0.5),
+            law("stable", 1.0),
+            law("stable", 1.9),
+        ]
+        keys = [(3, g, 1) for g in range(len(models))]
+        n, shape = 40, (5, 40)
+        streams = block_streams(n, keys, models)
+        assert [gen is None for gen in streams] == [False] * 4 + [True] * 2
+        jumps = list(draw_jumps(models, streams, shape))
+        rng = np.random.default_rng
+        for g in (0, 3):
+            alpha = models[g].jump_law.alpha
+            want = _tempered_block(alpha, 1.0 / n, rng(keys[g]), shape)
+            np.testing.assert_array_equal(jumps[g], want)
+        assert jumps[2] is None
+        for g in (1, 4, 5):
+            alpha = models[g].jump_law.alpha
+            want = sample_stable_increment(alpha, 1.0 / n, rng(keys[1]), shape)
+            np.testing.assert_array_equal(jumps[g], want)
+
+
 class TestStreamStates:
     """A block's stream is keyed by non-negative integers."""
 
     def test_rejects_negative_key(self, monkeypatch):
         """Also the key of a group that shares the first group's n, before
-        the block draws anything, though the first group's key is valid."""
-        from jumpvol import harness, workers
+        the block draws anything, though the first group's key is valid and
+        that group, a second stable law, makes no generator of its own."""
+        from jumpvol import harness, levy, workers
 
         with pytest.raises(ParameterError, match="non-negative"):
             replicate_map(lambda parts, _: parts[0][0], [(ModelSpec(), 10, (-1, 0))], 2)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
-        draws = []
+        draws, made = [], []
         for name in ("draw_normals", "draw_jumps"):
             real = getattr(harness, name)
             spy = lambda *args, name=name, real=real: draws.append(name) or real(*args)
             monkeypatch.setattr(harness, name, spy)
-        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
+        real_rng = levy.default_rng
+        spy_rng = lambda key: made.append(key) or real_rng(key)
+        monkeypatch.setattr(levy, "default_rng", spy_rng)
+        stable = JumpLaw("stable", 1.5), JumpLaw("stable", 1.2)
+        law = lambda i: ModelSpec(sigma=1.0, gamma=1.0, jump_law=stable[i])
         fn = lambda parts, _: parts[0][0]
-        replicate_map(fn, [(model, 10, (0, 0)), (model, 10, (0, 1))], 2)
-        assert draws == ["draw_normals", "draw_jumps", "draw_jumps"]
+        replicate_map(fn, [(law(0), 10, (0, 0)), (law(1), 10, (0, 1))], 2)
+        assert draws == ["draw_normals", "draw_jumps"]
+        assert made == [(0, 0, 0)]
         draws.clear()
+        made.clear()
         with pytest.raises(ParameterError, match="non-negative"):
-            replicate_map(fn, [(model, 10, (0, 0)), (model, 10, (0, -1))], 2)
-        assert draws == []
+            replicate_map(fn, [(law(0), 10, (0, 0)), (law(1), 10, (0, -1))], 2)
+        assert draws == [] and made == []
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
     def test_rejects_negative_seed(self, seed):
