@@ -397,6 +397,21 @@ class TestRateFit:
         slope, _ = rate_fit(model, cfg, [100, 200, 400, 800], 60, 5)
         assert slope == pytest.approx(0.3, abs=0.25)
 
+    @pytest.mark.parametrize(
+        "kind, alpha, want",
+        [
+            ("stable", 1.5, "(0.10577096080361172, 0.02399466510858482)"),
+            ("tempered", 0.7, "(0.08583579338731881, 0.12758647349012361)"),
+        ],
+    )
+    def test_fits_are_pinned(self, kind, alpha, want):
+        """(slope, stderr) to the last bit, so that the blocks' draws move
+        only on purpose; 45 replicates are a whole block and a short one at
+        n = 400, and one short block at every smaller n."""
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw(kind, alpha))
+        cfg = EstimatorConfig(beta=0.2, k=3.0)
+        assert repr(rate_fit(model, cfg, [50, 100, 200, 400], 45, 13)) == want
+
     @pytest.mark.parametrize("kind", ["stable", "tempered"])
     def test_equals_per_path_loop(self, kind):
         """The block pass gives bit for bit what a per-path tqv loop over the

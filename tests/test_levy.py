@@ -318,6 +318,30 @@ class TestSimulatePath:
         b = simulate_path(model, 20, np.random.SeedSequence((42, 0, 0)))
         np.testing.assert_array_equal(a, b)
 
+    PINNED = {
+        "stable": (
+            ModelSpec(
+                drift=0.3, sigma=0.5, gamma=1.0, jump_law=JumpLaw("stable", 1.5)
+            ),
+            "[0.008623999983913555, -0.12262615922087855, 0.19239920328006074, "
+            "0.13768029957453687, -4.812370920613699]",
+        ),
+        "tempered": (
+            ModelSpec(sigma=1.0, gamma=2.0, jump_law=JumpLaw("tempered", 0.9)),
+            "[-0.10012621403881583, -0.9146555905386656, 1.0092620360523736, "
+            "-0.5514883689185966, 2.3961092579163585]",
+        ),
+        "drift": (ModelSpec(drift=2.0, sigma=0.0), "[0.4, 0.4, 0.4, 0.4, 0.4]"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_paths_are_pinned(self, name):
+        """One path of each kind of model, to the last bit, so that its
+        draws (normals, then jumps, from the seed's one stream) move only
+        on purpose."""
+        model, want = self.PINNED[name]
+        assert repr(simulate_path(model, 5, 17).tolist()) == want
+
 
 def mapped_parts(model, n, key, count):
     """The (base, J) parts of the blocks of one `harness.replicate_map` group
