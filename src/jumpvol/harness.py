@@ -18,15 +18,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .estimators import EstimatorConfig, fit_power_law, stacked_estimates
 from .kernels import Kernel, cancelling_kernel, truncated_sums
-from .levy import (
-    JumpLaw,
-    ModelSpec,
-    block_rows,
-    block_streams,
-    draw_jumps,
-    draw_normals,
-    form_increments,
-)
+from .levy import JumpLaw, ModelSpec, block_rows, draw_parts, form_increments
 from .workers import fork_map, worker_count
 
 
@@ -245,24 +237,19 @@ def replicate_map(fn, groups, replicates: int) -> tuple[list, int]:
 
     A group is (model, n, key).  Its paths come in blocks of `block_rows(n)`
     rows, the last one shorter, and the groups of one n are mapped together:
-    fn maps the parts (Z, J) of block b of each of them, a list in group
-    order, and the block's shape (rows, n) to one row per path.  Block b of
-    a group draws from the stream (*key, b), by `levy.block_streams`,
-    `draw_normals` and `draw_jumps`.  The groups of one n share the unit
-    normals Z of each block, which the first group draws first, when any of
-    their models has a Gaussian.  A tempered group then draws its own J.
-    The stable groups share one set of uniforms and exponentials, which the
-    first stable group draws; every later one draws nothing and makes no
-    generator.  Every key is checked before the block draws anything.  The
-    items of one `fork_map` are the pairs (g, b) of each n's first group g,
-    in group order, and item (g, b) draws block b of every group of g's n
-    and makes one fn call, so no row depends on the number of processes.
+    one `levy.draw_parts` call draws block b of every group of that n, each
+    with the key (*key, b), and fn maps their parts (Z, J), a list in group
+    order, and the block's shape (rows, n) to one row per path.  What a
+    block draws, and from which stream, is `draw_parts`'s.  The items of one
+    `fork_map` are the pairs (g, b) of each n's first group g, in group
+    order, and item (g, b) draws block b of every group of g's n and makes
+    one fn call, so no row depends on the number of processes.
     Returns ([(rows, draw_s, fn_s) per n, in order of first appearance],
     workers): an n's rows are joined in replicate order; draw_s holds, per
-    group of that n, the time its blocks' parts took to draw, the first
-    group's with the shared Z and the first stable group's with the shared
-    stable draw; fn_s is the time of the n's fn calls, in whichever process
-    ran them.
+    group of that n, the time its blocks' `draw_parts` took to yield its
+    parts after the previous group's, so a part drawn once for several
+    groups counts with the group it is yielded to first; fn_s is the time
+    of the n's fn calls, in whichever process ran them.
     """
     by_n: dict = {}  # n -> its groups, in order
     for g, (_, n, _) in enumerate(groups):
@@ -279,14 +266,12 @@ def replicate_map(fn, groups, replicates: int) -> tuple[list, int]:
         members = by_n[n]
         step = block_rows(n)
         shape = (min(step, replicates - b * step), n)
-        t0 = time.perf_counter()
         models = [groups[g][0] for g in members]
-        streams = block_streams(n, [(*groups[g][2], b) for g in members], models)
-        gaussian = any(model.gaussian_scale > 0 for model in models)
-        normals = draw_normals(streams[0], shape) if gaussian else None
+        keys = [(*groups[g][2], b) for g in members]
         parts, draw_s = [], []
-        for jumps in draw_jumps(models, streams, shape):
-            parts.append((normals, jumps))
+        t0 = time.perf_counter()
+        for part in draw_parts(models, keys, shape):
+            parts.append(part)
             t1 = time.perf_counter()
             draw_s.append(t1 - t0)
             t0 = t1
@@ -309,9 +294,8 @@ def replicate_errors(config: ExperimentConfig) -> tuple[list, int]:
     Returns ([(errors, simulate_s, estimate_s) per cell], workers); a cell's
     errors have shape (R, 3).  The cells of one jump law, (jumps, alpha),
     are one `replicate_map` group: group g, in order of first appearance,
-    has the key (seed, g), every group takes the unit normals Z that group 0
-    draws first, and every stable law its jumps J from the draw of the first
-    stable group.  Each block is estimated by one `stacked_estimates` call:
+    has the key (seed, g), and `levy.draw_parts` says what each group's
+    stream draws.  Each block is estimated by one `stacked_estimates` call:
     cell i forms its increments from its group's parts (Z, J) in slice i of
     one stack.  A group's draw time is split equally among its cells, and a
     block's fn time, forming included in estimating, equally among all
@@ -478,7 +462,11 @@ def rate_fit(
 def run_rate_experiment(config: ExperimentConfig) -> str:
     """Fit the bias decay exponent per cell; returns the rate-report CSV text.
 
-    The cells are fitted in turn, each by `rate_fit`.
+    The cells are fitted in turn, each by `rate_fit` with the config's seed,
+    so every cell's group at a given n has the same key (seed, n).  Every
+    cell draws the same unit normals Z from it, and stable cells the same
+    uniforms and exponentials too: the cells' noise is coupled, and each
+    cell draws those blocks again.
     """
     lines = [RATE_HEADER]
     for cell in config.cells:

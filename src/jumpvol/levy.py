@@ -12,14 +12,11 @@ whole block from one generator, each kind of draw in one call for all rows;
 `sample_stable_increment` is the one public sampler.  The stable transform
 takes several alpha at once: one set of uniforms and exponentials gives
 every alpha's draws, and the one-alpha case is `sample_stable_increment`.
-A block's parts are its unit normals Z (`draw_normals`) and the unscaled
-jumps J of each of several models (`draw_jumps`), drawn from the generators
-`block_streams` makes of their keys: a tempered law's J from its own
-stream, and every stable law's from the uniforms and exponentials of the
-first stable law's stream.  `simulate_parts` draws one model's parts from
-one stream, and `form_increments` turns parts into a model's increments.
-`block_rows` fixes how many paths share a block; `harness.replicate_map`
-says which key each model of a block has.
+A block's parts are its unit normals Z and the unscaled jumps J of each of
+several models.  `draw_parts` draws them and is the whole draw design: which
+stream draws which part, and in what order.  `form_increments` turns parts
+into a model's increments, and `block_rows` fixes how many paths share a
+block; `harness.replicate_map` says which key each model of a block has.
 """
 
 from __future__ import annotations
@@ -334,75 +331,47 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_INCREMENTS // n)
 
 
-def _stable_jumps(model: ModelSpec) -> bool:
-    """Whether model draws stable jumps: a stable law at gamma != 0."""
-    return bool(model.gamma) and model.jump_law.kind == STABLE
+def draw_parts(models, keys, shape):
+    """The parts (Z, J) of a block of `shape` (rows, n) for each of models,
+    one key each, yielded in model order as they are drawn.
 
-
-def block_streams(n: int, keys, models) -> list:
-    """The generators of a block of paths of n increments for models, one
-    key each: `default_rng(key)`, but None for every stable model with
-    jumps after the first, whose jumps come from the first's stream
-    (`draw_jumps`).
-
-    Every key is checked before any generator is made: it is anything
-    `default_rng` accepts, and an integer seed or a key tuple must not be
-    negative.
+    n must be at least 2, and every key is checked before any generator is
+    made: it is anything `default_rng` accepts, and an integer seed or a key
+    tuple or list must not be negative.  Each model has the stream
+    `default_rng(key)`, but every stable model with jumps after the first
+    makes none.  The unit normals Z of every row are drawn first, from the
+    first model's stream, when any model has a positive `gaussian_scale`,
+    and every model's parts hold that one array; else Z is None.  A model's
+    J is None, drawing nothing, when its gamma is 0.  A tempered law's comes
+    from its own stream.  Every stable law's comes from one set of uniforms,
+    then exponentials, of every row, drawn from the first stable model's
+    stream at its turn; each later stable model's J is then ready.  So each
+    stable law's J is `sample_stable_increment` of that stream, bit for bit.
     """
+    n = shape[-1]
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
     for key in keys:
-        seeds = key if isinstance(key, (int, np.integer, tuple)) else ()
+        seeds = key if isinstance(key, (int, np.integer, tuple, list)) else ()
         if min(np.atleast_1d(seeds), default=0) < 0:
             raise ParameterError(f"seeds must be non-negative integers, got {key}")
-    later = [i for i, model in enumerate(models) if _stable_jumps(model)][1:]
-    return [None if i in later else default_rng(key) for i, key in enumerate(keys)]
-
-
-def draw_normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """Z: the unit normals of a block of `shape` (rows, n), every row in one call."""
-    return gen.standard_normal(shape)
-
-
-def draw_jumps(models, streams, shape):
-    """J: the unscaled jumps of each model over a block of `shape` (rows,
-    n), yielded in model order as they are drawn, from the generators of
-    `block_streams`.
-
-    A model's J is None, drawing nothing, when its gamma is 0.  A tempered
-    law's comes from its own stream, its jump draws of every row.  Every
-    stable law's comes from one set of uniforms, then exponentials, of every
-    row, drawn from the first stable model's stream at its turn; each
-    later stable model's J is then ready.  So each stable law's J is
-    `sample_stable_increment` of that stream, bit for bit.
-    """
-    delta = 1.0 / shape[-1]
-    alphas = [model.jump_law.alpha for model in models if _stable_jumps(model)]
-    stable = None
+    stable = [i for i, m in enumerate(models) if m.gamma and m.jump_law.kind == STABLE]
+    later = stable[1:]
+    streams = [None if i in later else default_rng(key) for i, key in enumerate(keys)]
+    gaussian = any(model.gaussian_scale > 0 for model in models)
+    normals = streams[0].standard_normal(shape) if gaussian else None
+    delta, shared = 1.0 / n, None
     for model, gen in zip(models, streams):
         if not model.gamma:
-            yield None
+            jumps = None
         elif model.jump_law.kind == TEMPERED:
-            yield _tempered_block(model.jump_law.alpha, delta, gen, shape)
+            jumps = _tempered_block(model.jump_law.alpha, delta, gen, shape)
         else:
-            if stable is None:
-                stable = iter(_stable_blocks(alphas, delta, gen, shape))
-            yield next(stable)
-
-
-def simulate_parts(model: ModelSpec, n: int, rows: int, rng):
-    """(Z, J) of `rows` paths on the grid t_i = i/n, as (rows, n) blocks.
-
-    Z is unit normals, None when model.gaussian_scale is 0, and J the
-    unscaled jumps, None when model.gamma is 0.  Both come from the one
-    stream `block_streams(n, [rng], [model])`: the normals of every row
-    first, then the jump draws of every row.
-    """
-    shape = (rows, n)
-    (gen,) = block_streams(n, [rng], [model])
-    normals = draw_normals(gen, shape) if model.gaussian_scale > 0 else None
-    (jumps,) = draw_jumps([model], [gen], shape)
-    return normals, jumps
+            if shared is None:
+                alphas = [models[i].jump_law.alpha for i in stable]
+                shared = iter(_stable_blocks(alphas, delta, gen, shape))
+            jumps = next(shared)
+        yield normals, jumps
 
 
 def form_increments(model: ModelSpec, parts, shape, out=None) -> np.ndarray:
@@ -427,8 +396,9 @@ def form_increments(model: ModelSpec, parts, shape, out=None) -> np.ndarray:
 
 def simulate_increments(model: ModelSpec, n: int, rows: int, rng) -> np.ndarray:
     """Increments of `rows` paths on the grid t_i = i/n, as a (rows, n) block:
-    `form_increments` of `simulate_parts`."""
-    return form_increments(model, simulate_parts(model, n, rows, rng), (rows, n))
+    `form_increments` of the parts `draw_parts` draws for the model alone."""
+    shape = (rows, n)
+    return form_increments(model, next(draw_parts([model], [rng], shape)), shape)
 
 
 def simulate_path(model: ModelSpec, n: int, seed) -> np.ndarray:
@@ -438,7 +408,8 @@ def simulate_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     The one-row case of `simulate_increments`: X_0 = 0 and
     X_{t_{i+1}} - X_{t_i} = b*delta + s*sqrt(delta)*Z_i + gamma*J_i, s being
     model.gaussian_scale.  The same (model, n, seed) always yields
-    bit-identical increments; `seed` may be a non-negative integer or a
-    numpy SeedSequence.
+    bit-identical increments.  `seed` is anything `default_rng` accepts: a
+    non-negative integer, a key tuple or list of them, a SeedSequence, or a
+    Generator, which is used as it is.
     """
     return simulate_increments(model, n, 1, seed)[0]

@@ -348,12 +348,11 @@ class TestCriterion9:
         takes its unit normals Z from the stream (seed, 0, b) of group 0 and
         its jumps J from (seed, i, b), after Z for cell 0.  R = 64 at n = 300
         is not a multiple of the 54 rows of a simulation block, so a partial
-        block is covered too."""
-        from numpy.random import default_rng
-
+        block is covered too.  For cell 1, `draw_parts` draws Z for a
+        jump-free group 0 ahead of the cell's law."""
         from jumpvol.estimators import estimates
         from jumpvol.harness import replicate_errors, report_to_csv
-        from jumpvol.levy import block_rows, draw_jumps, form_increments
+        from jumpvol.levy import block_rows, draw_parts, form_increments
 
         cells = (
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
@@ -368,13 +367,12 @@ class TestCriterion9:
         for ci, cell in enumerate(cells):
             errors, _, _ = per_cell[ci]
             est, model = cell.estimator_config(), cell.model(cfg.sigma)
+            models = [ModelSpec(), model] if ci else [model]
             for b, lo in enumerate(range(0, cfg.replicates, step)):
                 shape = (min(step, cfg.replicates - lo), cfg.n)
-                shared = default_rng((cfg.seed, 0, b))
-                normals = shared.standard_normal(shape)
-                own = shared if ci == 0 else default_rng((cfg.seed, ci, b))
-                (jumps,) = draw_jumps([model], [own], shape)
-                block = form_increments(model, (normals, jumps), shape)
+                keys = [(cfg.seed, 0, b), (cfg.seed, ci, b)][: len(models)]
+                *_, parts = draw_parts(models, keys, shape)
+                block = form_increments(model, parts, shape)
                 for r, dx in enumerate(block, lo):
                     row = estimates(dx, est, cell.alpha, cell.gamma, cell.M)
                     per_path = (row - cfg.sigma**2) * np.sqrt(cfg.n)

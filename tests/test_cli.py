@@ -28,23 +28,22 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The calls of every routine a Monte Carlo block draws its parts with,
-    by name, recorded in this process: the work runs on one CPU."""
+    """The calls of `draw_parts`, the routine a Monte Carlo block draws its
+    parts with, recorded in this process: the work runs on one CPU."""
     from jumpvol import harness, workers
 
     calls = []
     monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
-    for name in ("draw_normals", "draw_jumps"):
-        real = getattr(harness, name)
-        spy = lambda *args, name=name, real=real: calls.append(name) or real(*args)
-        monkeypatch.setattr(harness, name, spy)
+    real = harness.draw_parts
+    spy = lambda *args: calls.append("draw_parts") or real(*args)
+    monkeypatch.setattr(harness, "draw_parts", spy)
     return calls
 
 
 class TestDrawSpies:
-    """The spies of `draws` see a valid command's draws, so a test that
-    finds them empty shows that nothing was drawn.  Each block makes one
-    call of each, however many jump laws it holds."""
+    """The spy of `draws` sees a valid command's draws, so a test that
+    finds it empty shows that nothing was drawn.  Each block makes one
+    call, however many jump laws it holds."""
 
     def test_mc_table_draws(self, capsys, tmp_path, draws):
         cfg = tmp_path / "exp.cfg"
@@ -54,7 +53,7 @@ class TestDrawSpies:
         args = ["mc-table", "--config", str(cfg), "--out", str(out)]
         code, _, _ = run_cli(capsys, *args)
         assert code == 0
-        assert draws == ["draw_normals", "draw_jumps"]
+        assert draws == ["draw_parts"]
 
     def test_rate_check_draws(self, capsys, tmp_path, draws):
         cfg = tmp_path / "rate.cfg"
@@ -64,7 +63,7 @@ class TestDrawSpies:
         )
         code, _, _ = run_cli(capsys, "rate-check", "--config", str(cfg))
         assert code == 0
-        assert draws == ["draw_normals", "draw_jumps"] * 4
+        assert draws == ["draw_parts"] * 4
 
 
 class TestExitCodes:

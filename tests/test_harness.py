@@ -39,9 +39,8 @@ from jumpvol.levy import (
     JumpLaw,
     ModelSpec,
     block_rows,
-    draw_jumps,
+    draw_parts,
     form_increments,
-    simulate_increments,
     simulate_path,
 )
 from jumpvol.workers import fork_map
@@ -280,22 +279,41 @@ def per_path_errors(cfg, cell, g, model=None):
     the stream (seed, 0, b) of the first group and its jumps J from
     (seed, g, b), where group 0 draws them after Z; then form_increments ->
     estimates.  g is the cell's law group, or for a stable law the group of
-    the first stable law, whose stream gives every stable law's J."""
+    the first stable law, whose stream gives every stable law's J.  For
+    g > 0, `draw_parts` draws Z for a jump-free group 0 ahead of the cell's
+    law."""
     model = model or cell.model(cfg.sigma)
+    models = [ModelSpec(), model] if g else [model]
     step = block_rows(cfg.n)
     errors = []
     for b, lo in enumerate(range(0, cfg.replicates, step)):
         shape = (min(step, cfg.replicates - lo), cfg.n)
-        if g == 0:
-            block = simulate_increments(model, cfg.n, shape[0], (cfg.seed, 0, b))
-        else:
-            normals = np.random.default_rng((cfg.seed, 0, b)).standard_normal(shape)
-            own = np.random.default_rng((cfg.seed, g, b))
-            (jumps,) = draw_jumps([model], [own], shape)
-            block = form_increments(model, (normals, jumps), shape)
+        keys = [(cfg.seed, 0, b), (cfg.seed, g, b)][: len(models)]
+        *_, parts = draw_parts(models, keys, shape)
+        block = form_increments(model, parts, shape)
         est = estimates(block, cell.estimator_config(), cell.alpha, cell.gamma, cell.M)
         errors.append((est - cfg.sigma**2) * np.sqrt(cfg.n))
     return np.concatenate(errors)
+
+
+class Recording:
+    """A generator that hands `seen` the name of each attribute asked of it,
+    then the generator's own."""
+
+    def __init__(self, gen, seen):
+        self.gen, self.seen = gen, seen
+
+    def __getattr__(self, name):
+        self.seen(name)
+        return getattr(self.gen, name)
+
+
+def record_streams(monkeypatch, seen):
+    """Make every generator that `levy` makes a `Recording` one."""
+    from jumpvol import levy
+
+    real = levy.default_rng
+    monkeypatch.setattr(levy, "default_rng", lambda key: Recording(real(key), seen))
 
 
 class TestLawGroups:
@@ -413,7 +431,11 @@ class TestLawGroups:
 
             monkeypatch.setattr(module, name, tick)
 
-        ticking(harness, "draw_normals", 1.0)
+        def tick_normals(name):
+            if name == "standard_normal":
+                clock[0] += 1.0
+
+        record_streams(monkeypatch, tick_normals)
         ticking(levy, "_tempered_block", 10.0)
         ticking(levy, "_stable_blocks", 100.0)
         ticking(harness, "stacked_estimates", 1000.0)
@@ -452,25 +474,9 @@ class TestLawGroups:
     def test_one_stable_draw_per_block(self, monkeypatch):
         """One block of table_beta02.cfg draws the uniforms and exponentials
         of its three stable laws in one call each, and its normals once."""
-        from jumpvol import harness
-
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
         calls = []
-
-        class Recording:
-            def __init__(self, gen):
-                self.gen = gen
-
-            def __getattr__(self, name):
-                calls.append(name)
-                return getattr(self.gen, name)
-
-        real = harness.block_streams
-
-        def recording_streams(*args):
-            return [gen and Recording(gen) for gen in real(*args)]
-
-        monkeypatch.setattr(harness, "block_streams", recording_streams)
+        record_streams(monkeypatch, calls.append)
         configs = Path(__file__).parents[1] / "configs"
         cfg = load_config(str(configs / "table_beta02.cfg"))
         cfg = ExperimentConfig(cells=cfg.cells, n=cfg.n, replicates=block_rows(cfg.n))
@@ -530,14 +536,14 @@ class TestLawGroups:
         the same stream, even where J is infinite (0 * inf would be NaN)."""
         from jumpvol import harness
 
-        real = harness.draw_jumps
+        real = harness.draw_parts
 
         def infinite_jump(*args):
-            for jumps in real(*args):
+            for normals, jumps in real(*args):
                 jumps[0, 0] = np.inf
-                yield jumps
+                yield normals, jumps
 
-        monkeypatch.setattr(harness, "draw_jumps", infinite_jump)
+        monkeypatch.setattr(harness, "draw_parts", infinite_jump)
         cells = (
             CellConfig(alpha=1.5, gamma=0.0, beta=0.2, k=2.0),
             CellConfig(alpha=1.5, gamma=1.0, beta=0.2, k=2.0),
@@ -557,9 +563,7 @@ class TestLawGroups:
 SPIED = (
     "stacked_estimates",
     "form_increments",
-    "block_streams",
-    "draw_normals",
-    "draw_jumps",
+    "draw_parts",
     "fork_map",
 )
 

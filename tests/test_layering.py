@@ -76,6 +76,32 @@ def test_only_levy_and_harness_know_the_block_layout():
     assert users == {"harness"}
 
 
+def module_tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_only_levy_makes_generators():
+    """`levy` is the one module that references `default_rng`, so every
+    stream the package draws from is made by it."""
+    names = {m: referenced_names(module_tree(m)) for m in MODULES}
+    users = {m for m, used in names.items() if "default_rng" in used}
+    assert users == {"levy"}
+
+
+def test_harness_draws_a_block_only_through_draw_parts():
+    """Of `levy`'s functions and classes, `harness` uses the law and model
+    types, the block layout, `form_increments` and the one routine that
+    draws a block, and no other draw routine."""
+    defined = {
+        stmt.name
+        for stmt in module_tree("levy").body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = referenced_names(module_tree("harness")) & defined
+    pipeline = {"block_rows", "draw_parts", "form_increments"}
+    assert used == {"JumpLaw", "ModelSpec"} | pipeline
+
+
 def test_the_scan_sees_relative_imports():
     assert {"errors", "estimators", "levy", "stable"} <= package_imports("__init__")
 

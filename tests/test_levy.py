@@ -1,5 +1,6 @@
 """Tests for path simulation and the stable / tempered-stable samplers."""
 
+import re
 from math import exp, hypot, sqrt
 
 import mpmath
@@ -15,12 +16,10 @@ from jumpvol.levy import (
     _stable_blocks,
     _tempered_block,
     block_rows,
-    block_streams,
-    draw_jumps,
+    draw_parts,
     form_increments,
     sample_stable_increment,
     simulate_increments,
-    simulate_parts,
     stable_scale,
     tempered_small_jump_variance,
     tempered_tail_intensity,
@@ -238,18 +237,23 @@ class TestTemperedSampler:
         assert np.isfinite(np.mean(x**4))
 
     def test_dispatch(self):
-        def gen():
-            return np.random.default_rng(1)
+        """A stable law's J is `sample_stable_increment`'s, and a tempered
+        law's `_tempered_block`'s, after the normals of its Gaussian."""
+        shape = (2, 10)
 
-        def jumps(kind):
-            model = ModelSpec(gamma=1.0, jump_law=JumpLaw(kind, 1.1))
-            (got,) = draw_jumps([model], [gen()], (2, 10))
-            return got
+        def parts(kind):
+            model = ModelSpec(sigma=0.0, gamma=1.0, jump_law=JumpLaw(kind, 1.1))
+            ((normals, jumps),) = draw_parts([model], [1], shape)
+            return normals, jumps
 
-        b = sample_stable_increment(1.1, 0.1, gen(), (2, 10))
-        np.testing.assert_array_equal(jumps("stable"), b)
-        a = _tempered_block(1.1, 0.1, gen(), (2, 10))
-        np.testing.assert_array_equal(jumps("tempered"), a)
+        normals, jumps = parts("stable")
+        assert normals is None
+        b = sample_stable_increment(1.1, 0.1, 1, shape)
+        np.testing.assert_array_equal(jumps, b)
+        normals, jumps = parts("tempered")
+        gen = np.random.default_rng(1)
+        np.testing.assert_array_equal(normals, gen.standard_normal(shape))
+        np.testing.assert_array_equal(jumps, _tempered_block(1.1, 0.1, gen, shape))
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ParameterError, match="delta must be positive"):
@@ -382,8 +386,8 @@ class TestSimulateIncrements:
         blocks = mapped_parts(model, n, key, count)
         assert [len(base) for base, _ in blocks] == [step, step, 5]
         for b, (base, jumps) in enumerate(blocks):
-            stream = (*key, b)
-            normals, want_jumps = simulate_parts(model, n, len(base), stream)
+            stream, shape = (*key, b), (len(base), n)
+            ((normals, want_jumps),) = draw_parts([model], [stream], shape)
             np.testing.assert_array_equal(base, np.sqrt(1.0 / n) * normals)
             np.testing.assert_array_equal(jumps, want_jumps)
             np.testing.assert_array_equal(
@@ -393,7 +397,7 @@ class TestSimulateIncrements:
     def test_parts_of_a_model_without_jumps(self):
         """J is not drawn at gamma = 0, and the increments are sigma sqrt(delta) Z."""
         model = ModelSpec(sigma=1.0, gamma=0.0, jump_law=JumpLaw("tempered", alpha=1.5))
-        normals, jumps = simulate_parts(model, 50, 3, (1, 2))
+        ((normals, jumps),) = draw_parts([model], [(1, 2)], (3, 50))
         assert jumps is None
         np.testing.assert_array_equal(
             simulate_increments(model, 50, 3, (1, 2)), np.sqrt(1.0 / 50) * normals
@@ -403,13 +407,13 @@ class TestSimulateIncrements:
         """Z is not drawn at Gaussian scale 0: sigma = 0 and stable jumps, or
         no jumps either, when the increments are the drift alone."""
         stable = ModelSpec(sigma=0.0, gamma=2.0, jump_law=JumpLaw("stable", alpha=1.5))
-        normals, jumps = simulate_parts(stable, 50, 3, (1, 2))
+        ((normals, jumps),) = draw_parts([stable], [(1, 2)], (3, 50))
         assert normals is None
         np.testing.assert_array_equal(
             simulate_increments(stable, 50, 3, (1, 2)), 2.0 * jumps
         )
         drift = ModelSpec(drift=2.0, sigma=0.0)
-        assert simulate_parts(drift, 50, 3, (1, 2)) == (None, None)
+        assert list(draw_parts([drift], [(1, 2)], (3, 50))) == [(None, None)]
         want = np.full((3, 50), 2.0 * (1.0 / 50))
         np.testing.assert_array_equal(simulate_increments(drift, 50, 3, (1, 2)), want)
 
@@ -599,7 +603,11 @@ class TestSharedStableDraw:
     """The stable laws of a block share one set of uniforms and
     exponentials, from the first stable law's stream."""
 
-    def test_each_stable_law_from_the_first_ones_stream(self):
+    def test_each_stable_law_from_the_first_ones_stream(self, monkeypatch):
+        """Every part holds the one Z of the first stream; a later stable
+        law makes no generator."""
+        from jumpvol import levy
+
         law = lambda kind, alpha, gamma=1.0: ModelSpec(
             sigma=1.0, gamma=gamma, jump_law=JumpLaw(kind, alpha)
         )
@@ -613,13 +621,17 @@ class TestSharedStableDraw:
         ]
         keys = [(3, g, 1) for g in range(len(models))]
         n, shape = 40, (5, 40)
-        streams = block_streams(n, keys, models)
-        assert [gen is None for gen in streams] == [False] * 4 + [True] * 2
-        jumps = list(draw_jumps(models, streams, shape))
-        rng = np.random.default_rng
-        for g in (0, 3):
+        rng, made = np.random.default_rng, []
+        spy = lambda key: made.append(key) or rng(key)
+        monkeypatch.setattr(levy, "default_rng", spy)
+        normals, jumps = zip(*draw_parts(models, keys, shape))
+        assert made == keys[:4]
+        first = rng(keys[0])
+        np.testing.assert_array_equal(normals[0], first.standard_normal(shape))
+        assert all(z is normals[0] for z in normals)
+        for g, gen in ((0, first), (3, rng(keys[3]))):
             alpha = models[g].jump_law.alpha
-            want = _tempered_block(alpha, 1.0 / n, rng(keys[g]), shape)
+            want = _tempered_block(alpha, 1.0 / n, gen, shape)
             np.testing.assert_array_equal(jumps[g], want)
         assert jumps[2] is None
         for g in (1, 4, 5):
@@ -641,10 +653,9 @@ class TestStreamStates:
             replicate_map(lambda parts, _: parts[0][0], [(ModelSpec(), 10, (-1, 0))], 2)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # spy in-process
         draws, made = [], []
-        for name in ("draw_normals", "draw_jumps"):
-            real = getattr(harness, name)
-            spy = lambda *args, name=name, real=real: draws.append(name) or real(*args)
-            monkeypatch.setattr(harness, name, spy)
+        real = harness.draw_parts
+        spy = lambda *args: draws.append("draw_parts") or real(*args)
+        monkeypatch.setattr(harness, "draw_parts", spy)
         real_rng = levy.default_rng
         spy_rng = lambda key: made.append(key) or real_rng(key)
         monkeypatch.setattr(levy, "default_rng", spy_rng)
@@ -652,20 +663,21 @@ class TestStreamStates:
         law = lambda i: ModelSpec(sigma=1.0, gamma=1.0, jump_law=stable[i])
         fn = lambda parts, _: parts[0][0]
         replicate_map(fn, [(law(0), 10, (0, 0)), (law(1), 10, (0, 1))], 2)
-        assert draws == ["draw_normals", "draw_jumps"]
+        assert draws == ["draw_parts"]
         assert made == [(0, 0, 0)]
-        draws.clear()
         made.clear()
         with pytest.raises(ParameterError, match="non-negative"):
             replicate_map(fn, [(law(0), 10, (0, 0)), (law(1), 10, (0, -1))], 2)
-        assert draws == [] and made == []
+        assert made == []
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,)])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,), [3, -1]])
     def test_rejects_negative_seed(self, seed):
-        """simulate_increments refuses it for an integer or a key tuple."""
-        with pytest.raises(ParameterError, match="non-negative"):
+        """simulate_increments refuses it, naming it, for an integer or a key
+        tuple or list."""
+        named = rf"non-negative integers, got {re.escape(str(seed))}$"
+        with pytest.raises(ParameterError, match=named):
             simulate_increments(ModelSpec(), 10, 2, seed)
-        with pytest.raises(ParameterError, match="non-negative"):
+        with pytest.raises(ParameterError, match=named):
             simulate_path(ModelSpec(), 10, seed)
 
     def test_accepts_seeds_beyond_int64(self):
