@@ -558,8 +558,8 @@ class TestLawGroups:
         assert moved.nonzero()[0].tolist() == [0, block_rows(200)]
 
 
-# The names in `harness` that tests here and in test_cli.py replace with a
-# spy or a fault.
+# The names in `harness` that tests here, in test_cli.py and in test_levy.py
+# replace with a spy or a fault.
 SPIED = (
     "stacked_estimates",
     "form_increments",

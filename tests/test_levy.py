@@ -668,7 +668,7 @@ class TestStreamStates:
         made.clear()
         with pytest.raises(ParameterError, match="non-negative"):
             replicate_map(fn, [(law(0), 10, (0, 0)), (law(1), 10, (0, -1))], 2)
-        assert made == []
+        assert draws == ["draw_parts"] * 2 and made == []
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,), [3, -1]])
     def test_rejects_negative_seed(self, seed):
