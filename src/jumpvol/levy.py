@@ -9,9 +9,10 @@ up to the Gaussian small-jump substitution used in the tempered case.  A
 path is its 1-D array of increments Delta X_1..n on [0, 1], observed with
 delta = 1/n; a block of paths is a (rows, n) array.  The samplers draw a
 whole block from one generator, each kind of draw in one call for all rows;
-`sample_stable_increment` is the one public sampler.  The stable transform
-takes several alpha at once: one set of uniforms and exponentials gives
-every alpha's draws, and the one-alpha case is `sample_stable_increment`.
+`sample_stable_increment` is the one public sampler.  Its transform,
+X = [sin(alpha v) / cos v] [cos((1-alpha) v) / (w cos v)]^((1-alpha)/alpha)
+with one power and its scale folded in, takes several alpha at once:
+one set of uniforms and exponentials gives every alpha's draws.
 A block's parts are its unit normals Z and the unscaled jumps J of each of
 several models.  `draw_parts` draws them and is the whole draw design: which
 stream draws which part, and in what order.  `form_increments` turns parts
@@ -122,78 +123,78 @@ def tail_constant(alpha: float) -> float:
 _HALF_PI_LO = 6.123233995736766e-17
 
 
-def _chambers_mallows_stuck(alphas, u: np.ndarray, w: np.ndarray, out) -> None:
-    """Write into out[i] standard stable draws of alphas[i] from uniforms u
-    on [0, 1) and exponentials w, one set for every alpha.
+def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -> None:
+    """Write into out[i] scales[i] times standard stable draws of alphas[i]
+    from uniforms u on [0, 1) and exponentials w, one set for every alpha.
 
-    X = sin(alpha v) / cos(v)^(1/alpha) * (cos((1-alpha) v) / w)^((1-alpha)/alpha)
-    for v = pi u - pi/2 (Chambers, Mallows & Stuck 1976); u, w and each
-    out[i] are C-contiguous arrays of one shape, and the last out may be u
-    itself.  Each sine and cosine comes from the tangent of half its angle,
-    which numpy evaluates several times faster:
-      cos v = 2s/(1+s^2), s = tan(d/2), d = (pi/2 - |v|) + _HALF_PI_LO,
-      sin(alpha v) = 2a/(1+a^2), a = tan(alpha v/2),
+    X = sin(alpha v) / cos(v)^(1/alpha) * (cos((1-alpha) v) / w)^p, for
+    v = pi u - pi/2 and p = (1-alpha)/alpha (Chambers, Mallows & Stuck
+    1976), is taken with one power, as cos(v)^(1/alpha) = cos v cos(v)^p:
+      X = [sin(alpha v) / cos v] [cos((1-alpha) v) / (w cos v)]^p.
+    u, w and each out[i] are C-contiguous arrays of one shape; the last out
+    may be u.  Sines and cosines come from half-angle tangents, several
+    times faster in numpy:
+      cos v = 2/g, g = (1+s^2)/s, s = tan(((pi/2 - |v|) + _HALF_PI_LO)/2),
+      sin(alpha v) / cos v = a g/(1+a^2), a = tan(alpha v/2),
       cos((1-alpha) v) = (1-b)(1+b)/(1+b^2), b = tan((1-alpha) v/2).
     pi/2 - |v| is exact for |v| >= pi/4, so cos v keeps its relative
-    accuracy up to |v| = pi/2.  The transform is elementwise; it runs over
-    pieces of at most BLOCK_INCREMENTS entries through reused buffers, so
-    its temporaries stay cache-sized however many draws there are.  Each
-    piece takes v and cos v, which no alpha changes, once, then the rest
-    once per alpha; v stays in u until the last alpha, whose draws
-    overwrite it.  One alpha runs in four buffers, cos v in the one that
-    then holds cos(v)^(1/alpha); several keep cos v in a fifth.
+    accuracy up to |v| = pi/2.  The power's base is over w/g = w cos(v)/2,
+    so sin(alpha v) / cos v takes scales[i] 2^-p before the power does;
+    alpha 1 is tan(v) times its scale.  Accurate for w >= 1e-20 (a Generator's least positive
+    exponential is 7.1e-18); a smaller w takes w/g out of the double range.
+    Pieces of at most BLOCK_INCREMENTS entries in reused buffers keep it
+    cache-sized; each forms v, g and w/g once, the rest once per alpha, and
+    v stays in u until the last alpha's draws overwrite it.
     """
     u, w = u.reshape(-1), w.reshape(-1)
     out = [x.reshape(-1) for x in out]
     step = max(1, min(u.size, BLOCK_INCREMENTS))
-    several = len(alphas) > 1
-    cosine = any(alpha != 1.0 for alpha in alphas)
-    buffers = np.empty((4 + several, step))
+    buffers = np.empty((4 + (len(alphas) > 1), step))
     for lo in range(0, u.size, step):
         up, wp = u[lo : lo + step], w[lo : lo + step]
-        k = buffers[0, : up.size]
-        c, a, b, t = buffers[several:, : up.size]
+        g, k, b, t, *spare = buffers[:, : up.size]
         # uniform(-pi/2, pi/2) bit for bit: it too is -pi/2 + pi * random()
         up *= np.pi
         up += -np.pi / 2
-        if cosine:
-            # k = cos(v)
+        if any(alpha != 1.0 for alpha in alphas):
+            # g = (1+s^2)/s, k = w/g
             np.abs(up, out=k)
             np.subtract(np.pi / 2, k, out=k)
             k += _HALF_PI_LO
             k *= 0.5
             np.tan(k, out=k)
-            np.multiply(k, k, out=t)
-            t += 1.0
-            k *= 2.0
-            k /= t
-        for alpha, x in zip(alphas, out):
+            np.multiply(k, k, out=g)
+            g += 1.0
+            g /= k
+            np.divide(wp, g, out=k)
+        for i, (alpha, scale, x) in enumerate(zip(alphas, scales, out)):
             xp = x[lo : lo + step]
             if alpha == 1.0:
                 np.tan(up, out=xp)
+                xp *= scale
                 continue
-            # c = cos(v)^(1/alpha)
-            np.power(k, 1.0 / alpha, out=c)
-            # a = sin(alpha v) / c
-            np.multiply(up, alpha / 2, out=a)
-            np.tan(a, out=a)
-            np.multiply(a, a, out=t)
-            t += 1.0
-            a *= 2.0
-            a /= t
-            a /= c
-            # c = (cos((1-alpha) v) / w)^((1-alpha)/alpha)
+            # c = (cos((1-alpha) v) / k)^p, in k once no later alpha reads k
+            p = (1.0 - alpha) / alpha
+            c = k if i == len(alphas) - 1 else spare[0]
             np.multiply(up, (1.0 - alpha) / 2, out=b)
             np.tan(b, out=b)
-            np.subtract(1.0, b, out=c)
             np.multiply(b, b, out=t)
             t += 1.0
+            t *= k
+            np.subtract(1.0, b, out=c)
             b += 1.0
             c *= b
             c /= t
-            c /= wp
-            c **= (1.0 - alpha) / alpha
-            np.multiply(a, c, out=xp)
+            np.power(c, p, out=c)
+            # b = sin(alpha v) / cos v
+            np.multiply(up, alpha / 2, out=b)
+            np.tan(b, out=b)
+            np.multiply(b, b, out=t)
+            t += 1.0
+            b *= g
+            b /= t
+            b *= scale * 2.0**-p
+            np.multiply(b, c, out=xp)
 
 
 def _stable_blocks(alphas, delta: float, gen, shape) -> list:
@@ -203,22 +204,20 @@ def _stable_blocks(alphas, delta: float, gen, shape) -> list:
     scales = [(stable_scale(alpha) * delta) ** (1.0 / alpha) for alpha in alphas]
     u, w = gen.random(shape), gen.standard_exponential(shape)
     draws = [np.empty(shape) for _ in alphas[1:]] + [u]
-    _chambers_mallows_stuck(alphas, u, w, draws)
-    for scale, x in zip(scales, draws):
-        x *= scale
+    _chambers_mallows_stuck(alphas, scales, u, w, draws)
     return draws
 
 
 def sample_stable_increment(alpha: float, delta: float, rng, shape) -> np.ndarray:
-    """Increments L_delta of the Levy-measure-normalized stable process, delta > 0.
+    """Increments L_delta of the normalized stable process, 0 < delta < inf.
 
     Equal to (sigma_alpha * delta)^(1/alpha) times draws with characteristic
     function exp(-|t|^alpha), of the given shape.  `rng` may be anything
     `default_rng` accepts (a Generator is used as it is); it gives the
     uniforms of every draw, then their exponentials.
     """
-    if not delta > 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    if not (delta > 0 and isfinite(delta)):
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
     return _stable_blocks([alpha], delta, default_rng(rng), shape)[0]
 
 
@@ -303,8 +302,8 @@ def _tempered_block(alpha: float, delta: float, gen, shape) -> np.ndarray:
     then their signs.  The jumps are added in the order they were drawn.
     """
     check_alpha(alpha)
-    if not delta > 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    if not (delta > 0 and isfinite(delta)):
+        raise ParameterError(f"delta must be positive and finite, got {delta}")
     out = np.zeros(shape)
     total = int(gen.poisson(tempered_tail_intensity(alpha) * delta * out.size))
     if total:
@@ -337,7 +336,7 @@ def draw_parts(models, keys, shape):
 
     n must be at least 2, and every key is checked before any generator is
     made: it is anything `default_rng` accepts, and an integer seed or a key
-    tuple or list must not be negative.  Each model has the stream
+    tuple, list or array must not be negative.  Each model has the stream
     `default_rng(key)`, but every stable model with jumps after the first
     makes none.  The unit normals Z of every row are drawn first, from the
     first model's stream, when any model has a positive `gaussian_scale`,
@@ -352,8 +351,8 @@ def draw_parts(models, keys, shape):
     if n < 2:
         raise ParameterError(f"n must be at least 2, got {n}")
     for key in keys:
-        seeds = key if isinstance(key, (int, np.integer, tuple, list)) else ()
-        if min(np.atleast_1d(seeds), default=0) < 0:
+        integers = isinstance(key, (int, np.integer, tuple, list, np.ndarray))
+        if min(np.atleast_1d(key) if integers else (), default=0) < 0:
             raise ParameterError(f"seeds must be non-negative integers, got {key}")
     stable = [i for i, m in enumerate(models) if m.gamma and m.jump_law.kind == STABLE]
     later = stable[1:]

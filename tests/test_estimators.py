@@ -400,7 +400,7 @@ class TestRateFit:
     @pytest.mark.parametrize(
         "kind, alpha, want",
         [
-            ("stable", 1.5, "(0.10577096080361172, 0.02399466510858482)"),
+            ("stable", 1.5, "(0.10577096080361167, 0.02399466510858498)"),
             ("tempered", 0.7, "(0.08583579338731881, 0.12758647349012361)"),
         ],
     )

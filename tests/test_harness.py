@@ -246,8 +246,8 @@ class TestRunMc:
         cfg = ExperimentConfig(cells=cells, n=700, replicates=46, seed=42)
         means = [repr((r.mean_e1, r.mean_e2, r.mean_e3)) for r in run_mc(cfg).results]
         assert means == [
-            "(98.91611422713324, -1.304363521122417, -11.207673235598582)",
-            "(492.73455861876255, -28.02631963765215, -73.21222690630344)",
+            "(98.91611422713326, -1.3043635211223974, -11.20767323559862)",
+            "(492.7345586187627, -28.0263196376521, -73.21222690630357)",
         ]
 
     def test_tempered_means_are_pinned(self):
@@ -495,7 +495,7 @@ class TestLawGroups:
         cfg = ExperimentConfig(cells=cells, n=700, replicates=46, seed=42)
         means = [repr((r.mean_e1, r.mean_e2, r.mean_e3)) for r in run_mc(cfg).results]
         assert means == [
-            "(98.91611422713324, -1.304363521122417, -11.207673235598582)",
+            "(98.91611422713326, -1.3043635211223974, -11.20767323559862)",
             "(138.8751404046427, -41.494249425138335, 42.85041150840108)",
         ]
 
@@ -510,8 +510,8 @@ class TestLawGroups:
         cfg = ExperimentConfig(cells=cells, n=700, replicates=46, seed=42)
         means = [repr((r.mean_e1, r.mean_e2, r.mean_e3)) for r in run_mc(cfg).results]
         assert means == [
-            "(58.7763715550244, -1.9981656393225868, 2.9797186207229798)",
-            "(98.91611422713324, -1.304363521122417, -11.207673235598582)",
+            "(58.7763715550244, -1.9981656393225855, 2.979718620722999)",
+            "(98.91611422713326, -1.3043635211223974, -11.20767323559862)",
         ]
 
     def test_a_table_maps_one_item_per_block(self, monkeypatch):

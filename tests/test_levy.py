@@ -1,6 +1,7 @@
 """Tests for path simulation and the stable / tempered-stable samplers."""
 
 import re
+from collections import Counter
 from math import exp, hypot, sqrt
 
 import mpmath
@@ -127,7 +128,7 @@ class TestChambersMallowsStuck:
             np.cos((1.0 - alpha) * u) / w
         ) ** ((1.0 - alpha) / alpha)
         tan = r.copy()
-        _chambers_mallows_stuck([alpha], tan, w, [tan])
+        _chambers_mallows_stuck([alpha], [1.0], tan, w, [tan])
         worst_tan = np.max(np.abs(tan / exact - 1.0))
         worst_sin_cos = np.max(np.abs(sin_cos / exact - 1.0))
         assert worst_tan <= 2.0 * worst_sin_cos
@@ -139,12 +140,12 @@ class TestChambersMallowsStuck:
         gen = np.random.default_rng(4)
         r = gen.random((3, BLOCK_INCREMENTS - 5))
         w = gen.standard_exponential(r.shape)
-        for alphas in ([1.5], [0.7, 1.0, 1.5]):
+        for alphas, scales in (([1.5], [1.0]), ([0.7, 1.0, 1.5], [0.3, 2.0, 1.0])):
             whole = [np.empty(r.shape) for _ in alphas]
-            _chambers_mallows_stuck(alphas, r.copy(), w, whole)
+            _chambers_mallows_stuck(alphas, scales, r.copy(), w, whole)
             for i, (row_r, row_w) in enumerate(zip(r, w)):
                 alone = [np.empty(row_r.shape) for _ in alphas]
-                _chambers_mallows_stuck(alphas, row_r.copy(), row_w, alone)
+                _chambers_mallows_stuck(alphas, scales, row_r.copy(), row_w, alone)
                 for one, all_rows in zip(alone, whole):
                     np.testing.assert_array_equal(one, all_rows[i])
 
@@ -161,6 +162,60 @@ class TestChambersMallowsStuck:
             want = sample_stable_increment(alpha, delta, gen, shape)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999, 1.0, 1.2, 1.9, 1.99])
+    def test_input_extremes(self, alpha):
+        """At the ends of the uniform grid, r = 0, 2^-53 and 1 - 2^-53, where
+        cos v is least, and for exponentials from 1e-20 to 50: each draw is
+        finite where the exact one is a finite double, and within 5e-14 of it."""
+        ends, w = [0.0, 2.0**-53, 1.0 - 2.0**-53], 10.0 ** np.arange(-20, 2)
+        r, w = (x.ravel() for x in np.meshgrid(ends, np.append(w, 50.0)))
+        exact = [float(_cms_mpmath(alpha, a, b)) for a, b in zip(_angles(r), w)]
+        exact = np.array(exact)
+        got = r.copy()
+        with np.errstate(over="ignore"):  # where the exact draw is no double
+            _chambers_mallows_stuck([alpha], [1.0], got, w, [got])
+        finite = np.isfinite(exact)
+        assert finite.sum() >= 40
+        assert np.isfinite(got[finite]).all()
+        np.testing.assert_allclose(got[finite], exact[finite], rtol=5e-14, atol=0.0)
+
+    def test_one_power_per_draw(self, monkeypatch):
+        """Per piece, one tan that every alpha shares, then two tans and one
+        power for each alpha but 1, and one tan for alpha 1: every ufunc the
+        transform applies to its inputs, outputs and buffers is counted."""
+        from jumpvol import levy
+
+        seen = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *args, out=(), **kwargs):
+                seen.append(ufunc.__name__)
+                plain = lambda x: x.view(np.ndarray) if isinstance(x, Counted) else x
+                if out:
+                    kwargs["out"] = tuple(plain(x) for x in out)
+                result = getattr(ufunc, method)(*map(plain, args), **kwargs)
+                return out[0] if out else result
+
+        class Numpy:
+            """levy's numpy, its new arrays Counted."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape):
+                return np.empty(shape).view(Counted)
+
+        monkeypatch.setattr(levy, "np", Numpy())
+        alphas = [1.2, 1.0, 0.5, 1.9]
+        gen = np.random.default_rng(0)
+        r = gen.random(BLOCK_INCREMENTS + 5).view(Counted)  # two pieces
+        w = gen.standard_exponential(r.shape).view(Counted)
+        out = [np.empty(r.shape).view(Counted) for _ in alphas[1:]] + [r]
+        _chambers_mallows_stuck(alphas, [1.0] * len(alphas), r, w, out)
+        arithmetic = {"absolute", "add", "subtract", "multiply", "divide"}
+        costly = Counter(name for name in seen if name not in arithmetic)
+        assert costly == {"tan": 2 * (1 + 1 + 2 * 3), "power": 2 * 3}
+
 
 class TestStableIncrement:
     def test_self_similar_scaling(self):
@@ -170,7 +225,7 @@ class TestStableIncrement:
         b = sample_stable_increment(alpha, 1.0, np.random.default_rng(5), 200_000)
         np.testing.assert_allclose(a, 0.25 ** (1 / alpha) * b)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan])
+    @pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
     def test_rejects_nonpositive_delta(self, delta):
         with pytest.raises(ParameterError, match="delta must be positive"):
             sample_stable_increment(1.2, delta, np.random.default_rng(0), 10)
@@ -256,8 +311,9 @@ class TestTemperedSampler:
         np.testing.assert_array_equal(jumps, _tempered_block(1.1, 0.1, gen, shape))
 
     def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ParameterError, match="delta must be positive"):
-            _tempered_block(0.9, 0.0, np.random.default_rng(0), 10)
+        for delta in (0.0, np.inf):
+            with pytest.raises(ParameterError, match="delta must be positive"):
+                _tempered_block(0.9, delta, np.random.default_rng(0), 10)
 
 
 class TestJumpLawValidation:
@@ -448,22 +504,24 @@ class TestSimulateIncrements:
 def reference_stable_jumps(gen, alpha, delta, n):
     """Chambers-Mallows-Stuck, written out: uniforms, then exponentials.
 
-    Each sine and cosine is taken from the tangent of half its angle, as
-    the sampler computes them.
+    With one power, X = [sin(alpha u) / cos u] [cos((1-alpha) u) / (w cos u)]^p,
+    p = (1-alpha)/alpha, each sine and cosine taken from the tangent of half
+    its angle, the power's base formed over w/g = w cos(u)/2 and its factor
+    2^-p taken with the scale into the ratio, as the sampler computes them.
     """
     u = gen.uniform(-np.pi / 2, np.pi / 2, n)
     w = gen.exponential(1.0, n)
+    scale = (stable_scale(alpha) * delta) ** (1.0 / alpha)
     if alpha == 1.0:
-        x = np.tan(u)
-    else:
-        s = np.tan(((np.pi / 2 - np.abs(u)) + HALF_PI_LO) * 0.5)
-        cos_u = (2.0 * s) / (s * s + 1.0)
-        a = np.tan(u * (alpha / 2))
-        sin_au = (2.0 * a) / (a * a + 1.0)
-        b = np.tan(u * ((1.0 - alpha) / 2))
-        cos_bu = ((1.0 - b) * (b + 1.0)) / (b * b + 1.0)
-        x = (sin_au / cos_u ** (1.0 / alpha)) * (cos_bu / w) ** ((1.0 - alpha) / alpha)
-    return (stable_scale(alpha) * delta) ** (1.0 / alpha) * x
+        return np.tan(u) * scale
+    p = (1.0 - alpha) / alpha
+    s = np.tan(((np.pi / 2 - np.abs(u)) + HALF_PI_LO) * 0.5)
+    g = (s * s + 1.0) / s  # 2 / cos u
+    a = np.tan(u * (alpha / 2))
+    sin_au_over_cos_u = (a * g) / (a * a + 1.0)
+    b = np.tan(u * ((1.0 - alpha) / 2))
+    base = ((1.0 - b) * (b + 1.0)) / ((b * b + 1.0) * (w / g))
+    return (sin_au_over_cos_u * (scale * 2.0**-p)) * base**p
 
 
 def reference_tempered_jumps(gen, alpha, delta, n):
@@ -670,15 +728,32 @@ class TestStreamStates:
             replicate_map(fn, [(law(0), 10, (0, 0)), (law(1), 10, (0, -1))], 2)
         assert draws == ["draw_parts"] * 2 and made == []
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-1), (3, -2), (-5,), [3, -1]])
+    @pytest.mark.parametrize(
+        "seed", [-1, np.int64(-1), (3, -2), (-5,), [3, -1], np.array([3, -1])]
+    )
     def test_rejects_negative_seed(self, seed):
         """simulate_increments refuses it, naming it, for an integer or a key
-        tuple or list."""
+        tuple, list or array."""
         named = rf"non-negative integers, got {re.escape(str(seed))}$"
         with pytest.raises(ParameterError, match=named):
             simulate_increments(ModelSpec(), 10, 2, seed)
         with pytest.raises(ParameterError, match=named):
             simulate_path(ModelSpec(), 10, seed)
+
+    def test_key_array_is_checked_and_drawn_as_its_tuple(self, monkeypatch):
+        """A negative entry is refused before any generator is made, and a
+        valid array draws what the tuple of its entries draws."""
+        from jumpvol import levy
+
+        made, real = [], levy.default_rng
+        spy = lambda key: made.append(key) or real(key)
+        monkeypatch.setattr(levy, "default_rng", spy)
+        model = ModelSpec(sigma=1.0, gamma=1.0, jump_law=JumpLaw("stable", 1.5))
+        with pytest.raises(ParameterError, match="non-negative"):
+            simulate_path(model, 4, np.array([3, -1]))
+        assert made == []
+        want = simulate_path(model, 4, (3, 1))
+        np.testing.assert_array_equal(simulate_path(model, 4, np.array([3, 1])), want)
 
     def test_accepts_seeds_beyond_int64(self):
         assert simulate_increments(ModelSpec(), 10, 2, (2**70, 1)).shape == (2, 10)

@@ -356,18 +356,34 @@ class TestDZeta:
         ],
     }
 
-    # The tuples that moved, by rounding only, when the terms came to be formed
-    # from S / u at u = 1/|zeta| in place of S * zeta, keyed by (alpha, kernel,
-    # zeta index).  PINNED keeps the earlier values; each stays within 1e-12.
+    # The tuples that moved, by rounding only, keyed by (alpha, kernel, zeta
+    # index): when the terms came to be formed from S / u at u = 1/|zeta| in
+    # place of S * zeta, and when the stable transform came to take one power
+    # per draw.  PINNED keeps the earlier values; each stays within 1e-12.
     REPINNED = {
         (0.5, "phi", 0): (
-            "(23.014841081924196, 0.210990800344048, 23.004148606993738)"
+            "(23.014841081924196, 0.21099080034404802, 23.004148606993738)"
+        ),
+        (0.5, "composite", 2): (
+            "(-4770.046107662728, 2144.9933507653104, -5188.423993150763)"
+        ),
+        (1.5, "phi", 0): (
+            "(14.873151711222478, 0.12757442989579246, 14.946440968310432)"
+        ),
+        (1.5, "phi", 1): (
+            "(52.514079160279984, 2.196081552827838, 51.43982193105514)"
+        ),
+        (1.5, "phi", 2): (
+            "(142.72285704474342, 30.864342440390825, 163.06752171555067)"
         ),
         (1.5, "composite", 0): (
-            "(-3.2640486359023893, 0.532117412787232, -3.3733011897628504)"
+            "(-3.2640486359023924, 0.532117412787232, -3.3733011897628504)"
         ),
         (1.5, "composite", 1): (
-            "(-0.6360243858472218, 9.242424770648759, -0.31652097984658617)"
+            "(-0.6360243858471719, 9.242424770648755, -0.31652097984658617)"
+        ),
+        (1.5, "composite", 2): (
+            "(142.43084357140677, 30.659846931627204, -0.03158226733584884)"
         ),
     }
 
