@@ -167,7 +167,7 @@ def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -
             g += 1.0
             g /= k
             np.divide(wp, g, out=k)
-        for i, (alpha, scale, x) in enumerate(zip(alphas, scales, out)):
+        for alpha, scale, x in zip(alphas, scales, out):
             xp = x[lo : lo + step]
             if alpha == 1.0:
                 np.tan(up, out=xp)
@@ -175,7 +175,7 @@ def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -
                 continue
             # c = (cos((1-alpha) v) / k)^p, in k once no later alpha reads k
             p = (1.0 - alpha) / alpha
-            c = k if i == len(alphas) - 1 else spare[0]
+            c = k if x is out[-1] else spare[0]
             np.multiply(up, (1.0 - alpha) / 2, out=b)
             np.tan(b, out=b)
             np.multiply(b, b, out=t)
@@ -186,7 +186,7 @@ def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -
             c *= b
             c /= t
             np.power(c, p, out=c)
-            # b = sin(alpha v) / cos v
+            # b = sin(alpha v) / cos v, then times scale 2^-p
             np.multiply(up, alpha / 2, out=b)
             np.tan(b, out=b)
             np.multiply(b, b, out=t)
