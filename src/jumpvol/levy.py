@@ -163,7 +163,7 @@ def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -
             k += _HALF_PI_LO
             k *= 0.5
             np.tan(k, out=k)
-            np.multiply(k, k, out=g)
+            np.square(k, out=g)
             g += 1.0
             g /= k
             np.divide(wp, g, out=k)
@@ -178,7 +178,7 @@ def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -
             c = k if x is out[-1] else spare[0]
             np.multiply(up, (1.0 - alpha) / 2, out=b)
             np.tan(b, out=b)
-            np.multiply(b, b, out=t)
+            np.square(b, out=t)
             t += 1.0
             t *= k
             np.subtract(1.0, b, out=c)
@@ -189,7 +189,7 @@ def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -
             # b = sin(alpha v) / cos v, then times scale 2^-p
             np.multiply(up, alpha / 2, out=b)
             np.tan(b, out=b)
-            np.multiply(b, b, out=t)
+            np.square(b, out=t)
             t += 1.0
             b *= g
             b /= t

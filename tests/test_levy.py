@@ -212,7 +212,7 @@ class TestChambersMallowsStuck:
         w = gen.standard_exponential(r.shape).view(Counted)
         out = [np.empty(r.shape).view(Counted) for _ in alphas[1:]] + [r]
         _chambers_mallows_stuck(alphas, [1.0] * len(alphas), r, w, out)
-        arithmetic = {"absolute", "add", "subtract", "multiply", "divide"}
+        arithmetic = {"absolute", "add", "subtract", "multiply", "divide", "square"}
         costly = Counter(name for name in seen if name not in arithmetic)
         assert costly == {"tan": 2 * (1 + 1 + 2 * 3), "power": 2 * 3}
 
