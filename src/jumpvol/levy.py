@@ -140,11 +140,11 @@ def _chambers_mallows_stuck(alphas, scales, u: np.ndarray, w: np.ndarray, out) -
     pi/2 - |v| is exact for |v| >= pi/4, so cos v keeps its relative
     accuracy up to |v| = pi/2.  The power's base is over w/g = w cos(v)/2,
     so sin(alpha v) / cos v takes scales[i] 2^-p before the power does;
-    alpha 1 is tan(v) times its scale.  Accurate for w >= 1e-20 (a Generator's least positive
-    exponential is 7.1e-18); a smaller w takes w/g out of the double range.
-    Pieces of at most BLOCK_INCREMENTS entries in reused buffers keep it
-    cache-sized; each forms v, g and w/g once, the rest once per alpha, and
-    v stays in u until the last alpha's draws overwrite it.
+    alpha 1 is tan(v) times its scale.  Accurate for w >= 1e-20; a Generator
+    draws no positive w below 7.1e-18, and a smaller w can take w/g out of
+    the double range.  Pieces of at most BLOCK_INCREMENTS entries in reused
+    buffers keep it cache-sized; each forms v, g and w/g once, the rest
+    once per alpha, and v stays in u until the last alpha's draws overwrite it.
     """
     u, w = u.reshape(-1), w.reshape(-1)
     out = [x.reshape(-1) for x in out]
