@@ -29,35 +29,76 @@ if "numpy" not in _sys.modules and not any(
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import DiagnosticError, NumericalError, ParameterError
-from .estimators import (
-    EstimatorConfig,
-    estimates,
-    jump_bias,
-    richardson,
-    richardson_paired,
-    tqv,
-)
-from .harness import (
-    CellConfig,
-    ExperimentConfig,
-    McReport,
-    emit_report,
-    load_config,
-    parse_config,
-    rate_fit,
-    run_mc,
-    run_rate_experiment,
-)
-from .kernels import Kernel, c_tilde, cancelling_kernel, kernel_moment
-from .levy import (
-    JumpLaw,
-    ModelSpec,
-    c_alpha,
-    simulate_path,
-    stable_scale,
-    tail_constant,
-)
-from .stable import d_zeta, d_zeta_asymptotic, d_zeta_quadrature, stable_density
+
+# The exports of each submodule.  A submodule loads on the first use of it or
+# of one of its exports, through `__getattr__` (PEP 562), so that a program
+# imports only the modules it runs: `jumpvol dzeta` never compiles `harness`
+# and `estimators`.
+_EXPORTS = {
+    "estimators": (
+        "EstimatorConfig",
+        "estimates",
+        "jump_bias",
+        "richardson",
+        "richardson_paired",
+        "tqv",
+    ),
+    "harness": (
+        "CellConfig",
+        "ExperimentConfig",
+        "McReport",
+        "emit_report",
+        "load_config",
+        "parse_config",
+        "rate_fit",
+        "run_mc",
+        "run_rate_experiment",
+    ),
+    "kernels": ("Kernel", "c_tilde", "cancelling_kernel", "kernel_moment"),
+    "levy": (
+        "JumpLaw",
+        "ModelSpec",
+        "c_alpha",
+        "simulate_path",
+        "stable_scale",
+        "tail_constant",
+    ),
+    "stable": ("d_zeta", "d_zeta_asymptotic", "d_zeta_quadrature", "stable_density"),
+    "workers": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """An export or a submodule, its module imported on first use."""
+    module = _HOME.get(name, name)
+    # An import of a submodule binds it on this package, and
+    # `from .m import __name__` is such an import.  (`from . import m` would
+    # look m up on this package first, and so call this function again.)
+    match module:
+        case "estimators":
+            from .estimators import __name__ as _
+        case "harness":
+            from .harness import __name__ as _
+        case "kernels":
+            from .kernels import __name__ as _
+        case "levy":
+            from .levy import __name__ as _
+        case "stable" | "workers":  # `stable` imports `workers`
+            from .stable import __name__ as _
+        case _:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[module]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """This package's names, with the exports and submodules not yet loaded."""
+    return sorted({*globals(), *_EXPORTS, *_HOME})
+
 
 __version__ = "0.1.0"
 

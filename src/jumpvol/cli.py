@@ -1,4 +1,9 @@
-"""Command-line interface: simulate, estimate, mc-table, rate-check, dzeta."""
+"""Command-line interface: simulate, estimate, mc-table, rate-check, dzeta.
+
+`harness` and `estimators` are imported in the commands that use them, so
+that `dzeta` starts without compiling them.  `levy`, `kernels` and `stable`,
+and with it `workers`, load with this module, before any command forks.
+"""
 
 from __future__ import annotations
 
@@ -10,16 +15,6 @@ from functools import cache
 import numpy as np
 
 from .errors import DiagnosticError, NumericalError, ParameterError
-from .estimators import EstimatorConfig, estimates
-from .harness import (
-    emit_report,
-    load_config,
-    path_from_csv,
-    path_to_csv,
-    read_text,
-    run_mc,
-    run_rate_experiment,
-)
 from .kernels import Kernel, cancelling_kernel
 from .levy import JumpLaw, ModelSpec, simulate_path
 from .stable import d_zeta, d_zeta_asymptotic
@@ -41,6 +36,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from .harness import path_to_csv
+
     jump_law = None
     if args.gamma != 0.0:
         jump_law = JumpLaw(kind=args.jumps, alpha=args.alpha)
@@ -53,6 +50,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .estimators import EstimatorConfig, estimates
+    from .harness import path_from_csv, read_text
+
     config = EstimatorConfig(beta=args.beta, k=args.k)
     increments = path_from_csv(read_text(getattr(args, "in")), config)
     row = estimates(increments, config, args.alpha, args.gamma, args.M)
@@ -64,6 +64,8 @@ def _cmd_estimate(args) -> int:
 
 def _load_config(args):
     """The config named by --config, with --seed applied when given."""
+    from .harness import load_config
+
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -71,6 +73,8 @@ def _load_config(args):
 
 
 def _cmd_mc_table(args) -> int:
+    from .harness import emit_report, run_mc
+
     config = _load_config(args)
     csv_path = args.out or config.csv_path
     if not csv_path:
@@ -83,6 +87,8 @@ def _cmd_mc_table(args) -> int:
 
 
 def _cmd_rate_check(args) -> int:
+    from .harness import run_rate_experiment
+
     text = run_rate_experiment(_load_config(args))
     _write_or_print(text, args.out)
     return 0

@@ -790,23 +790,51 @@ class TestNegativeSeed:
         assert not out.exists()
 
 
+def run_module(module, *argv):
+    """`python -m module argv...` in a fresh interpreter, jumpvol imported
+    from this checkout."""
+    src = str(Path(jumpvol.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestModuleEntryPoints:
     """`python -m jumpvol` and `python -m jumpvol.cli` run the CLI from a checkout."""
 
     @pytest.mark.parametrize("module", ["jumpvol", "jumpvol.cli"])
     def test_missing_config_exits_1(self, module):
-        src = str(Path(jumpvol.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "mc-table", "--config", "/nonexistent.cfg"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_module(module, "mc-table", "--config", "/nonexistent.cfg")
         assert proc.returncode == 1
         assert "error" in proc.stderr
+
+    def test_commands_run_in_a_fresh_interpreter(self, capsys, tmp_path):
+        """The commands that import `harness` or `estimators` themselves run
+        where no other code has loaded them: simulate, estimate on its path,
+        mc-table and rate-check.  What they print is what they print here."""
+        path, table = tmp_path / "p.csv", tmp_path / "t.csv"
+        cfg, rate_cfg = tmp_path / "exp.cfg", tmp_path / "rate.cfg"
+        cfg.write_text(TestMcTable.CFG)
+        grid = TestMcTable.CFG.replace("n = 150", "n_grid = 50 100 200 400")
+        rate_cfg.write_text(grid)
+        simulate = "simulate --n 100 --gamma 1 --alpha 1.5 --seed 3 --out".split()
+        estimate = "estimate --beta 0.2 --alpha 1.5 --gamma 1 --in".split()
+        for argv in (
+            [*simulate, str(path)],
+            [*estimate, str(path)],
+            ["mc-table", "--config", str(cfg), "--out", str(table)],
+            ["rate-check", "--config", str(rate_cfg)],
+        ):
+            proc = run_module("jumpvol", *argv)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert run_cli(capsys, *argv)[:2] == (0, proc.stdout)
+        assert path.exists() and table.exists()
 
 
 # `jumpvol -h` and `jumpvol dzeta -h` at 80 columns, as the parser gave

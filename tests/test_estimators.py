@@ -400,8 +400,18 @@ class TestRateFit:
     @pytest.mark.parametrize(
         "kind, alpha, want",
         [
-            ("stable", 1.5, "(0.10577096080361167, 0.02399466510858498)"),
-            ("tempered", 0.7, "(0.08583579338731881, 0.12758647349012361)"),
+            pytest.param(
+                "stable",
+                1.5,
+                "(0.10577096080361167, 0.02399466510858498)",
+                id="stable-1.5",
+            ),
+            pytest.param(
+                "tempered",
+                0.7,
+                "(0.08583579338731881, 0.12758647349012361)",
+                id="tempered-0.7",
+            ),
         ],
     )
     def test_fits_are_pinned(self, kind, alpha, want):

@@ -110,14 +110,20 @@ def test_no_module_imports_scipy():
     assert {m for m in MODULES if imports_scipy(m)} == set()
 
 
-def modules_loaded_by_cli_import() -> list[str]:
-    """The modules that `import jumpvol.cli` leaves loaded in a fresh interpreter."""
-    code = "import sys, jumpvol.cli; print(' '.join(sorted(sys.modules)))"
+def run_in_fresh_interpreter(code: str) -> str:
+    """The standard output of `code`, run by a fresh interpreter that imports
+    jumpvol from this checkout."""
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     argv = [sys.executable, "-c", code]
     result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-    return result.stdout.split()
+    return result.stdout
+
+
+def modules_loaded_by_cli_import() -> list[str]:
+    """The modules that `import jumpvol.cli` leaves loaded in a fresh interpreter."""
+    code = "import sys, jumpvol.cli; print(' '.join(sorted(sys.modules)))"
+    return run_in_fresh_interpreter(code).split()
 
 
 def test_cli_import_loads_no_scipy():
@@ -134,6 +140,66 @@ def test_cli_import_loads_numpy_random():
     """numpy.random loads with the package, once, before any command forks;
     `levy`'s import of `default_rng` is what loads it."""
     assert "numpy.random" in modules_loaded_by_cli_import()
+
+
+def test_cli_import_loads_no_harness_or_estimators():
+    """`dzeta` starts without compiling `harness` and `estimators`: the
+    commands that use them import them.  The modules that every command may
+    run still load with the CLI, before any command forks."""
+    loaded = {m for m in modules_loaded_by_cli_import() if m.startswith("jumpvol.")}
+    eager = {"cli", "errors", "kernels", "levy", "stable", "workers"}
+    assert loaded == {f"jumpvol.{m}" for m in eager}
+
+
+SUBMODULES = ["errors", "estimators", "harness", "kernels", "levy", "stable", "workers"]
+
+
+def test_package_import_loads_only_errors():
+    """`import jumpvol` loads `errors` and no other package module."""
+    code = "import sys, jumpvol; print(' '.join(sorted(sys.modules)))"
+    loaded = run_in_fresh_interpreter(code).split()
+    ours = [m for m in loaded if m.startswith("jumpvol")]
+    assert ours == ["jumpvol", "jumpvol.errors"]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_loads_on_first_use(module):
+    """Each submodule is an attribute of the package, imported when it is
+    first looked up."""
+    name = f"jumpvol.{module}"
+    code = f"import sys, jumpvol; print({name} is sys.modules[{name!r}])"
+    assert run_in_fresh_interpreter(code).split() == ["True"]
+
+
+# Whether `dir(jumpvol)` lists every export before any is used, then what
+# `from jumpvol import *` binds in a fresh interpreter: each name, its
+# module, and whether it is the package's attribute of that name.
+EXPORTS_ON_FIRST_USE = """
+import jumpvol
+print(set(jumpvol.__all__) <= set(dir(jumpvol)))
+namespace = {}
+exec("from jumpvol import *", namespace)
+for name in jumpvol.__all__:
+    value = namespace[name]
+    print(name, value.__module__, getattr(jumpvol, name) is value)
+"""
+
+
+def test_every_export_resolves_on_first_use():
+    listed, *lines = run_in_fresh_interpreter(EXPORTS_ON_FIRST_USE).splitlines()
+    assert listed == "True"
+    found = {name: (module, same) for name, module, same in map(str.split, lines)}
+    assert sorted(found) == sorted(jumpvol.__all__)
+    for name, (module, same) in found.items():
+        assert module == getattr(jumpvol, name).__module__
+        assert same == "True"
+
+
+def test_harness_is_reached_through_the_package_after_cli_import():
+    """`import jumpvol.cli` followed by `jumpvol.harness.load_config`, as
+    `perfbench/child.py` runs its set-up."""
+    code = "import jumpvol.cli; print(jumpvol.harness.load_config.__module__)"
+    assert run_in_fresh_interpreter(code).split() == ["jumpvol.harness"]
 
 
 def test_cli_import_loads_no_multiprocessing():
